@@ -10,6 +10,7 @@ invariant violation (a bug, e.g. a missed size bound).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -122,18 +123,20 @@ def _cmd_mahler(args):
 def _cmd_northcott(args):
     degree = args.degree
     height = parse_rational(args.height)
+    precision = parse_rational(args.precision)
     cache_path = None
     if args.cache:
         os.makedirs(args.cache, exist_ok=True)
+        # every parameter that changes the output; hashed, since a fine
+        # precision has more digits than a file name may hold
+        key = f"{degree}:{height}:{precision}".encode()
         cache_path = os.path.join(
-            args.cache,
-            f"northcott_d{degree}_h{height.numerator}_{height.denominator}.json",
+            args.cache, f"northcott_{hashlib.sha256(key).hexdigest()[:32]}.json"
         )
         if os.path.exists(cache_path):
             with open(cache_path, "r", encoding="utf-8") as fh:
                 return json.load(fh)
     polys = northcott_enumerate(degree, height)
-    precision = parse_rational(args.precision)
     result = [
         {
             "coeffs": list(f.coeffs),
@@ -362,9 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--precision", default="1e-12", help="target enclosure width")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
     common.add_argument("--out", default=None, help="write output to a file")
-    common.add_argument("--jobs", type=int, default=1, help="worker cap (modules may ignore)")
     common.add_argument("--cache", default=None, help="cache directory (northcott)")
 
     root_opts = argparse.ArgumentParser(add_help=False)

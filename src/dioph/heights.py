@@ -25,6 +25,7 @@ from .intpoly import (
     factor_integer,
     is_irreducible,
     poly_divide_exact,
+    rational_root,
     _q_to_primitive,
 )
 from .numberfield import AlgebraicNumber, NumberFieldElement
@@ -310,27 +311,6 @@ def is_product_of_cyclotomics(f: IntPolynomial) -> bool:
     return g.degree == 0 and abs(g.constant) == 1
 
 
-def _rational_roots(prim: IntPolynomial) -> List[Fraction]:
-    """Rational roots of a primitive polynomial, with multiplicity 1 each
-    per call site (the caller strips and repeats)."""
-    from .intpoly import divisors
-    import math as _math
-
-    out = []
-    if prim.constant == 0:
-        out.append(Fraction(0))
-        return out
-    for q in divisors(prim.leading):
-        for p in divisors(prim.constant):
-            if _math.gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if prim(cand) == 0:
-                    out.append(cand)
-                    return out
-    return out
-
-
 def _strip_exact_factors(prim: IntPolynomial) -> Tuple[Fraction, IntPolynomial]:
     """Split off factors with exact Mahler contribution: rational linear
     factors (M = max(|p|, |q|)) and cyclotomic factors (M = 1).  Returns
@@ -340,9 +320,8 @@ def _strip_exact_factors(prim: IntPolynomial) -> Tuple[Fraction, IntPolynomial]:
     changed = True
     while changed and work.degree >= 1:
         changed = False
-        roots = _rational_roots(work)
-        if roots:
-            r = roots[0]
+        r = rational_root(work)
+        if r is not None:
             factor = IntPolynomial([-r.numerator, r.denominator])
             quotient = poly_divide_exact(work, factor)
             if quotient is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .exceptions import DomainError, UnsupportedError
 
@@ -650,18 +650,23 @@ def _subset_sums(degrees: List[int]) -> set:
     return {i for i in range(sums.bit_length()) if (sums >> i) & 1}
 
 
-def _has_rational_root(f: IntPolynomial) -> bool:
+def rational_root(f: IntPolynomial) -> Optional[Fraction]:
+    """A rational root of f or None: 0 if the constant term vanishes,
+    else the first p/q, then -p/q, over coprime divisors q of the
+    leading coefficient and p of the constant term."""
     a0, an = f.constant, f.leading
     if a0 == 0:
-        return True
+        return Fraction(0)
     for q in divisors(an):
         for p in divisors(a0):
             if math.gcd(p, q) != 1:
                 continue
             x = Fraction(p, q)
-            if f(x) == 0 or f(-x) == 0:
-                return True
-    return False
+            if f(x) == 0:
+                return x
+            if f(-x) == 0:
+                return -x
+    return None
 
 
 def _mignotte_bound(f: IntPolynomial, k: int, i: int) -> int:
@@ -701,9 +706,7 @@ def is_irreducible(f: IntPolynomial, degree_cap: int = IRREDUCIBILITY_DEGREE_CAP
     n = g.degree
     if n == 1:
         return True
-    if g.constant == 0:
-        return False  # divisible by x
-    if _has_rational_root(g):
+    if rational_root(g) is not None:
         return False
     if n <= 3:
         return True  # no rational root and degree 2 or 3

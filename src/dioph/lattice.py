@@ -16,80 +16,10 @@ from math import lcm
 from typing import List, Sequence, Tuple
 
 from .exceptions import DomainError, InternalError, UnsupportedError
+from .linalg import det, inverse, rank as _rank_int
 
 DIMENSION_CAP = 5
 _ENUM_NODE_BUDGET = 30_000_000
-
-
-def _det(rows: List[List[Fraction]]) -> Fraction:
-    n = len(rows)
-    M = [list(r) for r in rows]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = None
-        for r in range(k, n):
-            if M[r][k] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            M[k], M[pivot] = M[pivot], M[k]
-            det = -det
-        det *= M[k][k]
-        inv = 1 / M[k][k]
-        for r in range(k + 1, n):
-            if M[r][k] != 0:
-                factor = M[r][k] * inv
-                M[r] = [a - factor * b for a, b in zip(M[r], M[k])]
-    return det
-
-
-def _inverse(rows: List[List[Fraction]]) -> List[List[Fraction]]:
-    n = len(rows)
-    M = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for k in range(n):
-        pivot = None
-        for r in range(k, n):
-            if M[r][k] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            raise DomainError("singular form matrix")
-        M[k], M[pivot] = M[pivot], M[k]
-        inv = 1 / M[k][k]
-        M[k] = [a * inv for a in M[k]]
-        for r in range(n):
-            if r != k and M[r][k] != 0:
-                factor = M[r][k]
-                M[r] = [a - factor * b for a, b in zip(M[r], M[k])]
-    return [row[n:] for row in M]
-
-
-def _rank_int(vectors: Sequence[Sequence[int]]) -> int:
-    rows = [[Fraction(v) for v in vec] for vec in vectors]
-    rank = 0
-    col = 0
-    n = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < n:
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [a * inv for a in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 @dataclass(frozen=True)
@@ -109,7 +39,7 @@ class ConvexBody:
             raise DomainError("one bound per form is required")
         if any(c <= 0 for c in cs):
             raise DomainError("bounds must be positive")
-        if _det([list(r) for r in rows]) == 0:
+        if det(rows) == 0:
             raise DomainError("forms must be linearly independent")
         object.__setattr__(self, "forms", rows)
         object.__setattr__(self, "bounds", cs)
@@ -132,11 +62,10 @@ class ConvexBody:
 def body_volume(body: ConvexBody) -> Fraction:
     """Exact volume 2^N * prod(c_i) / |det L|."""
     n = body.dimension
-    det = _det([list(r) for r in body.forms])
     vol = Fraction(2) ** n
     for c in body.bounds:
         vol *= c
-    return vol / abs(det)
+    return vol / abs(det(body.forms))
 
 
 @dataclass
@@ -236,7 +165,7 @@ def successive_minima(body: ConvexBody) -> MinimaResult:
     if n > DIMENSION_CAP:
         raise UnsupportedError(f"dimension above cap {DIMENSION_CAP}")
     rows, V, den = _reduced_lattice(body)
-    inv_rows = _inverse([[Fraction(c) for c in row] for row in rows])
+    inv_rows = inverse(rows)
     # operator norm of R^-1 acting on sup norms: max column-abs-sum here
     # since z = y * R^-1 with y a row vector; use the safe max row sum of
     # the transpose

@@ -24,6 +24,7 @@ from .intpoly import (
     refine_root_interval,
     _qdivmod,
 )
+from .linalg import det, laplace_det
 from .roots import ordered_root_boxes
 
 EMBEDDING_PRECISION = Fraction(1, 10 ** 15)
@@ -334,6 +335,9 @@ class NumberFieldElement:
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
 
+    def __rtruediv__(self, other):
+        return self._coerce(other) * self.inverse()
+
     def __repr__(self):
         return f"NFElement({list(self.rep)} over {self.base.min_poly})"
 
@@ -435,32 +439,8 @@ def _charpoly_faddeev(M: List[List[Fraction]]) -> List[Fraction]:
 # resultant-based minimal polynomial of powers
 
 
-def _bareiss_det(M: List[List[int]]) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    n = len(M)
-    if n == 0:
-        return 1
-    M = [row[:] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for s in range(k + 1, n):
-                if M[s][k] != 0:
-                    M[k], M[s] = M[s], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
 def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
-    """Resultant of two nonzero integer polynomials via Sylvester/Bareiss."""
+    """Resultant of two nonzero integer polynomials: det of the Sylvester matrix."""
     if f.is_zero() or g.is_zero():
         raise DomainError("resultant of the zero polynomial")
     m, n = f.degree, g.degree
@@ -476,7 +456,7 @@ def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
         rows.append([0] * i + fc + [0] * (size - m - 1 - i))
     for i in range(m):
         rows.append([0] * i + gc + [0] * (size - n - 1 - i))
-    return _bareiss_det(rows)
+    return int(det(rows))
 
 
 def power_min_poly(a: AlgebraicNumber, m: int) -> IntPolynomial:
@@ -535,52 +515,40 @@ def _lagrange_interpolate(xs: List[int], ys: List[int]) -> List[Fraction]:
 # certified complex embeddings and the inverse-basis operator bound
 
 
-def _box_mul(a, b):
-    ar, ai = a
-    br, bi = b
-    return (ar * br - ai * bi, ar * bi + ai * br)
+class ComplexBox:
+    """A complex rectangle re + i*im with enclosure parts.  Sums,
+    products and negation are the exact interval operations."""
 
+    __slots__ = ("re", "im")
 
-def _box_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
+    def __init__(self, re: Enclosure, im: Enclosure):
+        self.re = re
+        self.im = im
 
+    def __add__(self, other: "ComplexBox") -> "ComplexBox":
+        return ComplexBox(self.re + other.re, self.im + other.im)
 
-def _box_neg(a):
-    return (-a[0], -a[1])
+    def __neg__(self) -> "ComplexBox":
+        return ComplexBox(-self.re, -self.im)
 
+    def __mul__(self, other: "ComplexBox") -> "ComplexBox":
+        return ComplexBox(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
 
-def _box_abs_upper(box, err: Fraction) -> Fraction:
-    re, im = box
-    abs2 = re * re + im * im
-    hi = max(abs2.hi, Fraction(0))
-    return sqrt_enclosure(hi, err).hi
+    def _abs2(self) -> Enclosure:
+        return self.re * self.re + self.im * self.im
 
+    def abs_upper(self, err: Fraction) -> Fraction:
+        hi = max(self._abs2().hi, Fraction(0))
+        return sqrt_enclosure(hi, err).hi
 
-def _box_abs_lower(box) -> Fraction:
-    re, im = box
-    abs2 = re * re + im * im
-    lo = max(abs2.lo, Fraction(0))
-    if lo == 0:
-        return Fraction(0)
-    from .enclosure import sqrt_enclosure as _s
-
-    return _s(lo, Fraction(lo) / 4).lo
-
-
-def _box_det(M):
-    """Determinant of a small complex-box matrix by expansion on column 0."""
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    zero = (Enclosure.exact(0), Enclosure.exact(0))
-    total = zero
-    for i in range(n):
-        minor = [row[1:] for r, row in enumerate(M) if r != i]
-        term = _box_mul(M[i][0], _box_det(minor))
-        if i % 2 == 1:
-            term = _box_neg(term)
-        total = _box_add(total, term)
-    return total
+    def abs_lower(self) -> Fraction:
+        lo = max(self._abs2().lo, Fraction(0))
+        if lo == 0:
+            return Fraction(0)
+        return sqrt_enclosure(lo, Fraction(lo) / 4).lo
 
 
 def embedding_matrix(a: AlgebraicNumber, precision: Fraction):
@@ -589,10 +557,10 @@ def embedding_matrix(a: AlgebraicNumber, precision: Fraction):
     d = a.degree
     W = []
     for re, im in boxes:
-        row = [(Enclosure.exact(1), Enclosure.exact(0))]
-        z = (re, im)
+        row = [ComplexBox(Enclosure.exact(1), Enclosure.exact(0))]
+        z = ComplexBox(re, im)
         for _ in range(1, d):
-            row.append(_box_mul(row[-1], z))
+            row.append(row[-1] * z)
         W.append(row)
     return W
 
@@ -612,10 +580,10 @@ def inverse_embedding_bound(
         return Enclosure.exact(1)
     for _ in range(6):
         W = embedding_matrix(a, precision)
-        det = _box_det(W)
-        det_lo = _box_abs_lower(det)
+        det_W = laplace_det(W)
+        det_lo = det_W.abs_lower()
         if det_lo > 0:
-            det_hi = _box_abs_upper(det, precision)
+            det_hi = det_W.abs_upper(precision)
             err = precision
             lo_candidates = []
             hi_candidates = []
@@ -628,14 +596,14 @@ def inverse_embedding_bound(
                         for x in range(d)
                         if x != r
                     ]
-                    cof = _box_det(minor)
-                    row_hi += _box_abs_upper(cof, err)
-                    row_lo += _box_abs_lower(cof)
+                    cof = laplace_det(minor)
+                    row_hi += cof.abs_upper(err)
+                    row_lo += cof.abs_lower()
                 hi_candidates.append(row_hi / det_lo)
                 lo_candidates.append(row_lo / det_hi if det_hi > 0 else Fraction(0))
             # certified positive floor: |W^-1| >= 1/|W| for operator norms
             w_norm_hi = max(
-                sum(_box_abs_upper(W[r][k], err) for k in range(d))
+                sum(W[r][k].abs_upper(err) for k in range(d))
                 for r in range(d)
             )
             floor = 1 / w_norm_hi

@@ -203,13 +203,23 @@ def multipoly_from_json(
 # matrices and bodies
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; floats, booleans and strings are not silently cast."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def int_matrix_from_json(data: dict) -> IntMatrix:
     if "entries" not in data:
         raise ParseError('matrix JSON needs "entries"')
     entries = data["entries"]
-    if "rows" in data and len(entries) != int(data["rows"]):
+    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+        raise ParseError('"entries" must be a list of rows')
+    entries = [[_json_int(c, "matrix entry") for c in row] for row in entries]
+    if "rows" in data and len(entries) != _json_int(data["rows"], '"rows"'):
         raise ParseError("row count disagrees with entries")
-    if "cols" in data and entries and len(entries[0]) != int(data["cols"]):
+    if "cols" in data and entries and len(entries[0]) != _json_int(data["cols"], '"cols"'):
         raise ParseError("column count disagrees with entries")
     return IntMatrix(entries)
 

@@ -479,8 +479,8 @@ def _coefficient_log_height(matrix: NFMatrix, err: Fraction) -> Enclosure:
                 re = Enclosure.exact(0)
                 im = Enclosure.exact(0)
                 for k, c in enumerate(e.rep):
-                    re = re + box_pows[k][0] * c
-                    im = im + box_pows[k][1] * c
+                    re = re + box_pows[k].re * c
+                    im = im + box_pows[k].im * c
                 abs2 = re * re + im * im
                 max_sq_hi = max(max_sq_hi, abs2.hi)
                 max_sq_lo = max(max_sq_lo, max(abs2.lo, Fraction(0)))

@@ -15,8 +15,8 @@ from itertools import product as iter_product
 from typing import List, Optional, Sequence, Tuple
 
 from .exceptions import DomainError, InternalError, UnsupportedError
-from .multipoly import MultiPoly, normalized_derivative, _is_zero_scalar
-from .numberfield import NumberFieldElement
+from .linalg import laplace_det, rank
+from .multipoly import MultiPoly, normalized_derivative
 
 FAMILY_SIZE_CAP = 6
 
@@ -32,32 +32,6 @@ def multi_indices_up_to(order: int, arity: int) -> List[Tuple[int, ...]]:
         ]
         out.extend(sorted(level))
     return out
-
-
-def _poly_matrix_det(M: List[List[MultiPoly]]) -> MultiPoly:
-    """Exact determinant of a small matrix of polynomials (minor expansion)."""
-    n = len(M)
-    arity = M[0][0].arity
-    for row in M:
-        if all(p.is_zero() for p in row):
-            return MultiPoly.zero(arity)
-    memo = {}
-
-    def minor(rows: Tuple[int, ...], col: int) -> MultiPoly:
-        if len(rows) == 1:
-            return M[rows[0]][col]
-        key = (rows, col)
-        if key in memo:
-            return memo[key]
-        total = MultiPoly.zero(arity)
-        for pos, r in enumerate(rows):
-            rest = rows[:pos] + rows[pos + 1 :]
-            term = M[r][col] * minor(rest, col + 1)
-            total = total + (term if pos % 2 == 0 else -term)
-        memo[key] = total
-        return total
-
-    return minor(tuple(range(n)), 0)
 
 
 def generalized_wronskian(
@@ -83,38 +57,14 @@ def generalized_wronskian(
                 f"|mu_{i + 1}| = {sum(mu)} exceeds {i} (criterion precondition)"
             )
     rows = [[normalized_derivative(p, mu) for p in phis] for mu in mus]
-    return _poly_matrix_det(rows)
+    return laplace_det(rows)
 
 
 def _coefficient_rank(phis: Sequence[MultiPoly]) -> int:
     """Rank over the coefficient field of the monomial-coefficient matrix."""
     monomials = sorted({e for p in phis for e in p.terms})
     rows = [[p.terms.get(e, Fraction(0)) for e in monomials] for p in phis]
-    rank = 0
-    col = 0
-    rows = [list(r) for r in rows]
-    while rank < len(rows) and col < len(monomials):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if not _is_zero_scalar(rows[r][col]):
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        inv = pv.inverse() if isinstance(pv, NumberFieldElement) else 1 / pv
-        rows[rank] = [c * inv for c in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not _is_zero_scalar(rows[r][col]):
-                factor = rows[r][col]
-                rows[r] = [
-                    a - factor * b for a, b in zip(rows[r], rows[rank])
-                ]
-        rank += 1
-        col += 1
-    return rank
+    return rank(rows)
 
 
 def are_linearly_independent(

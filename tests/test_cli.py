@@ -282,3 +282,32 @@ def test_multipoly_json_roundtrip():
     P = MultiPoly(2, {(1, 2): Fraction(3, 4), (0, 0): Fraction(-2)})
     data = multipoly_to_json(P)
     assert multipoly_from_json(data) == P
+
+
+def test_northcott_cache_is_keyed_by_precision(capsys, tmp_path):
+    argv = ["northcott", "--degree", "2", "--height", "1", "--cache", str(tmp_path)]
+    code, coarse = run(capsys, *argv, "--precision", "1e-3")
+    assert code == 0
+    code, fine = run(capsys, *argv, "--precision", "1e-20")
+    assert code == 0
+    data = json.loads(fine)
+    assert len(data) == len(json.loads(coarse)) > 0
+    for entry in data:
+        mahler = entry["mahler"]
+        width = parse_rational(mahler["hi"]) - parse_rational(mahler["lo"])
+        assert width <= Fraction(1, 10 ** 20)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        '{"entries": [[1.5, 2, 1]]}',  # was truncated to [[1, 2, 1]]
+        '{"entries": [[1, "a"]]}',  # was a ValueError traceback
+        '{"entries": [[true, 2]]}',
+        '{"rows": 1.5, "entries": [[1, 2]]}',
+    ],
+)
+def test_siegel_rejects_non_integer_matrix_json(capsys, matrix):
+    code, out = run(capsys, "siegel", matrix)
+    assert code == 2
+    assert out == ""
