@@ -364,9 +364,10 @@ def _cmd_minkowski(args):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--precision", default="1e-12", help="target enclosure width")
     common.add_argument("--out", default=None, help="write output to a file")
-    common.add_argument("--cache", default=None, help="cache directory (northcott)")
+
+    precision_opt = argparse.ArgumentParser(add_help=False)
+    precision_opt.add_argument("--precision", default="1e-12", help="target enclosure width")
 
     root_opts = argparse.ArgumentParser(add_help=False)
     root_opts.add_argument(
@@ -390,16 +391,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", default=None, help="polynomial text or JSON")
     p.set_defaults(func=_cmd_height)
 
-    p = sub.add_parser("mahler", parents=[common], help="Mahler measure enclosure")
+    p = sub.add_parser("mahler", parents=[common, precision_opt], help="Mahler measure enclosure")
     p.add_argument("poly")
     p.set_defaults(func=_cmd_mahler)
 
-    p = sub.add_parser("northcott", parents=[common], help="enumerate bounded-height algebraics")
+    p = sub.add_parser(
+        "northcott", parents=[common, precision_opt], help="enumerate bounded-height algebraics"
+    )
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--height", required=True)
+    p.add_argument("--cache", default=None, help="cache directory")
     p.set_defaults(func=_cmd_northcott)
 
-    p = sub.add_parser("kronecker", parents=[common], help="root-of-unity test")
+    p = sub.add_parser("kronecker", parents=[common, precision_opt], help="root-of-unity test")
     p.add_argument("poly")
     p.add_argument("--with-height", action="store_true")
     p.set_defaults(func=_cmd_kronecker)
@@ -446,7 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=int, default=10)
     p.set_defaults(func=_cmd_cf)
 
-    p = sub.add_parser("liouville", parents=[common, root_opts], help="Liouville bound scan")
+    p = sub.add_parser(
+        "liouville", parents=[common, precision_opt, root_opts], help="Liouville bound scan"
+    )
     p.add_argument("alpha")
     p.add_argument("--qmax", type=int, default=10 ** 5)
     p.add_argument("--sweep", type=int, default=1000)

@@ -16,7 +16,7 @@ from math import lcm
 from typing import List, Sequence, Tuple
 
 from .exceptions import DomainError, InternalError, UnsupportedError
-from .linalg import det, inverse, rank as _rank_int
+from .linalg import det, inverse, lll_reduce_with_transform, rank as _rank_int
 
 DIMENSION_CAP = 5
 _ENUM_NODE_BUDGET = 30_000_000
@@ -82,8 +82,6 @@ def _reduced_lattice(body: ConvexBody):
     is LLL-reduced so that small-gauge points live in a small coordinate
     box.  Returns (rows, V, den): rows[i] = the reduced basis, x = V^T z.
     """
-    from .siegel import lll_reduce_with_transform
-
     n = body.dimension
     den = 1
     scaled = []

@@ -9,6 +9,9 @@ entries over Q(alpha).  Entries need +, -, *, comparison with 0 and
 
 `laplace_det` serves rings without division or without a certified
 zero test: polynomial matrices and complex interval boxes.
+
+`lll_reduce_with_transform` is the one lattice reduction: integral LLL
+with delta = 3/4 (Cohen, Alg. 2.6.7; Lenstra-Lenstra-Lovasz 1982).
 """
 
 from __future__ import annotations
@@ -93,3 +96,75 @@ def laplace_det(matrix: Sequence[Sequence]):
         return memo[key]
 
     return minor(tuple(range(len(matrix))), 0)
+
+
+def lll_reduce_with_transform(basis: Sequence[Sequence[int]]):
+    """LLL reduction (delta = 3/4) of linearly independent integer vectors.
+
+    Returns (reduced, H) with reduced[i] = sum_j H[i][j] * basis[j] and H
+    unimodular.  Gram-Schmidt is carried incrementally in integers: d[i]
+    is the Gram determinant of the first i vectors and lam[k][j] =
+    d[j+1] * mu_kj, so no Fraction is created.  A dependent input raises
+    DomainError.
+    """
+    b = [list(v) for v in basis]
+    n = len(b)
+    H = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def gram_schmidt(k):
+        # d[k + 1] and lam[k][:k] from b[k] and the rows before it
+        for j in range(k + 1):
+            u = dot(b[k], b[j])
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u == 0:
+                raise DomainError("LLL needs linearly independent vectors")
+            else:
+                d[k + 1] = u
+
+    def reduce(k, l):
+        # size-reduce b[k] against b[l] so that |mu_kl| <= 1/2
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            H[k] = [x - q * y for x, y in zip(H[k], H[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        H[k], H[k - 1] = H[k - 1], H[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        m = lam[k][k - 1]
+        B = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, k_max + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (B * t + m * lam[i][k]) // d[k + 1]
+        d[k] = B
+
+    if n:
+        gram_schmidt(0)
+    k, k_max = 1, 0
+    while k < n:
+        if k > k_max:
+            k_max = k
+            gram_schmidt(k)
+        reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return b, H

@@ -24,7 +24,7 @@ from .intpoly import (
     refine_root_interval,
     _qdivmod,
 )
-from .linalg import det, laplace_det
+from .linalg import laplace_det
 from .roots import ordered_root_boxes
 
 EMBEDDING_PRECISION = Fraction(1, 10 ** 15)
@@ -436,79 +436,15 @@ def _charpoly_faddeev(M: List[List[Fraction]]) -> List[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# resultant-based minimal polynomial of powers
-
-
-def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
-    """Resultant of two nonzero integer polynomials: det of the Sylvester matrix."""
-    if f.is_zero() or g.is_zero():
-        raise DomainError("resultant of the zero polynomial")
-    m, n = f.degree, g.degree
-    if m == 0:
-        return f.constant ** n
-    if n == 0:
-        return g.constant ** m
-    size = m + n
-    rows = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(n):
-        rows.append([0] * i + fc + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + gc + [0] * (size - n - 1 - i))
-    return int(det(rows))
+# minimal polynomial of powers
 
 
 def power_min_poly(a: AlgebraicNumber, m: int) -> IntPolynomial:
-    """Minimal polynomial of a**m for m >= 1, via resultants.
-
-    Res_y(f(y), y^m - t) is a degree-deg(f) polynomial in t whose roots
-    are the m-th powers of the roots of f; it is recovered exactly by
-    interpolation at integer nodes and its squarefree part is the
-    minimal polynomial of a**m.
-    """
+    """Minimal polynomial of a**m for m >= 1: the squarefree part of the
+    characteristic polynomial of multiplication by alpha**m in Q(alpha)."""
     if m < 1:
         raise DomainError("power_min_poly expects m >= 1")
-    if m == 1:
-        return a.min_poly
-    f = a.min_poly
-    n = f.degree
-    if n == 1:
-        v = Fraction(-f.constant, f.leading) ** m
-        return IntPolynomial([-v.numerator, v.denominator])
-    nodes = list(range(n + 1))
-    values = []
-    for t in nodes:
-        g = IntPolynomial([-t] + [0] * (m - 1) + [1])  # y^m - t
-        values.append(resultant(f, g))
-    coeffs = _lagrange_interpolate(nodes, values)
-    from .intpoly import _q_to_primitive, squarefree_part
-
-    poly = _q_to_primitive(coeffs)
-    if poly.degree != n:
-        raise DomainError("power polynomial interpolation degenerated")
-    result = squarefree_part(poly)
-    if result.leading < 0:
-        result = -result
-    return result
-
-
-def _lagrange_interpolate(xs: List[int], ys: List[int]) -> List[Fraction]:
-    """Coefficients (ascending) of the interpolating polynomial."""
-    k = len(xs)
-    acc = [Fraction(0)] * k
-    for i in range(k):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(k):
-            if j == i:
-                continue
-            basis = _poly_mul(basis, [Fraction(-xs[j]), Fraction(1)])
-            denom *= xs[i] - xs[j]
-        scale = Fraction(ys[i]) / denom
-        for t, c in enumerate(basis):
-            acc[t] += scale * c
-    return acc
+    return (NumberFieldElement.generator(a) ** m).min_poly_elem()
 
 
 # ---------------------------------------------------------------------------

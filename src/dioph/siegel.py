@@ -2,11 +2,13 @@
 linear systems, over Z and over Q(alpha) via power-basis expansion.
 
 The solver computes an exact integer kernel basis by unimodular column
-reduction, searches small integer combinations of the basis vectors in
-increasing sup-norm until the size bound max|x_i| < (N*A)^(M/(N-M)) is
-met (compared exactly as max|x_i|^(N-M) < (N*A)^M), and falls back to a
-pigeonhole collision search for small N.  A returned vector is always
-re-verified to lie in the kernel.
+reduction, LLL-reduces it once (linalg.lll_reduce_with_transform),
+searches the reduced vectors and then small integer combinations of
+them in increasing sup-norm until the size bound
+max|x_i| < (N*A)^(M/(N-M)) is met (compared exactly as
+max|x_i|^(N-M) < (N*A)^M), and falls back to a pigeonhole collision
+search for small N.  A returned vector is always re-verified to lie in
+the kernel.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .enclosure import Enclosure, log_enclosure
 from .exceptions import DomainError, InternalError, UnsupportedError
+from .linalg import lll_reduce_with_transform
 from .numberfield import (
     AlgebraicNumber,
     NumberFieldElement,
@@ -26,18 +29,25 @@ from .numberfield import (
     embedding_matrix,
 )
 
-_COMBINATION_BUDGET = 3_000_000
 _PIGEONHOLE_CAP = 6
+
+
+def _integer_entry(c) -> int:
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)) or c.denominator != 1:
+        raise DomainError(f"matrix entry {c!r} is not an integer")
+    return int(c)
 
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense integer matrix; rows of equal length, not all entries zero."""
+    """Dense integer matrix with rows of equal length.  Entries must be
+    ints or integral Fractions; anything else, bools included, raises
+    DomainError rather than being truncated."""
 
     entries: Tuple[Tuple[int, ...], ...]
 
     def __init__(self, entries: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(c) for c in row) for row in entries)
+        rows = tuple(tuple(_integer_entry(c) for c in row) for row in entries)
         if not rows or not rows[0]:
             raise DomainError("matrix must be nonempty")
         if any(len(r) != len(rows[0]) for r in rows):
@@ -107,92 +117,12 @@ def _normalize_vector(x: Sequence[int]) -> Tuple[int, ...]:
     return tuple(x)
 
 
-def _round_nearest(q: Fraction) -> int:
-    return (2 * q.numerator + q.denominator) // (2 * q.denominator)
-
-
-def _gram_schmidt(b):
-    n = len(b)
-    star = []
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    norms = []
-    for i in range(n):
-        v = [Fraction(x) for x in b[i]]
-        for j in range(i):
-            if norms[j] == 0:
-                continue
-            mu[i][j] = sum(Fraction(x) * y for x, y in zip(b[i], star[j])) / norms[j]
-            v = [a - mu[i][j] * c for a, c in zip(v, star[j])]
-        star.append(v)
-        norms.append(sum(a * a for a in v))
-    return mu, norms
-
-
-def pairwise_reduce(basis: List[Sequence[int]], passes: int = 8) -> List[List[int]]:
-    """Cheap integer size reduction: subtract rounded projections pairwise.
-
-    All-integer arithmetic; spans the same lattice.  Usually shortens
-    unimodular-reduction kernel bases enough for the size-bound search,
-    with full LLL kept as the fallback.
-    """
-    b = [list(map(int, v)) for v in basis]
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    for _ in range(passes):
-        b.sort(key=lambda v: dot(v, v))
-        changed = False
-        for i in range(len(b)):
-            for j in range(len(b)):
-                if i == j:
-                    continue
-                den = dot(b[j], b[j])
-                if den == 0:
-                    continue
-                q = _round_nearest(Fraction(dot(b[i], b[j]), den))
-                if q:
-                    b[i] = [x - q * y for x, y in zip(b[i], b[j])]
-                    changed = True
-        if not changed:
-            break
-    return [v for v in b if any(x != 0 for x in v)]
-
-
-def lll_reduce(basis: List[Sequence[int]], delta=Fraction(3, 4)) -> List[List[int]]:
-    """Textbook LLL on an integer basis (exact rational Gram-Schmidt).
-
-    The returned basis spans the same lattice.
-    """
-    b, _ = lll_reduce_with_transform(basis, delta)
-    return b
-
-
-def lll_reduce_with_transform(basis: List[Sequence[int]], delta=Fraction(3, 4)):
-    """LLL reduction returning (reduced, V) with reduced[i] = sum_j V[i][j] * basis[j]."""
-    b = [list(map(int, v)) for v in basis]
-    n = len(b)
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-    if n <= 1:
-        return b, V
-    k = 1
-    guard = 0
-    while k < n and guard < 20000:
-        guard += 1
-        mu, norms = _gram_schmidt(b)
-        for j in range(k - 1, -1, -1):
-            q = _round_nearest(mu[k][j])
-            if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                V[k] = [x - q * y for x, y in zip(V[k], V[j])]
-        mu, norms = _gram_schmidt(b)
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
-            k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            V[k], V[k - 1] = V[k - 1], V[k]
-            k = max(k - 1, 1)
-    return b, V
+def pairwise_reduce(basis, passes=8):
+    """Retired size-reduction pass, kept only as a name: bench/tracing.py
+    lists siegel.pairwise_reduce as a layer boundary and resolves it
+    with vars().  No code path calls it; siegel_solve_Z reduces with
+    linalg.lll_reduce_with_transform."""
+    raise InternalError("pairwise_reduce is retired; use lll_reduce_with_transform")
 
 
 def satisfies_size_bound(x: Sequence[int], n: int, m: int, amax: int) -> bool:
@@ -248,53 +178,46 @@ def siegel_solve_Z(matrix: IntMatrix) -> Tuple[int, ...]:
     amax = matrix.max_abs()
 
     raw = [_normalize_vector(b) for b in kernel_basis(matrix)]
-    raw = [b for b in raw if any(v != 0 for v in b)]
     if not raw:
         raise InternalError("underdetermined system with trivial kernel")
 
-    for reduction in ("pairwise", "lll"):
-        if reduction == "pairwise":
-            basis = pairwise_reduce(raw) if len(raw) > 1 else list(raw)
-        else:
-            basis = lll_reduce(raw) if len(raw) > 1 else list(raw)
-        basis = [_normalize_vector(b) for b in basis]
-        basis = [b for b in basis if any(v != 0 for v in b)]
-        basis.sort(key=lambda b: (max(abs(v) for v in b), b))
-        k = len(basis)
-        # deterministic search tiers: single vectors first, then small
-        # combination boxes over the shortest basis vectors; within a
-        # tier the lexicographically smallest qualifying vector wins
-        singles = [
-            b for b in basis if satisfies_size_bound(b, n, m, amax)
-        ]
-        if singles:
-            best = min(singles)
+    basis = [_normalize_vector(b) for b in lll_reduce_with_transform(raw)[0]]
+    basis.sort(key=lambda b: (max(abs(v) for v in b), b))
+    k = len(basis)
+    # deterministic search tiers: single vectors first, then small
+    # combination boxes over the shortest basis vectors; within a
+    # tier the lexicographically smallest qualifying vector wins
+    singles = [
+        b for b in basis if satisfies_size_bound(b, n, m, amax)
+    ]
+    if singles:
+        best = min(singles)
+        if any(v != 0 for v in matrix.apply(best)):
+            raise InternalError("kernel basis vector left the kernel")
+        return best
+    tiers = [(1, min(k, 8)), (2, min(k, 6)), (4, min(k, 5)),
+             (8, min(k, 4)), (16, min(k, 3)), (64, min(k, 2))]
+    for radius, k_eff in tiers:
+        qualifying = []
+        for combo in iter_product(
+            *(range(-radius, radius + 1) for _ in range(k_eff))
+        ):
+            if all(c == 0 for c in combo):
+                continue
+            x = [0] * n
+            for c, b in zip(combo, basis):
+                if c:
+                    for i in range(n):
+                        x[i] += c * b[i]
+            if all(v == 0 for v in x):
+                continue
+            if satisfies_size_bound(x, n, m, amax):
+                qualifying.append(_normalize_vector(x))
+        if qualifying:
+            best = min(qualifying)
             if any(v != 0 for v in matrix.apply(best)):
-                raise InternalError("kernel basis vector left the kernel")
+                raise InternalError("kernel combination left the kernel")
             return best
-        tiers = [(1, min(k, 8)), (2, min(k, 6)), (4, min(k, 5)),
-                 (8, min(k, 4)), (16, min(k, 3)), (64, min(k, 2))]
-        for radius, k_eff in tiers:
-            qualifying = []
-            for combo in iter_product(
-                *(range(-radius, radius + 1) for _ in range(k_eff))
-            ):
-                if all(c == 0 for c in combo):
-                    continue
-                x = [0] * n
-                for c, b in zip(combo, basis):
-                    if c:
-                        for i in range(n):
-                            x[i] += c * b[i]
-                if all(v == 0 for v in x):
-                    continue
-                if satisfies_size_bound(x, n, m, amax):
-                    qualifying.append(_normalize_vector(x))
-            if qualifying:
-                best = min(qualifying)
-                if any(v != 0 for v in matrix.apply(best)):
-                    raise InternalError("kernel combination left the kernel")
-                return best
 
     if n <= _PIGEONHOLE_CAP:
         # strict bound: integer solutions satisfy |x_i| <= ceil(bound) - 1

@@ -311,3 +311,16 @@ def test_siegel_rejects_non_integer_matrix_json(capsys, matrix):
     code, out = run(capsys, "siegel", matrix)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["siegel", "--precision", "1e-3", "--", '{"entries": [[1, 2]]}'],
+        ["minima", "--cache", "d", "--", '{"forms": [[1, 0], [0, 1]], "bounds": [1, 1]}'],
+    ],
+)
+def test_options_only_where_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -7,7 +7,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from dioph.exceptions import DomainError
 from dioph.intpoly import IntPolynomial
-from dioph.linalg import det, inverse, laplace_det, rank
+from dioph.linalg import det, inverse, laplace_det, lll_reduce_with_transform, rank
 from dioph.numberfield import AlgebraicNumber, NumberFieldElement
 
 SQRT2 = AlgebraicNumber(IntPolynomial([-2, 0, 1]), interval=(1, 2))
@@ -121,3 +121,58 @@ def test_laplace_det_equals_det():
         for _ in range(4):
             M = rand_matrix(rng, n, n, deficiency=rng.choice([0, 0, 1]) % n)
             assert laplace_det(M) == det(M)
+
+
+def gram_schmidt(b):
+    """mu and squared norms of the Gram-Schmidt basis, in exact Fractions."""
+    star, norms = [], []
+    mu = [[Fraction(0)] * len(b) for _ in b]
+    for i, v in enumerate(b):
+        w = [Fraction(x) for x in v]
+        for j in range(i):
+            mu[i][j] = sum(x * y for x, y in zip(v, star[j])) / norms[j]
+            w = [x - mu[i][j] * y for x, y in zip(w, star[j])]
+        star.append(w)
+        norms.append(sum(x * x for x in w))
+    return mu, norms
+
+
+def rand_basis(rng):
+    """Independent integer vectors, n of them in dimension n..n+2; half are
+    skewed (one large entry per vector) so that reduction has to swap."""
+    n = rng.randint(2, 8)
+    dim = n + rng.randint(0, 2)
+    while True:
+        b = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(n)]
+        if rng.random() < 0.5:
+            for v in b:
+                v[rng.randrange(dim)] += rng.randint(-10 ** 4, 10 ** 4)
+        if rank(b) == n:
+            return b
+
+
+def test_lll_is_reduced_and_unimodular():
+    rng = random.Random(7)
+    nontrivial = 0
+    for _ in range(300):
+        b = rand_basis(rng)
+        reduced, H = lll_reduce_with_transform(b)
+        n = len(b)
+        assert reduced == [[sum(H[i][j] * b[j][c] for j in range(n)) for c in range(len(b[0]))]
+                           for i in range(n)]
+        assert abs(det(H)) == 1
+        mu, norms = gram_schmidt(reduced)
+        for k in range(1, n):
+            assert all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k))
+            assert norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
+        nontrivial += H != [[int(i == j) for j in range(n)] for i in range(n)]
+    assert nontrivial > 150
+
+
+def test_lll_rejects_dependent_vectors():
+    with pytest.raises(DomainError):
+        lll_reduce_with_transform([[1, 2, 3], [0, 0, 0]])
+    with pytest.raises(DomainError):
+        lll_reduce_with_transform([[1, 2, 3], [4, 5, 6], [5, 7, 9]])
+    with pytest.raises(DomainError):
+        lll_reduce_with_transform([[1, 0], [0, 1], [1, 1]])

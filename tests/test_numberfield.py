@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from dioph.exceptions import DomainError
-from dioph.intpoly import IntPolynomial
+from dioph.intpoly import IntPolynomial, _q_to_primitive, squarefree_part
+from dioph.linalg import det
 from dioph.numberfield import (
     AlgebraicNumber,
     NumberFieldElement,
     inverse_embedding_bound,
     power_min_poly,
-    resultant,
 )
 
 SQRT2 = AlgebraicNumber(IntPolynomial([-2, 0, 1]), interval=(1, 2))
@@ -89,6 +89,89 @@ def test_power_min_poly():
     assert power_min_poly(PHI, 2) == IntPolynomial([1, -3, 1])
     assert power_min_poly(CBRT2, 3) == IntPolynomial([-2, 1])
     assert power_min_poly(CBRT2, 2).degree == 3  # 2^(2/3) is cubic
+
+
+# ---------------------------------------------------------------------------
+# resultant oracle for power_min_poly
+
+
+def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
+    """Resultant of two nonzero integer polynomials: det of the Sylvester matrix."""
+    if f.is_zero() or g.is_zero():
+        raise DomainError("resultant of the zero polynomial")
+    m, n = f.degree, g.degree
+    if m == 0:
+        return f.constant ** n
+    if n == 0:
+        return g.constant ** m
+    size = m + n
+    rows = []
+    fc = list(reversed(f.coeffs))
+    gc = list(reversed(g.coeffs))
+    for i in range(n):
+        rows.append([0] * i + fc + [0] * (size - m - 1 - i))
+    for i in range(m):
+        rows.append([0] * i + gc + [0] * (size - n - 1 - i))
+    return int(det(rows))
+
+
+def _lagrange_interpolate(xs, ys):
+    """Coefficients (ascending) of the interpolating polynomial."""
+    k = len(xs)
+    acc = [Fraction(0)] * k
+    for i in range(k):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j in range(k):
+            if j == i:
+                continue
+            # basis *= (x - xs[j])
+            basis = [Fraction(0)] + basis
+            for t in range(len(basis) - 1):
+                basis[t] -= xs[j] * basis[t + 1]
+            denom *= xs[i] - xs[j]
+        scale = Fraction(ys[i]) / denom
+        for t, c in enumerate(basis):
+            acc[t] += scale * c
+    return acc
+
+
+def resultant_power_min_poly(a: AlgebraicNumber, m: int) -> IntPolynomial:
+    """Minimal polynomial of a**m from Res_y(f(y), y^m - t): a degree-deg(f)
+    polynomial in t whose roots are the m-th powers of the roots of f,
+    interpolated at integer nodes; its squarefree part is the answer."""
+    if m == 1:
+        return a.min_poly
+    f = a.min_poly
+    n = f.degree
+    if n == 1:
+        v = Fraction(-f.constant, f.leading) ** m
+        return IntPolynomial([-v.numerator, v.denominator])
+    nodes = list(range(n + 1))
+    values = [resultant(f, IntPolynomial([-t] + [0] * (m - 1) + [1])) for t in nodes]
+    poly = _q_to_primitive(_lagrange_interpolate(nodes, values))
+    assert poly.degree == n
+    result = squarefree_part(poly)
+    return -result if result.leading < 0 else result
+
+
+def test_power_min_poly_matches_resultant_route():
+    rng = random.Random(33)
+    cases = 0
+    while cases < 60:
+        degree = rng.randint(1, 6)
+        coeffs = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice([1, 1, 2, -3, 5])]
+        if coeffs[0] == 0:
+            continue
+        try:
+            a = AlgebraicNumber(IntPolynomial(coeffs), conjugate_index=0)
+        except DomainError:  # reducible
+            continue
+        m = rng.choice([1, 2, 3, 5])
+        assert power_min_poly(a, m) == resultant_power_min_poly(a, m), (coeffs, m)
+        cases += 1
+    with pytest.raises(DomainError):
+        power_min_poly(SQRT2, 0)
 
 
 def test_resultant_values():

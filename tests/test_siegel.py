@@ -46,6 +46,18 @@ def test_preconditions():
         siegel_solve_Z(IntMatrix([[0, 0, 0]]))
 
 
+@pytest.mark.parametrize("entry", [Fraction(3, 2), 1.5, True])
+def test_int_matrix_rejects_non_integers(entry):
+    # Fraction(3, 2) was truncated to 1, giving a "solution" (1, -1, 1)
+    # outside the kernel of the given row
+    with pytest.raises(DomainError):
+        IntMatrix([[entry, 2, 1]])
+
+
+def test_int_matrix_accepts_integral_fractions():
+    assert IntMatrix([[Fraction(4, 2), 2, 1]]).entries == ((2, 2, 1),)
+
+
 def test_kernel_basis_is_complete_and_unimodular():
     rng = random.Random(81)
     for _ in range(100):
