@@ -63,16 +63,6 @@ def error_enclosure(
     raise PrecisionError("error enclosure refinement stalled")
 
 
-def _rational_cf(value: Fraction, n_terms: int) -> Tuple[List[int], bool]:
-    quotients = []
-    num, den = value.numerator, value.denominator
-    while den != 0 and len(quotients) < n_terms:
-        a = num // den
-        quotients.append(a)
-        num, den = den, num - a * den
-    return quotients, den == 0
-
-
 def _convergents(quotients: List[int]) -> List[Tuple[int, int]]:
     out = []
     p0, q0 = 1, 0

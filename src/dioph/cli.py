@@ -10,6 +10,7 @@ invariant violation (a bug, e.g. a missed size bound).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -60,8 +61,11 @@ def _read_json_arg(text: str):
     if text == "-":
         text = sys.stdin.read()
     elif text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read {text[1:]!r}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -151,12 +155,15 @@ def _cmd_northcott(args):
 
 
 def _cmd_kronecker(args):
+    if args.precision is not None and not args.with_height:
+        raise ParseError("--precision applies only with --with-height")
     poly = to_int_polynomial(parse_poly_input(args.poly))
     alpha = _algebraic_from_poly(poly)
     flag, order = is_root_of_unity(alpha)
     out = {"is_root_of_unity": flag, "order": order}
     if args.with_height:
-        hv = weil_height_algebraic(alpha, parse_rational(args.precision))
+        precision = "1e-12" if args.precision is None else args.precision
+        hv = weil_height_algebraic(alpha, parse_rational(precision))
         out["weil_height"] = height_to_json(hv)
     return out
 
@@ -361,7 +368,9 @@ def _cmd_minkowski(args):
 # parser assembly and output
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parse_args leaves it unchanged)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None, help="write output to a file")
@@ -403,9 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", default=None, help="cache directory")
     p.set_defaults(func=_cmd_northcott)
 
-    p = sub.add_parser("kronecker", parents=[common, precision_opt], help="root-of-unity test")
+    p = sub.add_parser("kronecker", parents=[common], help="root-of-unity test")
     p.add_argument("poly")
     p.add_argument("--with-height", action="store_true")
+    p.add_argument("--precision", default=None, help="height enclosure width (needs --with-height)")
     p.set_defaults(func=_cmd_kronecker)
 
     p = sub.add_parser("siegel", parents=[common], help="small integer kernel vector")

@@ -11,6 +11,7 @@ budget, never by trusting floats.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .exceptions import DomainError, PrecisionError
@@ -251,16 +252,17 @@ def _atanh_series(z: Fraction, budget: Fraction) -> Enclosure:
             return Enclosure(2 * total, 2 * total + tail)
 
 
-_LOG2_CACHE: list = [Fraction(1), None]  # [best budget, enclosure]
+@lru_cache(maxsize=None)
+def _log2_at_bits(k: int) -> Enclosure:
+    return _atanh_series(Fraction(1, 3), Fraction(1, 1 << k))
 
 
 def log2_enclosure(err: Rat) -> Enclosure:
-    """Enclosure of log 2 of width <= err (natural log)."""
-    err = Fraction(err)
-    if _LOG2_CACHE[1] is None or _LOG2_CACHE[0] > err:
-        _LOG2_CACHE[0] = err
-        _LOG2_CACHE[1] = _atanh_series(Fraction(1, 3), err)
-    return _LOG2_CACHE[1]
+    """Enclosure of log 2 of width <= err (natural log).
+
+    A function of err alone: the series runs to the budget 2^-k with
+    k = ceil(-log2 err) (at least 0), and each k is computed once."""
+    return _log2_at_bits(max(0, -floor_log2(Fraction(err))))
 
 
 def log_enclosure(q: Rat, err: Rat) -> Enclosure:

@@ -10,8 +10,10 @@ with no trailing zeros.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .exceptions import DomainError, UnsupportedError
@@ -541,6 +543,9 @@ def cyclotomic(k: int) -> IntPolynomial:
 
 _FILTER_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
+# Polynomials mod p are ascending lists of residues with no trailing zeros;
+# [] is the zero polynomial.
+
 
 def _pmod_trim(a: List[int]) -> List[int]:
     while a and a[-1] == 0:
@@ -548,91 +553,12 @@ def _pmod_trim(a: List[int]) -> List[int]:
     return a
 
 
-def _pmod_rem(a: List[int], b: List[int], p: int) -> List[int]:
-    a = [c % p for c in a]
-    _pmod_trim(a)
-    inv = pow(b[-1], -1, p)
-    db = len(b) - 1
-    while len(a) - 1 >= db:
-        coef = a[-1] * inv % p
-        k = len(a) - 1 - db
-        for i in range(db + 1):
-            a[k + i] = (a[k + i] - coef * b[i]) % p
-        _pmod_trim(a)
-    return a
-
-
-def _pmod_gcd(a: List[int], b: List[int], p: int) -> List[int]:
+def _pmod_divmod(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
+    """Quotient and remainder of a by a nonzero b modulo p."""
     a = _pmod_trim([c % p for c in a])
-    b = _pmod_trim([c % p for c in b])
-    while b:
-        a, b = b, _pmod_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _pmod_mulmod(a: List[int], b: List[int], g: List[int], p: int) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return _pmod_rem(out, g, p)
-
-
-def _pmod_powmod(a: List[int], e: int, g: List[int], p: int) -> List[int]:
-    result = [1]
-    base = _pmod_rem(list(a), g, p)
-    while e:
-        if e & 1:
-            result = _pmod_mulmod(result, base, g, p)
-        base = _pmod_mulmod(base, base, g, p)
-        e >>= 1
-    return result
-
-
-def _factor_degrees_mod_p(f: IntPolynomial, p: int):
-    """Degrees (with multiplicity) of the irreducible factors of f mod p,
-    or None when the reduction is unusable (lc vanishes or not squarefree)."""
-    if f.leading % p == 0:
-        return None
-    g = [c % p for c in f.coeffs]
-    deriv = [(k * c) % p for k, c in enumerate(g) if k > 0]
-    if len(_pmod_gcd(g, deriv, p)) != 1:
-        return None
-    inv = pow(g[-1], -1, p)
-    g = [c * inv % p for c in g]
-    degrees = []
-    h = [0, 1]  # x
-    d = 0
-    work = list(g)
-    while len(work) - 1 > 0:
-        d += 1
-        if 2 * d > len(work) - 1:
-            degrees.append(len(work) - 1)
-            break
-        h = _pmod_powmod(h, p, work, p)
-        diff = list(h)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        r = _pmod_gcd(work, _pmod_trim(diff), p)
-        if len(r) - 1 > 0:
-            degrees.extend([d] * ((len(r) - 1) // d))
-            work = _pmod_divide(work, r, p)
-            h = _pmod_rem(h, work, p) if len(work) > 1 else [0]
-    return degrees
-
-
-def _pmod_divide(a: List[int], b: List[int], p: int) -> List[int]:
-    a = [c % p for c in a]
-    _pmod_trim(a)
     inv = pow(b[-1], -1, p)
     db = len(b) - 1
-    q = [0] * (len(a) - db)
+    q = [0] * max(0, len(a) - db)
     while len(a) - 1 >= db:
         coef = a[-1] * inv % p
         k = len(a) - 1 - db
@@ -640,7 +566,70 @@ def _pmod_divide(a: List[int], b: List[int], p: int) -> List[int]:
         for i in range(db + 1):
             a[k + i] = (a[k + i] - coef * b[i]) % p
         _pmod_trim(a)
-    return _pmod_trim(q) or [0]
+    return q, a
+
+
+def _pmod_mul(a: List[int], b: List[int], p: int) -> List[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return [c % p for c in out]
+
+
+def _pmod_gcd(a: List[int], b: List[int], p: int) -> List[int]:
+    """Monic gcd modulo p ([] when both vanish)."""
+    a = _pmod_trim([c % p for c in a])
+    b = _pmod_trim([c % p for c in b])
+    while b:
+        a, b = b, _pmod_divmod(a, b, p)[1]
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a
+
+
+def _pmod_powmod(a: List[int], e: int, g: List[int], p: int) -> List[int]:
+    """a**e modulo g and p."""
+    result = [1]
+    base = _pmod_divmod(a, g, p)[1]
+    while e:
+        if e & 1:
+            result = _pmod_divmod(_pmod_mul(result, base, p), g, p)[1]
+        base = _pmod_divmod(_pmod_mul(base, base, p), g, p)[1]
+        e >>= 1
+    return result
+
+
+def _pmod_ddf(g: IntPolynomial, p: int) -> Optional[List[Tuple[List[int], int]]]:
+    """Distinct-degree factorization of g modulo p: blocks (product, d),
+    each block the monic product of the degree-d irreducible factors of
+    g mod p.  None when p divides the leading coefficient or g mod p is
+    not squarefree."""
+    if g.leading % p == 0:
+        return None
+    inv = pow(g.leading, -1, p)
+    work = [c * inv % p for c in g.coeffs]
+    if len(_pmod_gcd(work, [k * c for k, c in enumerate(work) if k], p)) != 1:
+        return None
+    blocks = []
+    h = [0, 1]  # x^(p^d) mod work
+    d = 0
+    while len(work) > 1:
+        d += 1
+        if 2 * d > len(work) - 1:
+            blocks.append((work, len(work) - 1))
+            break
+        h = _pmod_powmod(h, p, work, p)
+        diff = h + [0] * (2 - len(h))
+        diff[1] -= 1
+        r = _pmod_gcd(work, diff, p)
+        if len(r) > 1:
+            blocks.append((r, d))
+            work = _pmod_divmod(work, r, p)[0]
+            h = _pmod_divmod(h, work, p)[1]
+    return blocks
 
 
 def _subset_sums(degrees: List[int]) -> set:
@@ -685,20 +674,25 @@ def iroot_ceil(n: int) -> int:
     return r if r * r == n else r + 1
 
 
-def is_irreducible(f: IntPolynomial, degree_cap: int = IRREDUCIBILITY_DEGREE_CAP) -> bool:
-    """Exact irreducibility over Q for degrees up to the cap.
+def is_irreducible(f: IntPolynomial) -> bool:
+    """Exact irreducibility over Q, up to degree IRREDUCIBILITY_DEGREE_CAP.
 
-    Strategy: rational root test, squarefreeness, factor-degree
-    filtering modulo several small primes, and finally complete
-    factorization modulo one prime exceeding twice the Mignotte
-    coefficient bound, where every true integer factor is visible as a
-    subset of the modular factors (checked by exact trial division).
+    One modular route for every degree >= 2.  The factor degrees of g
+    modulo up to six small primes, read from the distinct-degree
+    factorization, rule out factor degrees over Z (degree 1 included);
+    if some degree survives, g is factored completely modulo one prime
+    exceeding twice the Mignotte coefficient bound scaled by the leading
+    coefficient, and every true integer factor is visible as a subset of
+    the modular factors (checked by exact trial division).  A g that is
+    squarefree modulo a prime not dividing its leading coefficient is
+    squarefree over Q; the rational gcd decides only when no filter prime
+    is usable.
     """
     if f.is_zero() or f.degree < 1:
         raise DomainError("irreducibility is defined for degree >= 1")
-    if f.degree > degree_cap:
+    if f.degree > IRREDUCIBILITY_DEGREE_CAP:
         raise UnsupportedError(
-            f"degree {f.degree} above irreducibility cap {degree_cap}"
+            f"degree {f.degree} above irreducibility cap {IRREDUCIBILITY_DEGREE_CAP}"
         )
     _, g = content_and_primitive(f)
     if g.leading < 0:
@@ -706,48 +700,37 @@ def is_irreducible(f: IntPolynomial, degree_cap: int = IRREDUCIBILITY_DEGREE_CAP
     n = g.degree
     if n == 1:
         return True
-    if rational_root(g) is not None:
-        return False
-    if n <= 3:
-        return True  # no rational root and degree 2 or 3
-    if poly_gcd(g, g.derivative()).degree > 0:
-        return False  # repeated factor
 
-    feasible = set(range(2, n - 1))
+    feasible = set(range(1, n))  # degrees of a proper factor
     used = 0
     for p in _FILTER_PRIMES:
-        degs = _factor_degrees_mod_p(g, p)
-        if degs is None:
+        blocks = _pmod_ddf(g, p)
+        if blocks is None:
             continue
-        if len(degs) == 1:
-            return True  # irreducible mod p
-        feasible &= _subset_sums(degs)
+        feasible &= _subset_sums(
+            [d for block, d in blocks for _ in range((len(block) - 1) // d)]
+        )
         used += 1
-        if not any(2 <= k <= n // 2 for k in feasible):
+        if not any(k <= n // 2 for k in feasible):
             return True
         if used >= 6:
             break
+    if not used and poly_gcd(g, g.derivative()).degree > 0:
+        return False  # repeated factor
 
     return not _reducible_by_modular_recombination(g)
 
 
-def _next_good_prime(g: IntPolynomial, floor_value: int) -> int:
-    """Smallest prime above floor_value with unit leading coefficient and
-    squarefree reduction of g."""
-    p = max(floor_value, 5)
-    if p % 2 == 0:
-        p += 1
+def _next_good_prime(g: IntPolynomial, floor_value: int):
+    """Smallest prime p above floor_value at which g is usable (see
+    _pmod_ddf), with the distinct-degree blocks of g modulo p."""
+    p = max(floor_value, 5) | 1
     while True:
-        if _is_probable_prime(p) and g.leading % p != 0:
-            reduced = [c % p for c in g.coeffs]
-            deriv = [(k * c) % p for k, c in enumerate(g.coeffs) if k > 0]
-            if len(_pmod_gcd(reduced, deriv, p)) == 1:
-                return p
+        if _is_probable_prime(p):
+            blocks = _pmod_ddf(g, p)
+            if blocks is not None:
+                return p, blocks
         p += 2
-
-
-def _pmod_random_poly(n: int, p: int, rng) -> List[int]:
-    return _pmod_trim([rng.randrange(p) for _ in range(n)]) or [1]
 
 
 def _equal_degree_split(block: List[int], d: int, p: int, rng) -> List[List[int]]:
@@ -758,49 +741,18 @@ def _equal_degree_split(block: List[int], d: int, p: int, rng) -> List[List[int]
         return [block]
     exponent = (p ** d - 1) // 2
     while True:
-        a = _pmod_random_poly(n, p, rng)
-        h = _pmod_gcd(block, a, p)
-        if 0 < len(h) - 1 < n:
-            left = h
-        else:
-            b = _pmod_powmod(a, exponent, block, p)
-            b = list(b) if b else [0]
-            b[0] = (b[0] - 1) % p
-            left = _pmod_gcd(block, _pmod_trim(b) or [0], p)
+        a = _pmod_trim([rng.randrange(p) for _ in range(n)]) or [1]
+        left = _pmod_gcd(block, a, p)
+        if not 0 < len(left) - 1 < n:
+            b = _pmod_powmod(a, exponent, block, p) or [0]
+            b[0] -= 1
+            left = _pmod_gcd(block, b, p)
             if not 0 < len(left) - 1 < n:
                 continue
-        right = _pmod_divide(block, left, p)
-        inv = pow(right[-1], -1, p)
-        right = [c * inv % p for c in right]
+        right = _pmod_divmod(block, left, p)[0]
         return _equal_degree_split(left, d, p, rng) + _equal_degree_split(
             right, d, p, rng
         )
-
-
-def _pmod_factor_squarefree(g: IntPolynomial, p: int, rng) -> List[List[int]]:
-    """Monic irreducible factors of a squarefree g modulo p."""
-    inv = pow(g.leading % p, -1, p)
-    work = _pmod_trim([c * inv % p for c in g.coeffs])
-    blocks = []
-    h = [0, 1]
-    d = 0
-    while len(work) - 1 > 0:
-        d += 1
-        if 2 * d > len(work) - 1:
-            blocks.append((work, len(work) - 1))
-            break
-        h = _pmod_powmod(h, p, work, p)
-        diff = list(h) + [0] * max(0, 2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        r = _pmod_gcd(work, _pmod_trim(diff) or [0], p)
-        if len(r) - 1 > 0:
-            blocks.append((r, d))
-            work = _pmod_divide(work, r, p)
-            h = _pmod_rem(h, work, p) if len(work) > 1 else [0]
-    out = []
-    for block, d in blocks:
-        out.extend(_equal_degree_split(block, d, p, rng))
-    return out
 
 
 def _centered(v: int, p: int) -> int:
@@ -809,49 +761,29 @@ def _centered(v: int, p: int) -> int:
 
 
 def _reducible_by_modular_recombination(g: IntPolynomial) -> bool:
-    """Decide reducibility of a primitive squarefree g (degree >= 4, no
-    rational roots) by factoring modulo one large prime and trial
-    dividing every small subset product.
+    """Decide reducibility of a primitive squarefree g of degree >= 2 by
+    factoring modulo one large prime and trial dividing every subset
+    product of at most half the modular factors.
 
     The prime exceeds twice the Mignotte bound scaled by the leading
     coefficient, so the centered lift of lc * (subset product) recovers
     any true factor exactly; exhaustiveness over subsets makes the
     negative answer a proof of irreducibility.
     """
-    import random as _random
-    from itertools import combinations
-
     n = g.degree
     bound = max(
         _mignotte_bound(g, k, i) for k in range(1, n) for i in range(k + 1)
     )
-    lc = abs(g.leading)
-    p = _next_good_prime(g, 2 * bound * lc + 3)
-    rng = _random.Random(0x5EED ^ hash(g.coeffs))
-    factors = _pmod_factor_squarefree(g, p, rng)
-    r = len(factors)
-    if r == 1:
-        return False
+    p, blocks = _next_good_prime(g, 2 * bound * g.leading + 3)
+    rng = random.Random(0x5EED ^ hash(g.coeffs))
+    factors = [u for block, d in blocks for u in _equal_degree_split(block, d, p, rng)]
     factors.sort(key=lambda u: (len(u), u))
-    for size in range(1, r // 2 + 1):
-        for subset in combinations(range(r), size):
+    for size in range(1, len(factors) // 2 + 1):
+        for subset in combinations(factors, size):
             prod = [g.leading % p]
-            for idx in subset:
-                prod = _pmod_mul(prod, factors[idx], p)
-            candidate = IntPolynomial([_centered(c, p) for c in prod])
-            if candidate.degree < 1:
-                continue
-            _, prim = content_and_primitive(candidate)
+            for u in subset:
+                prod = _pmod_mul(prod, u, p)
+            _, prim = content_and_primitive(IntPolynomial(_centered(c, p) for c in prod))
             if poly_divide_exact(g, prim) is not None:
                 return True
     return False
-
-
-def _pmod_mul(a: List[int], b: List[int], p: int) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return _pmod_trim(out) or [0]

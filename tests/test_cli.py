@@ -1,5 +1,7 @@
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -324,3 +326,42 @@ def test_options_only_where_read(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kronecker", "--precision", "banana", "--", "x^2+1"],
+        ["kronecker", "--precision", "1e-20", "--", "x^2+1"],  # no height asked for
+        ["kronecker", "--with-height", "--precision", "banana", "--", "x^2+1"],
+    ],
+)
+def test_kronecker_precision_needs_with_height(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_unreadable_json_file_is_a_parse_error(capsys, tmp_path):
+    for name in ("missing.json", ""):  # a missing file and a directory
+        code, out = run(capsys, "siegel", "@" + str(tmp_path / name))
+        assert code == 2
+        assert out == ""
+    instance = tmp_path / "matrix.json"
+    instance.write_text('{"entries": [[1, 2]]}', encoding="utf-8")
+    code, out = run(capsys, "siegel", "@" + str(instance))
+    assert code == 0 and json.loads(out)["bound_satisfied"]
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln.strip() for ln in block.splitlines() if ln.strip().startswith("dioph ")]
+    return [shlex.split(ln)[1:] for ln in lines if "@" not in ln]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_line_examples_run(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out

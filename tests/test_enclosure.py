@@ -67,6 +67,15 @@ def test_log2_cached_value():
     assert abs(float(enc.mid) - math.log(2)) < 1e-12
 
 
+def test_log_enclosure_independent_of_earlier_log2_requests():
+    q, err = Fraction(1234567, 1000), Fraction(1, 10 ** 12)
+    before = log_enclosure(q, err)
+    log2_enclosure(Fraction(1, 10 ** 400))
+    after = log_enclosure(q, err)
+    assert before == after
+    assert before.width <= err
+
+
 def test_exp_enclosure():
     for t in (Fraction(-1, 32), Fraction(0), Fraction(7, 2), Fraction(-5)):
         enc = exp_enclosure(t, Fraction(1, 10 ** 10))

@@ -100,20 +100,52 @@ def _sympy_irreducible(prim):
     return len(nontrivial) == 1
 
 
+def _cube_root_two_cf_polynomials(terms):
+    """Minimal polynomials of the first complete quotients of 2^(1/3):
+    alpha -> 1/(alpha - a) maps f to the reversal of f(x + a).  The partial
+    quotients a come from a 300-digit mpmath expansion."""
+    import mpmath
+
+    f = IntPolynomial([-2, 0, 0, 1])
+    out = []
+    with mpmath.workdps(300):
+        value = mpmath.cbrt(2)
+        for _ in range(terms):
+            a = int(mpmath.floor(value))
+            f = f.shift_int(a).reversed_poly()
+            value = 1 / (value - a)
+            out.append(f)
+    return out
+
+
 def test_irreducible_against_sympy_oracle():
     pytest.importorskip("sympy")
     rng = random.Random(15)
-    done = 0
-    while done < 250:
-        deg = rng.randint(2, 8)
+    cases = []
+    while len(cases) < 250:
+        deg = rng.randint(1, 8)
         f = IntPolynomial(
             [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)]
         )
-        if f.degree < 2:
-            continue
+        if f.degree >= 1:
+            cases.append(f)
+    # linear factors, which only the modular recombination can find
+    x, two_x_minus_3 = IntPolynomial([0, 1]), IntPolynomial([-3, 2])
+    for g in list(cases[:40]):
+        cases += [x * g, two_x_minus_3 * g]
+    for _ in range(60):
+        a, b, c, d = (rng.randint(-30, 30) for _ in range(4))
+        if a and c:
+            cases.append(IntPolynomial([b, a]) * IntPolynomial([d, c]))
+    # large coefficients: complete quotients of a cubic irrational
+    quotients = _cube_root_two_cf_polynomials(40)
+    assert max(q.max_abs_coeff() for q in quotients) > 10 ** 20
+    cases += quotients
+    cases += [q * two_x_minus_3 for q in quotients[::4]]
+    cases += [q * IntPolynomial([rng.randint(1, 10 ** 6), 1]) for q in quotients[1::4]]
+    for f in cases:
         _, prim = content_and_primitive(f)
         assert is_irreducible(prim) == _sympy_irreducible(prim), prim
-        done += 1
 
 
 def test_irreducible_high_degree_products():
