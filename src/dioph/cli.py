@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 
 from .approx import continued_fraction, exponent_report, liouville_constant, liouville_scan
@@ -367,6 +368,19 @@ def _cmd_minkowski(args):
 # ---------------------------------------------------------------------------
 # parser assembly and output
 
+# no option starts with a digit, so "-3/4", "-0.5" and "-1e-3" are values
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads a negative number as an argument, so
+    `height -3/4` and `--point -1/2` need neither `--` nor `=`."""
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_NUMBER.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
@@ -385,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rational isolating interval 'lo,hi' selecting the real root",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dioph",
         description="Exact Diophantine-approximation toolkit: heights, Mahler "
         "measure, small integer solutions, polynomial index, Wronskians, "
@@ -520,8 +534,10 @@ def _to_csv(result) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or help
+        return exc.code
     try:
         result = args.func(args)
     except ParseError as exc:

@@ -1,12 +1,19 @@
 """Certified complex root enclosures for integer polynomials.
 
 Floating point seeds (numpy, with an mpmath fallback at higher working
-precision) are polished by exact rational Newton steps and certified by
-the residual bound: for squarefree g of degree n and g'(z) != 0, some
+precision) are polished by Newton steps on dyadic centers and certified
+by the residual bound: for squarefree g of degree n and g'(z) != 0, some
 root of g lies within n*|g(z)/g'(z)| of z.  Once the n disks are
 pairwise disjoint each contains exactly one root, which upgrades the
-float guesses to rigorous enclosures.  All certificates are computed in
-exact rational arithmetic; the floats only ever choose starting points.
+float guesses to rigorous enclosures.
+
+A center is a pair of integer mantissas (x, y) standing for
+(x + iy) / 2**bits.  The starting bits come from the target radius, and
+doubling them is the fallback when certification fails.  g and g' are
+evaluated by Horner's rule on Gaussian integers, each step rounds
+z - g(z)/g'(z) down to 2**-bits, and the residual bound and the
+disjointness test are decided by integer cross-multiplication.  All
+certificates are exact; the floats only ever choose starting points.
 """
 
 from __future__ import annotations
@@ -14,27 +21,33 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Tuple
 
-from .enclosure import Enclosure, sqrt_enclosure, _round_down
+from .enclosure import Enclosure, sqrt_enclosure
 from .exceptions import DomainError, PrecisionError
 from .intpoly import IntPolynomial, squarefree_decomposition
 
 CRat = Tuple[Fraction, Fraction]
-
-
-def _c_eval(coeffs, z: CRat) -> CRat:
-    re, im = Fraction(0), Fraction(0)
-    zr, zi = z
-    for c in reversed(coeffs):
-        re, im = re * zr - im * zi + c, re * zi + im * zr
-    return re, im
+# seeds: a shared binary scale and one integer mantissa pair per root
+Seeds = Tuple[int, List[Tuple[int, int]]]
 
 
 def _c_abs2(z: CRat) -> Fraction:
     return z[0] * z[0] + z[1] * z[1]
 
 
-def _c_round(z: CRat, bits: int) -> CRat:
-    return _round_down(z[0], bits), _round_down(z[1], bits)
+def _floor_scaled(q: Fraction, bits: int) -> int:
+    """floor(q * 2**bits)."""
+    return (q.numerator << bits) // q.denominator
+
+
+def _horner(coeffs, x: int, y: int, bits: int) -> Tuple[int, int]:
+    """2**(bits*m) * p(z) at z = (x + iy) / 2**bits, for p of degree m
+    with ascending integer coeffs: Horner's rule on Gaussian integers,
+    with the j-th coefficient scaled by 2**(bits*(m - j))."""
+    re, im, shift = coeffs[-1], 0, 0
+    for c in reversed(coeffs[:-1]):
+        shift += bits
+        re, im = re * x - im * y + (c << shift), re * y + im * x
+    return re, im
 
 
 class RootDisk:
@@ -73,17 +86,17 @@ class RootDisk:
         return f"RootDisk(({float(self.center[0])}, {float(self.center[1])}), rsq={float(self.radius_sq)})"
 
 
-def _float_seeds(g: IntPolynomial) -> List[CRat]:
+def _float_seeds(g: IntPolynomial) -> Seeds:
     import numpy as np
 
     desc = [float(c) for c in reversed(g.coeffs)]
     if all(abs(c) < 1e300 for c in desc):
         try:
             roots = np.roots(desc)
-            return [
+            return 64, [
                 (
-                    _round_down(Fraction(float(r.real)), 64),
-                    _round_down(Fraction(float(r.imag)), 64),
+                    _floor_scaled(Fraction(float(r.real)), 64),
+                    _floor_scaled(Fraction(float(r.imag)), 64),
                 )
                 for r in roots
             ]
@@ -92,7 +105,7 @@ def _float_seeds(g: IntPolynomial) -> List[CRat]:
     return _mpmath_seeds(g, 60)
 
 
-def _mpmath_seeds(g: IntPolynomial, digits: int) -> List[CRat]:
+def _mpmath_seeds(g: IntPolynomial, digits: int) -> Seeds:
     import mpmath
 
     with mpmath.workdps(digits + 10 * g.degree):
@@ -100,23 +113,24 @@ def _mpmath_seeds(g: IntPolynomial, digits: int) -> List[CRat]:
             [mpmath.mpf(c) for c in reversed(g.coeffs)], maxsteps=200, extraprec=200
         )
         bits = int(digits * 3.4) + 16
-        return [
+        return bits, [
             (
-                _round_down(Fraction(mpmath.nstr(r.real, digits + 5)), bits),
-                _round_down(Fraction(mpmath.nstr(r.imag, digits + 5)), bits),
+                _floor_scaled(Fraction(mpmath.nstr(r.real, digits + 5)), bits),
+                _floor_scaled(Fraction(mpmath.nstr(r.imag, digits + 5)), bits),
             )
             for r in roots
         ]
 
 
-def _pairwise_disjoint(disks: List[RootDisk]) -> bool:
-    for i in range(len(disks)):
-        for j in range(i + 1, len(disks)):
-            zi, zj = disks[i].center, disks[j].center
-            d2 = _c_abs2((zi[0] - zj[0], zi[1] - zj[1]))
-            ri, rj = disks[i].radius_sq, disks[j].radius_sq
-            s = d2 - ri - rj
-            if s <= 0 or s * s <= 4 * ri * rj:
+def _pairwise_disjoint(disks: List[Tuple[int, int, int, int]]) -> bool:
+    """Disks (x, y, p, q) with center (x + iy) / 2**b and squared radius
+    p / (q * 4**b), q > 0, on one scale b.  True iff every two satisfy
+    |z_i - z_j| > r_i + r_j, that is s = |z_i - z_j|^2 - r_i^2 - r_j^2 > 0
+    and s^2 > 4 r_i^2 r_j^2, tested on t = s * q_i * q_j * 4**b."""
+    for i, (xi, yi, pi, qi) in enumerate(disks):
+        for xj, yj, pj, qj in disks[i + 1:]:
+            t = ((xi - xj) ** 2 + (yi - yj) ** 2) * qi * qj - pi * qj - pj * qi
+            if t <= 0 or t * t <= 4 * pi * pj * qi * qj:
                 return False
     return True
 
@@ -134,51 +148,57 @@ def root_disks(g: IntPolynomial, radius_sq_target: Fraction) -> List[RootDisk]:
     if n == 1:
         root = Fraction(-g.constant, g.leading)
         return [RootDisk((root, Fraction(0)), Fraction(0))]
-    deriv = g.derivative()
-    n_sq = Fraction(n * n)
+    coeffs, deriv = g.coeffs, g.derivative().coeffs
+    num, den = radius_sq_target.numerator, radius_sq_target.denominator
 
-    seeds = _float_seeds(g)
-    bits = 128
+    seed_bits, seeds = _float_seeds(g)
+    # n^2 * 2 * 4**-bits, the residual bound of a converged center, is
+    # then below the target
+    bits = max(128, (den.bit_length() - num.bit_length()) // 2 + 2 * n.bit_length() + 32)
     for attempt in range(8):
-        centers = list(seeds)
-        disks = None
-        for _ in range(40):
-            new_centers = []
-            ok = True
-            for z in centers:
-                val = _c_eval(g.coeffs, z)
-                der = _c_eval(deriv.coeffs, z)
-                d2 = _c_abs2(der)
+        scale = max(bits, seed_bits)
+        centers = [(x << (scale - seed_bits), y << (scale - seed_bits)) for x, y in seeds]
+        # 41 evaluations: at the seeds, then at 40 Newton iterates, each
+        # one feeding both the certificate and the next step
+        for rnd in range(41):
+            vals = []
+            for x, y in centers:
+                dr, di = _horner(deriv, x, y, scale)
+                d2 = dr * dr + di * di
                 if d2 == 0:
-                    ok = False
-                    new_centers.append(z)
-                    continue
-                # Newton step: z - val/der, via multiplication by conj(der)
-                qr = (val[0] * der[0] + val[1] * der[1]) / d2
-                qi = (val[1] * der[0] - val[0] * der[1]) / d2
-                new_centers.append(_c_round((z[0] - qr, z[1] - qi), bits))
-            centers = new_centers
-            if not ok:
+                    break
+                vals.append((_horner(coeffs, x, y, scale), dr, di, d2))
+            if len(vals) < n:
                 break
-            cand = []
-            certified = True
-            for z in centers:
-                val = _c_eval(g.coeffs, z)
-                der = _c_eval(deriv.coeffs, z)
-                d2 = _c_abs2(der)
-                if d2 == 0:
-                    certified = False
+            if rnd:
+                disks = [
+                    (x, y, n * n * (vr * vr + vi * vi), d2)
+                    for (x, y), ((vr, vi), _, _, d2) in zip(centers, vals)
+                ]
+                # n^2 |V|^2 / (|D|^2 4**bits) <= num / den for every center
+                fits = all(p * den <= (num * q) << (2 * bits) for _, _, p, q in disks)
+                if fits and _pairwise_disjoint(disks):
+                    one = 1 << bits
+                    return [
+                        RootDisk((Fraction(x, one), Fraction(y, one)), Fraction(p, q * one * one))
+                        for x, y, p, q in disks
+                    ]
+                if rnd == 40:
                     break
-                rho = n_sq * _c_abs2(val) / d2
-                if rho > radius_sq_target:
-                    certified = False
-                    break
-                cand.append(RootDisk(z, rho))
-            if certified and _pairwise_disjoint(cand):
-                return cand
+            # Newton step: z - g(z)/g'(z) = (Z - V conj(D) / |D|^2) / 2**scale
+            # for z = Z / 2**scale, rounded down to 2**-bits
+            shift = scale - bits
+            centers = [
+                (
+                    (x - (vr * dr + vi * di + d2 - 1) // d2) >> shift,
+                    (y - (vi * dr - vr * di + d2 - 1) // d2) >> shift,
+                )
+                for (x, y), ((vr, vi), dr, di, d2) in zip(centers, vals)
+            ]
+            scale = bits
         bits *= 2
         if attempt >= 1:
-            seeds = _mpmath_seeds(g, 40 * (attempt + 1))
+            seed_bits, seeds = _mpmath_seeds(g, 40 * (attempt + 1))
     raise PrecisionError(
         f"could not certify root disks of {g!r} at target {float(radius_sq_target)}"
     )

@@ -41,9 +41,15 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def enclosure_to_json(enc: Enclosure, bits: int = 128) -> dict:
+def enclosure_to_json(enc: Enclosure) -> dict:
     """Serialize with outward dyadic rounding: endpoints stay certified
-    but denominators are capped at 2**bits for readability."""
+    but denominators are capped at 2**128 for readability, or, for an
+    enclosure narrower than 2**-120, at 2**(e + 8) where 2**-(e + 1) is
+    below its width, so rounding widens it by less than 1/64."""
+    width = enc.width
+    bits = 128
+    if width:
+        bits = max(bits, width.denominator.bit_length() - width.numerator.bit_length() + 8)
     rounded = enc.round_out(bits)
     return {"lo": format_rational(rounded.lo), "hi": format_rational(rounded.hi)}
 

@@ -322,10 +322,10 @@ def test_siegel_rejects_non_integer_matrix_json(capsys, matrix):
         ["minima", "--cache", "d", "--", '{"forms": [[1, 0], [0, 1]], "bounds": [1, 1]}'],
     ],
 )
-def test_options_only_where_read(argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+def test_options_only_where_read(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
 
 
 @pytest.mark.parametrize(
@@ -340,6 +340,36 @@ def test_kronecker_precision_needs_with_height(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, exact",
+    [
+        (["height", "-3/4"], "4/1"),
+        (["height", "-0.5"], "2/1"),
+        (["height", "--point", "-1/2,3"], "6/1"),
+        (["height", "--point", "-1/2"], "2/1"),
+    ],
+)
+def test_negative_numbers_are_arguments(capsys, argv, exact):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["exact"] == exact
+
+
+@pytest.mark.parametrize("argv", [["height", "--bogus"], ["mahler"], ["no-such-command"]])
+def test_usage_errors_return_exit_code(capsys, argv):
+    code, out = run(capsys, *argv)  # returned, not raised as SystemExit
+    assert code == 2
+    assert out == ""
+
+
+def test_mahler_precision_below_2_to_minus_128_is_honoured(capsys):
+    lehmer = "x^10+x^9-x^7-x^6-x^5-x^4-x^3+x+1"
+    code, out = run(capsys, "mahler", "--precision", "1e-60", "--", lehmer)
+    assert code == 0
+    enc = json.loads(out)["mahler"]
+    assert Fraction(enc["hi"]) - Fraction(enc["lo"]) <= Fraction(1, 10 ** 60)
 
 
 def test_unreadable_json_file_is_a_parse_error(capsys, tmp_path):

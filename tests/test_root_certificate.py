@@ -1,0 +1,217 @@
+"""Property tests of the complex-root certificate in dioph.roots.
+
+Inputs are random squarefree integer polynomials of degree 2-12, some
+with two roots 1/N apart (N up to 1e20, closer than float seeds can
+separate, so that root_disks has to double its bits), at disk radii
+from 1e-12 to 1e-80.  mpmath roots at three times the working precision are the
+reference for containment, and the Newton iteration on reduced
+Fractions below is the oracle for the centers and radii.
+"""
+
+from fractions import Fraction
+
+import mpmath
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from dioph.exceptions import PrecisionError
+from dioph.heights import mahler_measure
+from dioph.intpoly import IntPolynomial, squarefree_part
+from dioph.roots import (
+    _float_seeds,
+    _mpmath_seeds,
+    _pairwise_disjoint,
+    root_disks,
+    root_moduli,
+)
+
+
+@st.composite
+def squarefree_polys(draw):
+    degree = draw(st.integers(2, 12))
+    clustered = draw(st.booleans())
+    base = draw(st.lists(st.integers(-9, 9), min_size=degree - 2 * clustered,
+                         max_size=degree - 2 * clustered))
+    f = IntPolynomial(base + [draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))])
+    if clustered:
+        # roots a and a + 1/inv_gap
+        inv_gap = 10 ** draw(st.sampled_from([3, 8, 20]))
+        a = draw(st.integers(-3, 3))
+        f = f * IntPolynomial([-inv_gap * a, inv_gap])
+        f = f * IntPolynomial([-inv_gap * a - 1, inv_gap])
+    g = squarefree_part(f)
+    assume(g.degree >= 2)
+    return g
+
+
+radii = st.integers(12, 80).map(lambda k: Fraction(1, 10 ** k))
+
+
+def _starting_bits(g: IntPolynomial, target: Fraction) -> int:
+    need = target.denominator.bit_length() - target.numerator.bit_length()
+    return max(128, need // 2 + 2 * g.degree.bit_length() + 32)
+
+
+def _mp_roots(g: IntPolynomial):
+    """Roots of g at the current mpmath precision."""
+    return mpmath.polyroots(
+        [mpmath.mpf(c) for c in reversed(g.coeffs)], maxsteps=2000, extraprec=mpmath.mp.prec
+    )
+
+
+def _mp(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+# ---------------------------------------------------------------------------
+# the oracle: Newton on reduced Fractions, evaluated twice per round
+
+
+def _c_eval(coeffs, z):
+    re, im = Fraction(0), Fraction(0)
+    for c in reversed(coeffs):
+        re, im = re * z[0] - im * z[1] + c, re * z[1] + im * z[0]
+    return re, im
+
+
+def _c_abs2(z):
+    return z[0] * z[0] + z[1] * z[1]
+
+
+def _round_down(q: Fraction, bits: int) -> Fraction:
+    return Fraction(q.numerator * (1 << bits) // q.denominator, 1 << bits)
+
+
+def _fractions(seeds):
+    bits, mantissas = seeds
+    return [(Fraction(x, 1 << bits), Fraction(y, 1 << bits)) for x, y in mantissas]
+
+
+def _fraction_disjoint(disks) -> bool:
+    for i in range(len(disks)):
+        for j in range(i + 1, len(disks)):
+            (zi, ri), (zj, rj) = disks[i], disks[j]
+            s = _c_abs2((zi[0] - zj[0], zi[1] - zj[1])) - ri - rj
+            if s <= 0 or s * s <= 4 * ri * rj:
+                return False
+    return True
+
+
+def _fraction_root_disks(g: IntPolynomial, target: Fraction, bits: int):
+    n = g.degree
+    deriv = g.derivative()
+    seeds = _fractions(_float_seeds(g))
+    for attempt in range(8):
+        centers = list(seeds)
+        for _ in range(40):
+            new_centers = []
+            ok = True
+            for z in centers:
+                val, der = _c_eval(g.coeffs, z), _c_eval(deriv.coeffs, z)
+                d2 = _c_abs2(der)
+                if d2 == 0:
+                    ok = False
+                    new_centers.append(z)
+                    continue
+                qr = (val[0] * der[0] + val[1] * der[1]) / d2
+                qi = (val[1] * der[0] - val[0] * der[1]) / d2
+                new_centers.append((_round_down(z[0] - qr, bits), _round_down(z[1] - qi, bits)))
+            centers = new_centers
+            if not ok:
+                break
+            cand = []
+            for z in centers:
+                val, der = _c_eval(g.coeffs, z), _c_eval(deriv.coeffs, z)
+                d2 = _c_abs2(der)
+                if d2 == 0:
+                    break
+                rho = n * n * _c_abs2(val) / d2
+                if rho > target:
+                    break
+                cand.append((z, rho))
+            if len(cand) == n and _fraction_disjoint(cand):
+                return cand
+        bits *= 2
+        if attempt >= 1:
+            seeds = _fractions(_mpmath_seeds(g, 40 * (attempt + 1)))
+    raise PrecisionError("oracle did not certify")
+
+
+# ---------------------------------------------------------------------------
+
+
+small_disks = st.tuples(
+    st.integers(-20, 20), st.integers(-20, 20), st.integers(0, 400), st.integers(1, 30)
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(small_disks, min_size=2, max_size=5), st.integers(0, 3))
+def test_integer_disjointness_decides_as_the_fraction_test(disks, b):
+    # radii comparable to the distances, where r_i + r_j and
+    # sqrt(r_i^2 + r_j^2) give different answers
+    one = 1 << b
+    as_fractions = [
+        ((Fraction(x, one), Fraction(y, one)), Fraction(p, q * one * one)) for x, y, p, q in disks
+    ]
+    assert _pairwise_disjoint(disks) == _fraction_disjoint(as_fractions)
+
+
+@settings(max_examples=30)
+@given(squarefree_polys(), radii)
+def test_disks_match_the_fraction_newton_oracle(g, radius):
+    target = radius * radius
+    disks = root_disks(g, target)
+    expected = _fraction_root_disks(g, target, _starting_bits(g, target))
+    assert [(d.center, d.radius_sq) for d in disks] == expected
+
+
+@settings(max_examples=40)
+@given(squarefree_polys(), radii)
+def test_each_disk_holds_exactly_one_root(g, radius):
+    disks = root_disks(g, radius * radius)
+    assert len(disks) == g.degree
+    assert all(d.radius_sq <= radius * radius for d in disks)
+    bits = max(c.denominator.bit_length() - 1 for d in disks for c in d.center)
+    bits = max(bits, _starting_bits(g, radius * radius))
+    owners = []
+    with mpmath.workprec(3 * bits):
+        roots = _mp_roots(g)
+        slack = mpmath.mpf(2) ** (-2 * bits)  # mpmath's error is about 2**(-3 * bits)
+        for d in disks:
+            center = mpmath.mpc(_mp(d.center[0]), _mp(d.center[1]))
+            reach = mpmath.sqrt(_mp(d.radius_sq)) + slack
+            inside = [k for k, r in enumerate(roots) if abs(r - center) <= reach]
+            assert len(inside) == 1
+            owners += inside
+    assert sorted(owners) == list(range(g.degree))
+
+
+def _matched(values, enclosures, slack) -> bool:
+    """True iff the values can be paired one-to-one with enclosures that
+    contain them (greedy: ascending values, earliest-ending enclosure)."""
+    free = sorted(enclosures, key=lambda e: e.hi)
+    for v in sorted(values):
+        for k, e in enumerate(free):
+            if _mp(e.lo) - slack <= v <= _mp(e.hi) + slack:
+                del free[k]
+                break
+        else:
+            return False
+    return True
+
+
+@settings(max_examples=30)
+@given(squarefree_polys(), radii)
+def test_moduli_and_mahler_measure_hold_the_mpmath_values(g, precision):
+    moduli = root_moduli(g, precision)
+    assert all(m.width <= precision for m in moduli)
+    enc = mahler_measure(g, precision)
+    assert enc.width <= precision
+    bits = _starting_bits(g, (precision / 8) ** 2)
+    with mpmath.workprec(3 * bits):
+        roots = _mp_roots(g)
+        slack = mpmath.mpf(2) ** (-2 * bits)
+        assert _matched([abs(r) for r in roots], moduli, slack)
+        mahler = abs(g.leading) * mpmath.fprod(max(1, abs(r)) for r in roots)
+        assert _mp(enc.lo) - slack * mahler <= mahler <= _mp(enc.hi) + slack * mahler
