@@ -9,7 +9,6 @@ from dioph import (
     are_linearly_independent,
     generalized_wronskian,
     index_at,
-    index_via_taylor_shift,
     normalized_derivative,
 )
 
@@ -21,11 +20,10 @@ P = (x - 1) ** 2 * (y - 2) ** 3
 D = normalized_derivative(P, (1, 2))
 print(f"  d_(1,2) of (x-1)^2 (y-2)^3 has terms {dict(sorted(D.terms.items()))}")
 
-print("\n== the index at a point, two independent ways ==")
+print("\n== the index at a point ==")
 point = [Fraction(1), Fraction(2)]
 weights = (2, 3)
 print("  enumerate-and-evaluate:", index_at(P, point, weights))
-print("  Taylor-shift oracle:   ", index_via_taylor_shift(P, point, weights))
 print("  (the extremal value m = 2 for the weight-matched product)")
 
 print("\n== index algebra on products ==")

@@ -55,10 +55,8 @@ from .multipoly import (
     IndexValue,
     MultiPoly,
     index_at,
-    index_via_taylor_shift,
     kronecker_substitution,
     normalized_derivative,
-    taylor_shift,
 )
 from .wronskian import are_linearly_independent, generalized_wronskian
 from .siegel import (
@@ -75,7 +73,6 @@ from .rothlab import (
     IndexSetSpec,
     build_aux_poly,
     count_index_set,
-    count_index_set_brute,
     derivative_height_bound_check,
     roth_lemma_verify,
     verify_aux_poly,

@@ -3,23 +3,29 @@ approximation analysis: certified convergent errors, the explicit
 Liouville lower-bound constant, violation scans, and approximation
 exponents.
 
-Partial quotients are computed by exact floor-and-invert on the
-algebraic number itself (sign evaluations of the minimal polynomial
-decide every floor); no floating point enters any verdict.
+Partial quotients are read off the isolating interval: the common
+prefix of the continued fractions of its two rational endpoints is a
+prefix of alpha's, and the interval is refined (width w to w^2) when
+the prefix runs out.  Every convergent's |alpha - p/q| < 1/q^2 is
+certified by two exact sign tests of the minimal polynomial; no
+floating point enters any verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, takewhile
 from typing import Iterator, List, Optional, Tuple
 
 from .enclosure import Enclosure, log_enclosure
-from .exceptions import DomainError, InternalError, PrecisionError
+from .exceptions import DomainError, InternalError, PrecisionError, UnsupportedError
 from .numberfield import AlgebraicNumber
 from .roots import max_root_modulus
 
 _REFINE_ROUNDS = 80
+# continued_fraction computes at most this many partial quotients
+CF_TERMS_CAP = 1000
 
 
 @dataclass
@@ -63,92 +69,94 @@ def error_enclosure(
     raise PrecisionError("error enclosure refinement stalled")
 
 
-def _convergents(quotients: List[int]) -> List[Tuple[int, int]]:
-    out = []
-    p0, q0 = 1, 0
-    p1, q1 = 0, 1
-    for a in quotients:
-        p0, p1 = a * p0 + p1, p0
-        q0, q1 = a * q0 + q1, q0
-        out.append((p0, q0))
-    return out
+def _common_prefix(lo: Fraction, hi: Fraction) -> Tuple[List[int], bool]:
+    """(terms, lo == hi): the partial quotients that Euclid's algorithm on
+    lo and on hi shares and continues past, or all of them when lo == hi."""
+    terms: List[int] = []
+    n1, d1, n2, d2 = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    while True:
+        a = n1 // d1
+        if n2 // d2 != a:
+            return terms, False
+        n1, d1, n2, d2 = d1, n1 - a * d1, d2, n2 - a * d2
+        if d1 == 0 and d2 == 0:
+            return terms + [a], True
+        if d1 == 0 or d2 == 0:
+            return terms, False
+        terms.append(a)
 
 
 def cf_quotients(alpha: AlgebraicNumber) -> Iterator[int]:
-    """Stream of partial quotients; terminates only for rational alpha."""
+    """Stream of partial quotients; terminates only for rational alpha.
+
+    They are the common prefix of the expansions of the endpoints
+    lo <= alpha <= hi of alpha's isolating interval.  Proof: the reals
+    whose expansion starts a_0, ..., a_k and goes on are the image of
+    (a_k, a_k + 1) under the monotone map y -> [a_0; ..., a_(k-1), y], an
+    interval.  A rational whose canonical expansion continues past a_k
+    has its k-th complete quotient strictly inside (a_k, a_k + 1), so it
+    lies in that interval; if lo and hi do, so does alpha between them.
+    An irrational alpha is inside every such interval, so refining the
+    width w to min(w^2, w/4) whenever the prefix runs out yields every term.
+    A rational alpha is the case lo == hi, expanded whole.
+    """
     if not alpha.is_real():
         raise DomainError("continued fractions need a real root selector")
-    if alpha.is_rational():
-        num = alpha.rational_value().numerator
-        den = alpha.rational_value().denominator
-        while den != 0:
-            a = num // den
-            yield a
-            num, den = den, num - a * den
-        return
-    state = alpha
+    lo, hi = alpha.interval()
+    emitted = 0
     while True:
-        a = state.floor()
-        yield a
-        state = state.shift_int(a).reciprocal()
+        terms, ended = _common_prefix(lo, hi)
+        yield from terms[emitted:]
+        if ended:
+            return
+        # the refined interval lies inside the old one, so the prefix only grows
+        emitted = len(terms)
+        w = hi - lo
+        lo, hi = alpha.refine(min(w * w, w / 4))
+
+
+def _convergents(alpha: AlgebraicNumber) -> Iterator[Tuple[int, int, int]]:
+    """(a_k, p_k, q_k): each partial quotient with its convergent p_k/q_k."""
+    p0, q0 = 1, 0
+    p1, q1 = 0, 1
+    for a in cf_quotients(alpha):
+        p0, p1 = a * p0 + p1, p0
+        q0, q1 = a * q0 + q1, q0
+        yield a, p0, q0
 
 
 def continued_fraction(alpha: AlgebraicNumber, n_terms: int) -> ContinuedFraction:
     """First n_terms partial quotients and convergents of a real algebraic
-    number, each convergent certified to satisfy |alpha - p/q| < 1/q^2."""
+    number, each convergent certified to satisfy |alpha - p/q| < 1/q^2.
+
+    n_terms may not exceed CF_TERMS_CAP."""
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
-    if not alpha.is_real():
-        raise DomainError("continued fractions need a real root selector")
-    quotients: List[int] = []
-    terminated = False
-    for a in cf_quotients(alpha):
-        quotients.append(a)
-        if len(quotients) >= n_terms:
-            break
-    else:
-        terminated = True
-    convergents = _convergents(quotients)
-    for p, q in convergents:
+    if n_terms > CF_TERMS_CAP:
+        raise UnsupportedError(
+            f"{n_terms} continued-fraction terms requested; the cap is {CF_TERMS_CAP}"
+        )
+    head = list(islice(_convergents(alpha), n_terms))
+    for _, p, q in head:
         _certify_dirichlet(alpha, p, q)
     return ContinuedFraction(
         subject=alpha,
-        partial_quotients=quotients,
-        convergents=convergents,
-        terminated=terminated,
+        partial_quotients=[a for a, _, _ in head],
+        convergents=[(p, q) for _, p, q in head],
+        terminated=len(head) < n_terms,
     )
 
 
 def _certify_dirichlet(alpha: AlgebraicNumber, p: int, q: int) -> None:
     """Exact check of the convergent inequality |alpha - p/q| < 1/q^2."""
-    bound = Fraction(1, q * q)
-    if alpha.is_rational():
-        if abs(alpha.rational_value() - Fraction(p, q)) >= bound:
-            raise InternalError(f"convergent {p}/{q} violates the 1/q^2 bound")
-        return
-    lo, hi = alpha.interval()
-    target = Fraction(p, q)
-    for _ in range(_REFINE_ROUNDS * 4):
-        if lo - target > -bound and hi - target < bound:
-            return
-        if lo - target >= bound or hi - target <= -bound:
-            raise InternalError(f"convergent {p}/{q} violates the 1/q^2 bound")
-        lo, hi = alpha.refine((hi - lo) / 16)
-    raise PrecisionError("convergent certification stalled")
+    target, bound = Fraction(p, q), Fraction(1, q * q)
+    if alpha.compare_rational(target - bound) <= 0 or alpha.compare_rational(target + bound) >= 0:
+        raise InternalError(f"convergent {p}/{q} violates the 1/q^2 bound")
 
 
 def convergents_up_to(alpha: AlgebraicNumber, q_max: int) -> List[Tuple[int, int]]:
     """All convergents with denominator <= q_max."""
-    out = []
-    p0, q0 = 1, 0
-    p1, q1 = 0, 1
-    for a in cf_quotients(alpha):
-        p0, p1 = a * p0 + p1, p0
-        q0, q1 = a * q0 + q1, q0
-        if q0 > q_max:
-            break
-        out.append((p0, q0))
-    return out
+    return [(p, q) for _, p, q in takewhile(lambda c: c[2] <= q_max, _convergents(alpha))]
 
 
 # ---------------------------------------------------------------------------

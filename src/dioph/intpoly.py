@@ -63,6 +63,15 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
+    def sign_at(self, x) -> int:
+        """Sign of self(x) for rational x = n/d: Horner's rule on n and d
+        gives the integer d^degree * self(x), with no fraction reduced."""
+        n, d = Fraction(x).as_integer_ratio()
+        acc, dpow = 0, 1
+        for c in reversed(self.coeffs):
+            acc, dpow = acc * n + c * dpow, dpow * d
+        return (acc > 0) - (acc < 0)
+
     def __eq__(self, other):
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
 
@@ -409,11 +418,7 @@ def sturm_sequence(f: IntPolynomial) -> List[IntPolynomial]:
 
 
 def sign_variations(seq: Sequence[IntPolynomial], x: Fraction) -> int:
-    signs = []
-    for s in seq:
-        v = s(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    signs = [v for v in (s.sign_at(x) for s in seq) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -489,22 +494,21 @@ def refine_root_interval(
     isolating interval of a simple real root).
     """
     a, b = Fraction(interval[0]), Fraction(interval[1])
-    fa = f(a)
-    fb = f(b)
-    if fa == 0 or fb == 0:
+    sa, sb = f.sign_at(a), f.sign_at(b)
+    if sa == 0 or sb == 0:
         raise DomainError("isolating interval endpoints must not be roots")
-    if (fa > 0) == (fb > 0):
+    if sa == sb:
         raise DomainError("no sign change across the interval")
     while b - a > width:
         m = (a + b) / 2
-        fm = f(m)
-        if fm == 0:
+        sm = f.sign_at(m)
+        if sm == 0:
             m = a + (b - a) / 3  # dodge an exact rational hit
-            fm = f(m)
-        if (fm > 0) == (fa > 0):
-            a, fa = m, fm
+            sm = f.sign_at(m)
+        if sm == sa:
+            a = m
         else:
-            b, fb = m, fm
+            b = m
     return a, b
 
 

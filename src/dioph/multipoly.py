@@ -287,50 +287,6 @@ def index_at(
     raise InternalError("nonzero polynomial with all boxed derivatives zero")
 
 
-def taylor_shift(P: MultiPoly, point: Sequence) -> MultiPoly:
-    """P(x + point): substitution oracle used to cross-check index_at."""
-    if len(point) != P.arity:
-        raise DomainError("point length differs from arity")
-    result = P
-    for h, a in enumerate(point):
-        a = a if isinstance(a, NumberFieldElement) else Fraction(a)
-        out: Dict[Tuple[int, ...], Scalar] = {}
-        for exps, c in result.terms.items():
-            k = exps[h]
-            apow: Scalar = Fraction(1)
-            # expand (x_h + a)^k from the highest binomial down
-            for j in range(k, -1, -1):
-                coef = c * math.comb(k, j) * apow
-                key = exps[:h] + (j,) + exps[h + 1 :]
-                acc = out.get(key, 0) + coef
-                if _is_zero_scalar(acc):
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-                apow = apow * a
-        result = MultiPoly(P.arity, out)
-    return result
-
-
-def index_via_taylor_shift(
-    P: MultiPoly, point: Sequence, weights: Sequence[int]
-) -> IndexValue:
-    """Brute-force index: shift the point to the origin and take the
-    minimal weighted exponent of a surviving monomial."""
-    weights = check_weights(weights, P.arity)
-    if P.is_zero():
-        return IndexValue(None)
-    shifted = taylor_shift(P, point)
-    best = None
-    for exps in shifted.terms:
-        w = sum(Fraction(i, r) for i, r in zip(exps, weights))
-        if best is None or w < best:
-            best = w
-    if best is None:
-        raise InternalError("Taylor shift of a nonzero polynomial vanished")
-    return IndexValue(best)
-
-
 def kronecker_substitution(P: MultiPoly, d: int) -> MultiPoly:
     """Univariate image under (x_1, ..., x_m) -> (t, t^d, ..., t^(d^(m-1))).
 

@@ -163,7 +163,7 @@ class AlgebraicNumber:
         if self.is_rational():
             v = self.rational_value()
             return (v > q) - (v < q)
-        if self.min_poly(q) == 0:
+        if self.min_poly.sign_at(q) == 0:
             # q would be a rational root of an irreducible poly of degree >= 2
             raise DomainError("rational root of an irreducible polynomial?")
         lo, hi = self.interval()
@@ -171,24 +171,10 @@ class AlgebraicNumber:
             lo, hi = self.refine((hi - lo) / 4)
         return 1 if lo >= q else -1
 
-    def floor(self) -> int:
-        import math
-
-        if self.is_rational():
-            return math.floor(self.rational_value())
-        lo, hi = self.interval()
-        while math.floor(lo) != math.floor(hi):
-            # an irrational value eventually separates from every integer
-            lo, hi = self.refine((hi - lo) / 4)
-        return math.floor(lo)
-
     def sign(self) -> int:
-        if self.is_rational():
-            v = self.rational_value()
-            return (v > 0) - (v < 0)
         return self.compare_rational(0)
 
-    # ---- exact transforms used by continued fractions ----
+    # ---- exact transforms: no caller in dioph; bench/tracing.py resolves both ----
 
     def shift_int(self, a: int) -> "AlgebraicNumber":
         """self - a, as an algebraic number."""

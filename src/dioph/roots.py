@@ -197,8 +197,7 @@ def root_disks(g: IntPolynomial, radius_sq_target: Fraction) -> List[RootDisk]:
             ]
             scale = bits
         bits *= 2
-        if attempt >= 1:
-            seed_bits, seeds = _mpmath_seeds(g, 40 * (attempt + 1))
+        seed_bits, seeds = _mpmath_seeds(g, 40 * (attempt + 1))
     raise PrecisionError(
         f"could not certify root disks of {g!r} at target {float(radius_sq_target)}"
     )

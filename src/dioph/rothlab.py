@@ -98,15 +98,6 @@ def count_index_set(spec: IndexSetSpec) -> Tuple[int, Enclosure]:
     return count, bound
 
 
-def count_index_set_brute(spec: IndexSetSpec) -> int:
-    """Direct enumeration; the oracle for the DP count."""
-    total = 0
-    for tup in iter_product(*(range(r + 1) for r in spec.weights)):
-        if sum(Fraction(i, r) for i, r in zip(tup, spec.weights)) <= spec.threshold:
-            total += 1
-    return total
-
-
 def vanishing_tuples(spec: IndexSetSpec) -> List[Tuple[int, ...]]:
     """Multi-indices in the degree box with weighted sum strictly below
     the threshold: the derivative-vanishing constraints of the

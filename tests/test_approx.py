@@ -1,8 +1,12 @@
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+import sympy
 
 from dioph.approx import (
+    CF_TERMS_CAP,
     continued_fraction,
     convergents_up_to,
     error_enclosure,
@@ -10,7 +14,7 @@ from dioph.approx import (
     liouville_constant,
     liouville_scan,
 )
-from dioph.exceptions import DomainError
+from dioph.exceptions import DomainError, UnsupportedError
 from dioph.intpoly import IntPolynomial
 from dioph.numberfield import AlgebraicNumber
 
@@ -55,6 +59,87 @@ def test_cf_rejects_complex_selector():
 def test_cf_cubic():
     cf = continued_fraction(CBRT2, 8)
     assert cf.partial_quotients == [1, 3, 1, 5, 1, 1, 4, 1]
+
+
+def test_cf_builds_no_algebraic_number_per_quotient(monkeypatch):
+    alpha = AlgebraicNumber(IntPolynomial([-1, 1, -4, 1]), interval=(3, 4))
+    built = []
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        raise AssertionError(f"AlgebraicNumber built during the expansion: {args}")
+
+    monkeypatch.setattr(AlgebraicNumber, "__init__", counting_init)
+    cf = continued_fraction(alpha, 50)
+    assert len(cf.partial_quotients) == 50
+    assert built == []
+
+
+def test_cf_terms_above_the_cap_are_refused():
+    with pytest.raises(UnsupportedError):
+        continued_fraction(SQRT2, CF_TERMS_CAP + 1)
+    assert len(continued_fraction(SQRT2, CF_TERMS_CAP).partial_quotients) == CF_TERMS_CAP
+
+
+# ---------------------------------------------------------------------------
+# the oracle: floor-and-invert on a 3,000-digit mpmath value
+
+
+def _mpmath_quotients(x, n_terms):
+    out = []
+    for _ in range(n_terms):
+        a = int(mpmath.floor(x))
+        out.append(a)
+        x = 1 / (x - a)
+    return out
+
+
+def _check_against_mpmath(coeffs, lo, hi, n_terms):
+    """The first n_terms quotients of the root of sum coeffs[i] x^i in
+    (lo, hi) equal the expansion of that root at 3,000 digits."""
+    alpha = AlgebraicNumber(IntPolynomial(coeffs), interval=(lo, hi))
+    cf = continued_fraction(alpha, n_terms)
+    with mpmath.workdps(3000):
+        root = mpmath.findroot(
+            lambda t: mpmath.polyval(list(reversed(coeffs)), t),
+            (mpmath.mpf(lo.numerator) / lo.denominator, mpmath.mpf(hi.numerator) / hi.denominator),
+            solver="anderson",
+        )
+        expected = _mpmath_quotients(root, n_terms)
+    # floor-and-invert up to q loses about 2 log10(q) of the 3,000 digits
+    assert len(str(cf.convergents[-1][1])) < 1400
+    assert cf.partial_quotients == expected
+    return alpha
+
+
+def test_cbrt2_thousand_terms_match_mpmath():
+    _check_against_mpmath([-2, 0, 0, 1], Fraction(1), Fraction(2), 1000)
+
+
+def test_random_cubics_and_quartics_match_mpmath():
+    rng = random.Random(20251)
+    x = sympy.Symbol("x")
+    seen = {"non_largest": 0, "negative": 0, "non_monic": 0}
+    draws = 0
+    while draws < 20:
+        degree = 3 + draws % 2
+        lead = 1 if draws % 3 == 0 else rng.randint(2, 9)
+        coeffs = [rng.randint(-20, 20) for _ in range(degree)] + [lead]
+        poly = sympy.Poly(list(reversed(coeffs)), x)
+        if coeffs[0] == 0 or not poly.is_irreducible:
+            continue
+        intervals = poly.intervals()
+        if not intervals:
+            continue
+        k = draws % len(intervals)
+        (lo, hi), _ = intervals[k]
+        lo, hi = Fraction(int(lo.p), int(lo.q)), Fraction(int(hi.p), int(hi.q))
+        alpha = _check_against_mpmath(coeffs, lo, hi, 200)
+        seen["non_largest"] += k < len(intervals) - 1
+        seen["negative"] += alpha.sign() < 0
+        seen["non_monic"] += lead != 1
+        draws += 1
+    assert all(seen.values()), seen
 
 
 def test_error_enclosure_positive():

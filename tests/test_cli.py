@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -252,6 +253,15 @@ def test_cf_and_liouville_subcommands(capsys):
     code, out = run(capsys, "liouville", "x^2-2", "--qmax", "1000", "--sweep", "50")
     data = json.loads(out)
     assert data["violations"] == []
+
+
+def test_cf_terms_above_the_cap_exit_2_at_once(capsys):
+    start = time.perf_counter()
+    code = main(["cf", "--terms", "100000000", "--", "x^2-2"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "100000000" in err and "cap is 1000" in err
 
 
 def test_exponents_csv(capsys):

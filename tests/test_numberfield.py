@@ -182,16 +182,21 @@ def test_resultant_values():
     assert resultant(f, f) == 0
 
 
-def test_floor_and_compare():
-    assert SQRT2.floor() == 1
-    assert PHI.floor() == 1
-    assert CBRT2.floor() == 1
+def _between(alpha, lo, hi):
+    return alpha.compare_rational(lo) == 1 and alpha.compare_rational(hi) == -1
+
+
+def test_compare_rational():
+    assert _between(SQRT2, 1, 2)
+    assert _between(PHI, 1, 2)
+    assert _between(CBRT2, 1, 2)
     big = AlgebraicNumber(IntPolynomial([-200, 0, 1]), interval=(14, 15))
-    assert big.floor() == 14
+    assert _between(big, 14, 15)
     assert SQRT2.compare_rational(Fraction(7, 5)) == 1
     assert SQRT2.compare_rational(Fraction(3, 2)) == -1
-    assert AlgebraicNumber.from_rational(Fraction(5, 2)).floor() == 2
-    assert AlgebraicNumber.from_rational(Fraction(-5, 2)).floor() == -3
+    half = AlgebraicNumber.from_rational(Fraction(5, 2))
+    assert _between(half, 2, 3) and half.compare_rational(Fraction(5, 2)) == 0
+    assert _between(AlgebraicNumber.from_rational(Fraction(-5, 2)), -3, -2)
 
 
 def test_shift_and_reciprocal():
@@ -199,7 +204,7 @@ def test_shift_and_reciprocal():
     assert shifted.sign() == 1
     assert shifted.compare_rational(1) == -1
     rec = shifted.reciprocal()  # 1/(sqrt2 - 1) = sqrt2 + 1 in (2, 3)
-    assert rec.floor() == 2
+    assert _between(rec, 2, 3)
     assert rec.min_poly == IntPolynomial([-1, -2, 1])
 
 

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dioph.exceptions import DomainError
 from dioph.intpoly import IntPolynomial
@@ -9,15 +12,46 @@ from dioph.multipoly import (
     IndexValue,
     MultiPoly,
     index_at,
-    index_via_taylor_shift,
     kronecker_substitution,
     normalized_derivative,
-    taylor_shift,
 )
 from dioph.numberfield import AlgebraicNumber, NumberFieldElement
 
 X = MultiPoly.variable(2, 0)
 Y = MultiPoly.variable(2, 1)
+
+
+# ---------------------------------------------------------------------------
+# the oracle: move the point to the origin and read the index off the
+# monomials that survive
+
+
+def taylor_shift(P: MultiPoly, point) -> MultiPoly:
+    """P(x + point), expanded one variable at a time."""
+    result = P
+    for h, a in enumerate(point):
+        a = a if isinstance(a, NumberFieldElement) else Fraction(a)
+        out = {}
+        for exps, c in result.terms.items():
+            k = exps[h]
+            apow = Fraction(1)
+            # (x_h + a)^k from the highest binomial down
+            for j in range(k, -1, -1):
+                key = exps[:h] + (j,) + exps[h + 1 :]
+                out[key] = out.get(key, 0) + c * math.comb(k, j) * apow
+                apow = apow * a
+        result = MultiPoly(P.arity, out)  # drops the terms that cancelled
+    return result
+
+
+def index_via_taylor_shift(P: MultiPoly, point, weights) -> IndexValue:
+    """The least weighted degree of a monomial of P(x + point)."""
+    if P.is_zero():
+        return IndexValue(None)
+    shifted = taylor_shift(P, point)
+    return IndexValue(
+        min(sum(Fraction(i, r) for i, r in zip(exps, weights)) for exps in shifted.terms)
+    )
 
 
 def rand_point(rng, arity):
@@ -175,6 +209,29 @@ def test_oracle_equivalence():
             continue
         assert index_at(P, point, weights) == index_via_taylor_shift(P, point, weights)
         done += 1
+
+
+@st.composite
+def index_cases(draw):
+    """(P, point, weights): a drawn polynomial times a drawn power of
+    (x_h - a_h) per variable, so that the index is often positive."""
+    arity = draw(st.integers(1, 3))
+    point = draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=arity,
+                          max_size=arity))
+    weights = draw(st.lists(st.integers(1, 5), min_size=arity, max_size=arity))
+    exps = st.tuples(*[st.integers(0, 3)] * arity)
+    P = MultiPoly(arity, draw(st.dictionaries(exps, st.integers(-9, 9), max_size=5)))
+    for h, e in enumerate(draw(st.lists(st.integers(0, 2), min_size=arity, max_size=arity))):
+        P = P * (MultiPoly.variable(arity, h) - MultiPoly.constant(arity, point[h])) ** e
+    assume(not P.is_zero())
+    return P, point, weights
+
+
+@settings(max_examples=150)
+@given(index_cases())
+def test_index_at_equals_the_taylor_shift_oracle_on_drawn_cases(case):
+    P, point, weights = case
+    assert index_at(P, point, weights) == index_via_taylor_shift(P, point, weights)
 
 
 def test_taylor_shift_roundtrip():

@@ -19,6 +19,7 @@ from dioph.heights import mahler_measure
 from dioph.intpoly import IntPolynomial, squarefree_part
 from dioph.roots import (
     _float_seeds,
+    _horner,
     _mpmath_seeds,
     _pairwise_disjoint,
     root_disks,
@@ -132,8 +133,7 @@ def _fraction_root_disks(g: IntPolynomial, target: Fraction, bits: int):
             if len(cand) == n and _fraction_disjoint(cand):
                 return cand
         bits *= 2
-        if attempt >= 1:
-            seeds = _fractions(_mpmath_seeds(g, 40 * (attempt + 1)))
+        seeds = _fractions(_mpmath_seeds(g, 40 * (attempt + 1)))
     raise PrecisionError("oracle did not certify")
 
 
@@ -215,3 +215,17 @@ def test_moduli_and_mahler_measure_hold_the_mpmath_values(g, precision):
         assert _matched([abs(r) for r in roots], moduli, slack)
         mahler = abs(g.leading) * mpmath.fprod(max(1, abs(r)) for r in roots)
         assert _mp(enc.lo) - slack * mahler <= mahler <= _mp(enc.hi) + slack * mahler
+
+
+def test_failed_attempt_asks_for_finer_seeds(monkeypatch):
+    # roots 0 and 1e-20 are one float seed; an attempt that fails on them
+    # must not be repeated from the same seeds at doubled bits
+    calls = []
+    monkeypatch.setattr("dioph.roots._horner", lambda *a: calls.append(1) or _horner(*a))
+    N = 10 ** 20
+    g = (IntPolynomial([0, N]) * IntPolynomial([-1, N]) * IntPolynomial([1, 0, 1])
+         * IntPolynomial([-2, 1, 3]))
+    disks = root_disks(g, Fraction(1, 10 ** 48))
+    assert len(disks) == 6
+    # 1,008 evaluations when attempt 1 reused the float seeds, 516 now
+    assert len(calls) <= 600

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dioph.exceptions import DomainError, InfeasibleError, UnsupportedError
 from dioph.heights import height_polynomial, height_rational
@@ -12,7 +15,6 @@ from dioph.rothlab import (
     IndexSetSpec,
     build_aux_poly,
     count_index_set,
-    count_index_set_brute,
     derivative_height_bound_check,
     roth_lemma_verify,
     vanishing_tuples,
@@ -22,6 +24,15 @@ from dioph.rothlab import (
 SQRT2 = AlgebraicNumber(IntPolynomial([-2, 0, 1]), interval=(1, 2))
 X = MultiPoly.variable(2, 0)
 Y = MultiPoly.variable(2, 1)
+
+
+def count_index_set_brute(spec: IndexSetSpec) -> int:
+    """Direct enumeration of the box; the oracle for the DP count."""
+    return sum(
+        1
+        for tup in product(*(range(r + 1) for r in spec.weights))
+        if sum(Fraction(i, r) for i, r in zip(tup, spec.weights)) <= spec.threshold
+    )
 
 
 def test_count_examples():
@@ -47,6 +58,21 @@ def test_count_against_brute_force():
         count, bound = count_index_set(spec)
         assert count == count_index_set_brute(spec)
         assert count <= bound.hi
+
+
+@st.composite
+def index_set_specs(draw):
+    m = draw(st.integers(1, 4))
+    eps = draw(st.fractions(0, 1, max_denominator=30).filter(lambda e: 0 < e < 1))
+    return IndexSetSpec(m, eps, draw(st.lists(st.integers(1, 7), min_size=m, max_size=m)))
+
+
+@settings(max_examples=200)
+@given(index_set_specs())
+def test_count_equals_brute_force_on_drawn_specs(spec):
+    count, bound = count_index_set(spec)
+    assert count == count_index_set_brute(spec)
+    assert count <= bound.hi
 
 
 def test_count_grid_bound():

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dioph.exceptions import DomainError
 from dioph.multipoly import MultiPoly, kronecker_substitution
@@ -120,3 +123,41 @@ def test_kronecker_substitution_preserves_independence():
         images = [kronecker_substitution(p, d) for p in fam]
         assert _coefficient_rank(images) == n
         done += 1
+
+
+@st.composite
+def families(draw, planted):
+    """A family of 2-3 polynomials in 1-2 variables.  planted: the last
+    member is a drawn rational combination of the others, so the family
+    is dependent.  Otherwise member j carries the monomial x_1^(4+j),
+    which no other member has, so the family is independent."""
+    arity = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * arity)
+    fam = [MultiPoly(arity, draw(st.dictionaries(exps, st.integers(-5, 5), max_size=4)))
+           for _ in range(n - 1 if planted else n)]
+    if planted:
+        coeffs = draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=n - 1,
+                               max_size=n - 1).filter(any))
+        combo = MultiPoly.zero(arity)
+        for c, phi in zip(coeffs, fam):
+            combo = combo + phi * c
+        return draw(st.permutations(fam + [combo]))
+    return [phi + MultiPoly.variable(arity, 0) ** (4 + j) for j, phi in enumerate(fam)]
+
+
+@settings(max_examples=60)
+@given(families(planted=True))
+def test_every_admissible_wronskian_of_a_dependent_family_vanishes(fam):
+    arity = fam[0].arity
+    for mus in product(*(multi_indices_up_to(i, arity) for i in range(len(fam)))):
+        assert generalized_wronskian(fam, mus).is_zero()
+    assert are_linearly_independent(fam) == (False, None)
+
+
+@settings(max_examples=60)
+@given(families(planted=False))
+def test_witness_wronskian_of_an_independent_family_is_nonzero(fam):
+    ok, witness = are_linearly_independent(fam)
+    assert ok
+    assert not generalized_wronskian(fam, witness).is_zero()
