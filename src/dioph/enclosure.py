@@ -77,10 +77,6 @@ class Enclosure:
         q = Fraction(q)
         return cls(q, q)
 
-    @classmethod
-    def hull(cls, *items: "Enclosure") -> "Enclosure":
-        return cls(min(e.lo for e in items), max(e.hi for e in items))
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -91,12 +87,6 @@ class Enclosure:
 
     def contains(self, q: Rat) -> bool:
         return self.lo <= q <= self.hi
-
-    def straddles(self, q: Rat) -> bool:
-        return self.lo < q < self.hi
-
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
 
     def __repr__(self):
         return f"Enclosure({self.lo}, {self.hi})"
@@ -191,24 +181,6 @@ class Enclosure:
         if lo > hi:
             raise DomainError("enclosures do not intersect")
         return Enclosure(lo, hi)
-
-    # ---- certified comparisons; True only when provable ----
-
-    def surely_lt(self, other) -> bool:
-        hi = other.lo if isinstance(other, Enclosure) else Fraction(other)
-        return self.hi < hi
-
-    def surely_le(self, other) -> bool:
-        hi = other.lo if isinstance(other, Enclosure) else Fraction(other)
-        return self.hi <= hi
-
-    def surely_gt(self, other) -> bool:
-        lo = other.hi if isinstance(other, Enclosure) else Fraction(other)
-        return self.lo > lo
-
-    def surely_ge(self, other) -> bool:
-        lo = other.hi if isinstance(other, Enclosure) else Fraction(other)
-        return self.lo >= lo
 
 
 def sqrt_enclosure(q: Rat, err: Rat) -> Enclosure:

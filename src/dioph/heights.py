@@ -32,6 +32,7 @@ from .numberfield import AlgebraicNumber, NumberFieldElement
 from .roots import root_moduli
 
 NORTHCOTT_DEGREE_CAP = 12
+NORTHCOTT_BOX_CAP = 10 ** 4
 DEFAULT_PRECISION = Fraction(1, 10 ** 12)
 
 
@@ -486,7 +487,9 @@ def northcott_enumerate(
 
     The scan box is |a_n| <= X^n and |a_i| <= C(n,i) * X^n (a provable
     coefficient bound: |a_i| <= C(n,i) * M(f)); membership is then
-    decided exactly by the Mahler filter M(f) <= X^n.
+    decided exactly by the Mahler filter M(f) <= X^n.  A box of more
+    than NORTHCOTT_BOX_CAP coefficient vectors raises UnsupportedError
+    before the scan.
     """
     if not 1 <= degree_max <= NORTHCOTT_DEGREE_CAP:
         raise UnsupportedError(
@@ -495,11 +498,19 @@ def northcott_enumerate(
     height_max = Fraction(height_max)
     if height_max < 1:
         raise DomainError("height_max must be >= 1 (heights are >= 1)")
-    out: List[IntPolynomial] = []
+    boxes = []
     for n in range(1, degree_max + 1):
         xn = height_max ** n
-        an_max = int(xn)
-        bounds = [int(math.comb(n, i) * xn) for i in range(n)]
+        boxes.append((n, xn, int(xn), [int(math.comb(n, i) * xn) for i in range(n)]))
+    size = sum(an_max * math.prod(2 * b + 1 for b in bounds)
+               for _, _, an_max, bounds in boxes)
+    if size > NORTHCOTT_BOX_CAP:
+        raise UnsupportedError(
+            f"the Northcott scan box holds {size} coefficient vectors; "
+            f"the cap is {NORTHCOTT_BOX_CAP}"
+        )
+    out: List[IntPolynomial] = []
+    for n, xn, an_max, bounds in boxes:
         for an in range(1, an_max + 1):
             ranges = [range(-b, b + 1) for b in bounds]
             for lower in iter_product(*ranges):

@@ -36,10 +36,6 @@ class IntPolynomial:
     def zero(cls) -> "IntPolynomial":
         return cls(())
 
-    @classmethod
-    def x_power(cls, k: int, c: int = 1) -> "IntPolynomial":
-        return cls([0] * k + [c])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

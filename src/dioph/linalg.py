@@ -7,8 +7,8 @@ entries over Q(alpha).  Entries need +, -, *, comparison with 0 and
 `Fraction(1) / x`.  Fraction keeps every intermediate in lowest terms
 (H. Cohen, A Course in Computational Algebraic Number Theory, ch. 2).
 
-`laplace_det` serves rings without division or without a certified
-zero test: polynomial matrices and complex interval boxes.
+`laplace_det` serves rings without division: the polynomial matrices
+of `wronskian`.
 
 `lll_reduce_with_transform` is the one lattice reduction: integral LLL
 with delta = 3/4 (Cohen, Alg. 2.6.7; Lenstra-Lenstra-Lovasz 1982).

@@ -89,11 +89,6 @@ class MultiPoly:
             max(exps[h] for exps in self.terms) for h in range(self.arity)
         )
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(exps) for exps in self.terms)
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented

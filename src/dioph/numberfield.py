@@ -24,7 +24,6 @@ from .intpoly import (
     refine_root_interval,
     _qdivmod,
 )
-from .linalg import laplace_det
 from .roots import ordered_root_boxes
 
 EMBEDDING_PRECISION = Fraction(1, 10 ** 15)
@@ -269,6 +268,9 @@ class NumberFieldElement:
         return (-self) + self._coerce(other)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational scalar scales the coordinates; nothing to reduce
+            return NumberFieldElement(self.base, [c * other for c in self.rep])
         other = self._coerce(other)
         self._check_same_base(other)
         prod = [Fraction(0)] * (2 * len(self.rep) - 1)
@@ -466,11 +468,9 @@ class ComplexBox:
         hi = max(self._abs2().hi, Fraction(0))
         return sqrt_enclosure(hi, err).hi
 
-    def abs_lower(self) -> Fraction:
+    def abs_lower(self, err: Fraction) -> Fraction:
         lo = max(self._abs2().lo, Fraction(0))
-        if lo == 0:
-            return Fraction(0)
-        return sqrt_enclosure(lo, Fraction(lo) / 4).lo
+        return sqrt_enclosure(lo, err).lo
 
 
 def embedding_matrix(a: AlgebraicNumber, precision: Fraction):
@@ -492,45 +492,42 @@ def inverse_embedding_bound(
 ) -> Enclosure:
     """Certified interval for the sup-operator norm of W^{-1}.
 
-    W is the power-basis embedding matrix; the norm bounds the power
-    basis coordinates of an element by the largest |embedding|.
-    Reported with outward rounding; use the upper endpoint.
+    W[r][k] = sigma_r(alpha)^k is the power-basis embedding matrix; the
+    norm bounds the power basis coordinates of an element by the largest
+    |embedding|.  Column r of W^{-1} holds the coefficients of the
+    Lagrange polynomial f(x) / ((x - sigma_r) f'(sigma_r)) of the minimal
+    polynomial f, so with q_r = f / (x - sigma_r), one synthetic division,
+    (W^{-1})[k][r] = [q_r]_k / q_r(sigma_r), as f'(sigma_r) = q_r(sigma_r).
+    That is O(d^2) box operations.  Reported with outward rounding; use
+    the upper endpoint.
     """
     precision = Fraction(precision)
     d = a.degree
     if d == 1:
         return Enclosure.exact(1)
+    coeffs = a.min_poly.coeffs
     for _ in range(6):
-        W = embedding_matrix(a, precision)
-        det_W = laplace_det(W)
-        det_lo = det_W.abs_lower()
-        if det_lo > 0:
-            det_hi = det_W.abs_upper(precision)
-            err = precision
-            lo_candidates = []
-            hi_candidates = []
+        row_hi = [Fraction(0)] * d
+        row_lo = [Fraction(0)] * d
+        for re, im in ordered_root_boxes(a.min_poly, precision):
+            z = ComplexBox(re, im)
+            q = [ComplexBox(Enclosure.exact(coeffs[d]), Enclosure.exact(0))]
+            for c in reversed(coeffs[1:d]):
+                t = q[-1] * z
+                q.append(ComplexBox(t.re + c, t.im))
+            q.reverse()  # q[k] is the coefficient of x^k in f / (x - z)
+            fprime = q[d - 1]
+            for c in reversed(q[: d - 1]):
+                fprime = fprime * z + c
+            f_lo = fprime.abs_lower(precision)
+            if f_lo == 0:
+                break
+            f_hi = fprime.abs_upper(precision)
             for k in range(d):
-                row_hi = Fraction(0)
-                row_lo = Fraction(0)
-                for r in range(d):
-                    minor = [
-                        [W[x][y] for y in range(d) if y != k]
-                        for x in range(d)
-                        if x != r
-                    ]
-                    cof = laplace_det(minor)
-                    row_hi += cof.abs_upper(err)
-                    row_lo += cof.abs_lower()
-                hi_candidates.append(row_hi / det_lo)
-                lo_candidates.append(row_lo / det_hi if det_hi > 0 else Fraction(0))
-            # certified positive floor: |W^-1| >= 1/|W| for operator norms
-            w_norm_hi = max(
-                sum(W[r][k].abs_upper(err) for k in range(d))
-                for r in range(d)
-            )
-            floor = 1 / w_norm_hi
-            lo = max(max(lo_candidates), floor)
-            hi = max(hi_candidates)
-            return Enclosure(min(lo, hi), hi)
+                row_hi[k] += q[k].abs_upper(precision) / f_lo
+                row_lo[k] += q[k].abs_lower(precision) / f_hi
+        else:
+            hi = max(row_hi)
+            return Enclosure(min(max(row_lo), hi), hi)
         precision /= 10 ** 4
-    raise PrecisionError("embedding matrix determinant could not be separated from 0")
+    raise PrecisionError("f'(sigma) could not be separated from 0")

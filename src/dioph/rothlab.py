@@ -155,6 +155,9 @@ def build_aux_poly(
     n_unknowns = len(exps)
     constraints = vanishing_tuples(spec)
     gen = NumberFieldElement.generator(alpha)
+    powers = [NumberFieldElement.from_rational(alpha, 1)]
+    for _ in range(sum(weights)):
+        powers.append(powers[-1] * gen)
 
     rows = []
     for I in constraints:
@@ -167,7 +170,7 @@ def build_aux_poly(
             for j, i in zip(J, I):
                 binom *= comb(j, i)
             power = sum(J) - sum(I)
-            row.append(gen ** power * binom)
+            row.append(powers[power] * binom)
         rows.append(row)
 
     m_eff = d * len(constraints)

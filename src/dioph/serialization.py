@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Union
 
 from .enclosure import Enclosure
-from .exceptions import DomainError, ParseError
+from .exceptions import DomainError, ParseError, UnsupportedError
 from .heights import HeightValue
 from .intpoly import IntPolynomial, _q_to_primitive
 from .lattice import ConvexBody
@@ -23,13 +23,28 @@ from .numberfield import AlgebraicNumber, NumberFieldElement
 from .siegel import IntMatrix, NFMatrix
 
 
+# Parse-time caps: larger inputs raise UnsupportedError before any work.
+EXPONENT_CAP = 1000  # |e| in scientific text such as "1e-40"
+TEXT_DEGREE_CAP = 1000  # k in x^k of the univariate text grammar
+
+_EXPONENT = re.compile(r"[eE]([-+]?)(\d+(?:_\d+)*)$")
+
+
 def parse_rational(text: Union[str, int, float]) -> Fraction:
-    """Exact rational from "p/q", integer, or decimal/scientific text."""
+    """Exact rational from "p/q", integer, or decimal/scientific text.
+    A decimal exponent above EXPONENT_CAP in size raises UnsupportedError."""
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, float):
         raise DomainError("refusing a float where an exact rational is required")
     text = text.strip()
+    m = _EXPONENT.search(text)
+    if m is not None:
+        digits = m.group(2).replace("_", "").lstrip("0")
+        if len(digits) > len(str(EXPONENT_CAP)) or int(digits or 0) > EXPONENT_CAP:
+            raise UnsupportedError(
+                f"exponent {m.group(1)}{m.group(2)} in {text!r}; the cap is {EXPONENT_CAP}"
+            )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -128,6 +143,10 @@ def parse_univariate_text(text: str) -> List[Fraction]:
                 if tokens[i][0] != "number" or "/" in tokens[i][1]:
                     bad(i)
                 exp = int(tokens[i][1])
+                if exp > TEXT_DEGREE_CAP:
+                    raise UnsupportedError(
+                        f"power x^{exp}; the degree cap is {TEXT_DEGREE_CAP}"
+                    )
                 i += 1
         if coef is None:
             if exp == 0:
@@ -163,10 +182,6 @@ def to_int_polynomial(coeffs: Sequence[Fraction]) -> IntPolynomial:
     if poly.is_zero():
         raise DomainError("zero polynomial")
     return poly
-
-
-def int_polynomial_to_json(f: IntPolynomial) -> dict:
-    return {"coeffs": list(f.coeffs)}
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +287,3 @@ def body_from_json(data: dict) -> ConvexBody:
     forms = [[parse_rational(c) for c in row] for row in data["forms"]]
     bounds = [parse_rational(c) for c in data["bounds"]]
     return ConvexBody(forms, bounds)
-
-
-def body_to_json(body: ConvexBody) -> dict:
-    return {
-        "forms": [[format_rational(c) for c in row] for row in body.forms],
-        "bounds": [format_rational(c) for c in body.bounds],
-    }

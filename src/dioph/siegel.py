@@ -378,18 +378,15 @@ def _coefficient_log_height(matrix: NFMatrix, err: Fraction) -> Enclosure:
     """
     base = matrix.base
     d = base.degree
-    den_scaled: List[List[NumberFieldElement]] = []
+    entries = set()
     for row in matrix.entries:
         den = 1
         for e in row:
             for c in e.rep:
                 den = lcm(den, c.denominator)
-        den_scaled.append([e * den for e in row])
+        entries.update((e * den).rep for e in row if not e.is_zero())
     if d == 1:
-        best = Fraction(1)
-        for row in den_scaled:
-            for e in row:
-                best = max(best, abs(e.rep[0]))
+        best = max([abs(rep[0]) for rep in entries] + [Fraction(1)])
         return log_enclosure(best, err)
     W = embedding_matrix(base, Fraction(1, 10 ** 15))
     total = Enclosure.exact(0)
@@ -397,16 +394,16 @@ def _coefficient_log_height(matrix: NFMatrix, err: Fraction) -> Enclosure:
         box_pows = W[r]
         max_sq_hi = Fraction(1)
         max_sq_lo = Fraction(1)
-        for row in den_scaled:
-            for e in row:
-                re = Enclosure.exact(0)
-                im = Enclosure.exact(0)
-                for k, c in enumerate(e.rep):
-                    re = re + box_pows[k].re * c
-                    im = im + box_pows[k].im * c
-                abs2 = re * re + im * im
-                max_sq_hi = max(max_sq_hi, abs2.hi)
-                max_sq_lo = max(max_sq_lo, max(abs2.lo, Fraction(0)))
+        # the max over the distinct entries is the max over all of them
+        for rep in entries:
+            re = Enclosure.exact(0)
+            im = Enclosure.exact(0)
+            for k, c in enumerate(rep):
+                re = re + box_pows[k].re * c
+                im = im + box_pows[k].im * c
+            abs2 = re * re + im * im
+            max_sq_hi = max(max_sq_hi, abs2.hi)
+            max_sq_lo = max(max_sq_lo, max(abs2.lo, Fraction(0)))
         hi = log_enclosure(max_sq_hi, err).hi / 2
         lo = log_enclosure(max_sq_lo, err).lo / 2 if max_sq_lo > 0 else Fraction(0)
         total = total + Enclosure(min(lo, hi), hi)

@@ -264,6 +264,24 @@ def test_cf_terms_above_the_cap_exit_2_at_once(capsys):
     assert "100000000" in err and "cap is 1000" in err
 
 
+@pytest.mark.parametrize(
+    "argv, value, cap",
+    [
+        (["height", "--", "1e99999999"], "99999999", "the cap is 1000"),
+        (["mahler", "--", "x^" + "9" * 30], "x^" + "9" * 30, "the degree cap is 1000"),
+        (["northcott", "--degree", "12", "--height", "1"],
+         "29426343959418943113115032504", "the cap is 10000"),
+    ],
+)
+def test_inputs_above_a_cap_exit_2_at_once(capsys, argv, value, cap):
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    err = capsys.readouterr().err
+    assert value in err and cap in err
+
+
 def test_exponents_csv(capsys):
     code, out = run(
         capsys, "exponents", "x^2-2", "--qmax", "100", "--format", "csv"

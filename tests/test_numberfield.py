@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from dioph.exceptions import DomainError
-from dioph.intpoly import IntPolynomial, _q_to_primitive, squarefree_part
+from dioph.intpoly import IntPolynomial, _q_to_primitive, is_irreducible, squarefree_part
 from dioph.linalg import det
 from dioph.numberfield import (
     AlgebraicNumber,
@@ -222,6 +224,61 @@ def test_inverse_embedding_bound():
     assert c1.contains(1)  # exact operator norm is 1 for x^2 - 2
     c1b = inverse_embedding_bound(CBRT2)
     assert c1b.hi >= 1 and c1b.hi < 10
+
+
+def test_inverse_embedding_bound_of_2_to_the_1_12():
+    a = AlgebraicNumber(IntPolynomial([-2] + [0] * 11 + [1]), conjugate_index=0)
+    start = time.perf_counter()
+    c1 = inverse_embedding_bound(a)
+    assert time.perf_counter() - start < 1
+    assert c1.width <= Fraction(1, 10 ** 12)
+    # (W^-1)[k][r] = 2^(-k/12) zeta^(-rk) / 12 for zeta = exp(2 pi i / 12)
+    assert c1.contains(1)
+
+
+def _mpmath_inverse_embedding_norm(coeffs):
+    """max_k sum_r |(W^-1)[k][r]| for W[r][k] = sigma_r^k, at 60 digits."""
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=200)
+        d = len(roots)
+        W_inv = mpmath.matrix([[r ** k for k in range(d)] for r in roots]) ** -1
+        return max(sum(abs(W_inv[k, r]) for r in range(d)) for k in range(d))
+
+
+def _random_monic_irreducible(rng, d):
+    while True:
+        coeffs = [rng.randint(-5, 5) for _ in range(d)] + [1]
+        if coeffs[0] != 0 and is_irreducible(IntPolynomial(coeffs)):
+            return coeffs
+
+
+def test_inverse_embedding_bound_against_mpmath():
+    rng = random.Random(8)
+    fields = [_random_monic_irreducible(rng, d) for d in range(2, 13)]
+    fields += [[-2] + [0] * (d - 1) + [1] for d in (5, 9, 12)]
+    for coeffs in fields:
+        a = AlgebraicNumber(IntPolynomial(coeffs), conjugate_index=0)
+        c1 = inverse_embedding_bound(a)
+        # the width scales with the norm: x^8+5x^7-4x^6+x^5+4x^4+x^3-4x^2-4x-1
+        # has norm 88.8 and width 1.7e-12
+        assert c1.width <= max(1, c1.hi) / 10 ** 12, coeffs
+        with mpmath.workdps(60):
+            lo = mpmath.mpf(c1.lo.numerator) / c1.lo.denominator
+            hi = mpmath.mpf(c1.hi.numerator) / c1.hi.denominator
+            assert lo <= _mpmath_inverse_embedding_norm(coeffs) <= hi, coeffs
+
+
+@pytest.mark.parametrize("base", [SQRT2, CBRT2, PHI])
+def test_scalar_product_matches_field_product(base):
+    rng = random.Random(9)
+    scalars = [0, 1, -1, 7, -12, Fraction(0), Fraction(-3, 4), Fraction(22, 7)]
+    scalars += [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(10)]
+    for _ in range(10):
+        e = rand_element(rng, base)
+        for q in scalars:
+            field_q = NumberFieldElement.from_rational(base, q)
+            assert e * q == e * field_q
+            assert q * e == field_q * e
 
 
 def test_element_enclosure():
