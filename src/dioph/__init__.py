@@ -63,7 +63,6 @@ from .siegel import (
     IntMatrix,
     NFMatrix,
     kernel_basis,
-    pigeonhole_solve,
     satisfies_size_bound,
     siegel_solve_NF,
     siegel_solve_Z,

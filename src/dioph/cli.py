@@ -42,6 +42,10 @@ from .numberfield import AlgebraicNumber, NumberFieldElement
 from .rothlab import IndexSetSpec, build_aux_poly, count_index_set, roth_lemma_verify
 from .serialization import (
     _algebraic_from_poly,
+    _json_int,
+    _json_list,
+    _json_object,
+    _json_rational,
     body_from_json,
     enclosure_to_json,
     format_rational,
@@ -226,9 +230,12 @@ def _cmd_wronskian(args):
     data = _read_json_arg(args.polys)
     if isinstance(data, dict) and "polys" in data:
         data = data["polys"]
-    polys = [multipoly_from_json(item) for item in data]
+    polys = [multipoly_from_json(item) for item in _json_list(data, "the polynomial family")]
     if args.mus:
-        mus = _read_json_arg(args.mus)
+        mus = [
+            [_json_int(e, "--mus entry") for e in _json_list(mu, "--mus multi-index")]
+            for mu in _json_list(_read_json_arg(args.mus), "--mus")
+        ]
         det = generalized_wronskian(polys, mus)
         return {"wronskian": multipoly_to_json(det), "zero": det.is_zero()}
     ok, witness = are_linearly_independent(polys)
@@ -268,14 +275,13 @@ def _cmd_auxpoly(args):
 
 
 def _cmd_roth_verify(args):
-    data = _read_json_arg(args.instance)
-    for key in ("poly", "betas", "weights", "eta"):
-        if key not in data:
-            raise ParseError(f'roth-verify JSON needs "{key}"')
+    data = _json_object(
+        _read_json_arg(args.instance), "roth-verify JSON", "poly", "betas", "weights", "eta"
+    )
     P = multipoly_from_json(data["poly"])
-    betas = [parse_rational(b) for b in data["betas"]]
-    weights = [int(r) for r in data["weights"]]
-    eta = parse_rational(data["eta"])
+    betas = [_json_rational(b, '"betas" entry') for b in _json_list(data["betas"], '"betas"')]
+    weights = [_json_int(r, '"weights" entry') for r in _json_list(data["weights"], '"weights"')]
+    eta = _json_rational(data["eta"], '"eta"')
     rep = roth_lemma_verify(P, betas, weights, eta)
     return {
         "ratio_hypothesis_ok": rep.ratio_hypothesis_ok,

@@ -1,6 +1,7 @@
 """Geometry of numbers over Z^N for convex symmetric bodies cut out by
 independent rational linear forms: exact volumes, successive minima by
 certified lattice-point enumeration, and the two-sided Minkowski check.
+The sup-norm enumerator here also serves siegel's small solutions.
 
 For a body {x : |L_i(x)| <= c_i} the gauge t(x) = max_i |L_i(x)|/c_i of
 an integer point is an exact rational, so every minimum is an exact
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 from typing import List, Sequence, Tuple
 
 from .exceptions import DomainError, InternalError, UnsupportedError
@@ -20,6 +21,10 @@ from .linalg import det, inverse, lll_reduce_with_transform, rank as _rank_int
 
 DIMENSION_CAP = 5
 _ENUM_NODE_BUDGET = 30_000_000
+# a point kept costs about 430 bytes through successive_minima, so one
+# enumeration stays under about 430 MB; random 5-dim bodies keep at most
+# about 400,000 points
+_ENUM_POINT_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -97,111 +102,96 @@ def _reduced_lattice(body: ConvexBody):
 
 
 def _enumerate_reduced(
-    rows: List[List[int]], radius: int, cap_num: int, cap_den: int
+    rows: Sequence[Sequence[int]], cap: int
 ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Integer combinations z of the reduced basis with
-    |sum z_i rows[i]|_inf * cap_den <= cap_num and |z|_inf <= radius.
-    Returns (z, y) pairs with y the lattice vector; half of each +-pair."""
-    n = len(rows)
-    out = []
-    z = [0] * n
-    partial = [[0] * n for _ in range(n + 1)]
-    slack = [
-        [sum(abs(rows[j][i]) for j in range(lvl, n)) * radius for i in range(n)]
-        for lvl in range(n + 1)
+    """Every nonzero y = sum z_i rows[i] with |y|_inf <= cap, one of each
+    +-pair (the one whose first nonzero z_i is positive), as (z, y) pairs.
+
+    The k <= N rows R must be independent.  Then z = (R R^T)^-1 R y, so
+    |z_i| is at most cap times the absolute sum of row i of that matrix
+    (R^-1 transposed when R is square).  Level i runs z_i only over the
+    interval that keeps every coordinate within cap plus what rows
+    i+1, ... can still add to it, so each leaf is a vector in the cube.
+    """
+    k, n = len(rows), len(rows[0])
+    gram_inv = inverse([[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows])
+    radius = [
+        floor(cap * sum(abs(sum(g * row[j] for g, row in zip(g_row, rows))) for j in range(n)))
+        for g_row in gram_inv
     ]
+    # slack[i][j]: the most rows i, i+1, ... can add to coordinate j
+    slack = [[0] * n for _ in range(k + 1)]
+    for i in range(k - 1, -1, -1):
+        slack[i] = [s + abs(a) * radius[i] for s, a in zip(slack[i + 1], rows[i])]
+    out = []
+    z = [0] * k
     nodes = 0
 
-    def rec(lvl: int):
+    def rec(i: int, y: List[int], signed: bool):
         nonlocal nodes
-        nodes += 1
+        row, room = rows[i], slack[i + 1]
+        lo, hi = (-radius[i] if signed else 0), radius[i]
+        for a, c, s in zip(row, y, room):
+            if a > 0:
+                lo, hi = max(lo, -((cap + s + c) // a)), min(hi, (cap + s - c) // a)
+            elif a < 0:
+                lo, hi = max(lo, -((cap + s - c) // -a)), min(hi, (cap + s + c) // -a)
+        nodes += max(0, hi - lo + 1)
         if nodes > _ENUM_NODE_BUDGET:
-            raise UnsupportedError("lattice enumeration exceeded the node budget")
-        if lvl == n:
-            if all(v == 0 for v in z):
-                return
-            for v in z:
-                if v != 0:
-                    if v < 0:
-                        return
-                    break
-            y = partial[n]
-            if max(abs(v) for v in y) * cap_den <= cap_num:
-                out.append((tuple(z), tuple(y)))
-            return
-        for v in range(-radius, radius + 1):
-            z[lvl] = v
-            ok = True
-            row = rows[lvl]
-            nxt = partial[lvl + 1]
-            prev = partial[lvl]
-            for i in range(n):
-                nxt[i] = prev[i] + row[i] * v
-                if (abs(nxt[i]) - slack[lvl + 1][i]) * cap_den > cap_num:
-                    ok = False
-                    break
-            if ok:
-                rec(lvl + 1)
-        z[lvl] = 0
+            raise UnsupportedError(
+                f"lattice enumeration at cap {cap} used {nodes} nodes, "
+                f"past its budget of {_ENUM_NODE_BUDGET}"
+            )
+        for v in range(lo, hi + 1):
+            z[i] = v
+            y_next = [c + v * a for c, a in zip(y, row)] if v else y
+            if i + 1 < k:
+                rec(i + 1, y_next, signed or v != 0)
+            elif signed or v:
+                out.append((tuple(z), tuple(y_next)))
+        z[i] = 0
+        if len(out) > _ENUM_POINT_BUDGET:
+            raise UnsupportedError(
+                f"lattice enumeration at cap {cap} kept {len(out)} points, "
+                f"past its budget of {_ENUM_POINT_BUDGET}"
+            )
 
-    rec(0)
+    rec(0, [0] * n, False)
     return out
 
 
 def successive_minima(body: ConvexBody) -> MinimaResult:
     """Exact successive minima with linearly independent integer witnesses.
 
-    The gauge is turned into a sup norm on an LLL-reduced integer
-    lattice; all lattice points with gauge below a cap T live in the
-    coordinate box |z|_inf <= |R^-1|_inf * T (R the reduced basis), so
-    enumerating that box, sorting by exact gauge, and greedily
-    extracting independent witnesses is complete.  T starts at a
-    certified lower bound for the first minimum and doubles until N
-    independent witnesses fit.
+    The gauge is den times a sup norm on an LLL-reduced integer lattice.
+    The n reduced rows are independent lattice points, so lambda_n is at
+    most their largest sup norm over den, and one enumeration at that cap
+    holds every candidate.  Sorted by exact gauge, the points yield the
+    witnesses greedily: each is the first point independent of those
+    before it.
     """
     n = body.dimension
     if n > DIMENSION_CAP:
         raise UnsupportedError(f"dimension above cap {DIMENSION_CAP}")
     rows, V, den = _reduced_lattice(body)
-    inv_rows = inverse(rows)
-    # operator norm of R^-1 acting on sup norms: max column-abs-sum here
-    # since z = y * R^-1 with y a row vector; use the safe max row sum of
-    # the transpose
-    inv_norm = max(
-        sum(abs(inv_rows[i][j]) for i in range(n)) for j in range(n)
-    )
-    # t(x) = |y|_inf / den; lambda_1 >= min nonzero achievable: any nonzero
-    # lattice vector has |y|_inf >= 1 (integer entries, not all zero)
-    t_cap = Fraction(1, den)
-    for _ in range(80):
-        radius = int(inv_norm * t_cap * den) + 1
-        cap_num = t_cap.numerator * den
-        cap_den = t_cap.denominator
-        candidates = _enumerate_reduced(rows, radius, cap_num, cap_den)
-        scored: List[Tuple[Fraction, Tuple[int, ...]]] = []
-        for z, y in candidates:
-            x = tuple(
-                sum(V[i][j] * z[i] for i in range(n)) for j in range(n)
-            )
-            scored.append((Fraction(max(abs(v) for v in y), den), x))
-        scored.sort(key=lambda pair: (pair[0], pair[1]))
-        lambdas: List[Fraction] = []
-        witnesses: List[Tuple[int, ...]] = []
-        for t, x in scored:
-            if len(witnesses) == n:
-                break
-            if _rank_int(witnesses + [x]) > len(witnesses):
-                witnesses.append(x)
-                lambdas.append(t)
+    cap = max(abs(v) for row in rows for v in row)
+    scored: List[Tuple[int, Tuple[int, ...]]] = []  # (den * gauge, x)
+    for z, y in _enumerate_reduced(rows, cap):
+        x = tuple(sum(V[i][j] * z[i] for i in range(n)) for j in range(n))
+        scored.append((max(abs(v) for v in y), x))
+    scored.sort()
+    lambdas: List[Fraction] = []
+    witnesses: List[Tuple[int, ...]] = []
+    for t, x in scored:
         if len(witnesses) == n:
-            for lam, w in zip(lambdas, witnesses):
-                if body.gauge(w) != lam:
-                    raise InternalError("gauge mismatch after basis reduction")
-            return MinimaResult(lambdas=tuple(lambdas), witnesses=tuple(witnesses))
-        t_cap *= 2
-    raise InternalError(
-        f"minima enumeration incomplete at gauge cap {t_cap} (radius {radius})"
-    )
+            break
+        if _rank_int(witnesses + [x]) > len(witnesses):
+            witnesses.append(x)
+            lambdas.append(Fraction(t, den))
+    for lam, w in zip(lambdas, witnesses):
+        if body.gauge(w) != lam:
+            raise InternalError("gauge mismatch after basis reduction")
+    return MinimaResult(lambdas=tuple(lambdas), witnesses=tuple(witnesses))
 
 
 @dataclass

@@ -473,10 +473,10 @@ class ComplexBox:
         return sqrt_enclosure(lo, err).lo
 
 
-def embedding_matrix(a: AlgebraicNumber, precision: Fraction):
-    """Complex boxes for W[r][k] = sigma_r(alpha)^k, canonically ordered rows."""
-    boxes = ordered_root_boxes(a.min_poly, precision)
-    d = a.degree
+def embedding_matrix(boxes: Sequence[Tuple[Enclosure, Enclosure]]):
+    """Complex boxes for W[r][k] = sigma_r(alpha)^k, one row per root box
+    of the minimal polynomial, in the order of ordered_root_boxes."""
+    d = len(boxes)
     W = []
     for re, im in boxes:
         row = [ComplexBox(Enclosure.exact(1), Enclosure.exact(0))]
@@ -488,7 +488,7 @@ def embedding_matrix(a: AlgebraicNumber, precision: Fraction):
 
 
 def inverse_embedding_bound(
-    a: AlgebraicNumber, precision: Fraction = EMBEDDING_PRECISION
+    a: AlgebraicNumber, precision: Fraction = EMBEDDING_PRECISION, boxes=None
 ) -> Enclosure:
     """Certified interval for the sup-operator norm of W^{-1}.
 
@@ -499,7 +499,8 @@ def inverse_embedding_bound(
     polynomial f, so with q_r = f / (x - sigma_r), one synthetic division,
     (W^{-1})[k][r] = [q_r]_k / q_r(sigma_r), as f'(sigma_r) = q_r(sigma_r).
     That is O(d^2) box operations.  Reported with outward rounding; use
-    the upper endpoint.
+    the upper endpoint.  `boxes`, if given, are the caller's
+    ordered_root_boxes of the minimal polynomial at `precision`.
     """
     precision = Fraction(precision)
     d = a.degree
@@ -509,7 +510,9 @@ def inverse_embedding_bound(
     for _ in range(6):
         row_hi = [Fraction(0)] * d
         row_lo = [Fraction(0)] * d
-        for re, im in ordered_root_boxes(a.min_poly, precision):
+        if boxes is None:
+            boxes = ordered_root_boxes(a.min_poly, precision)
+        for re, im in boxes:
             z = ComplexBox(re, im)
             q = [ComplexBox(Enclosure.exact(coeffs[d]), Enclosure.exact(0))]
             for c in reversed(coeffs[1:d]):
@@ -529,5 +532,6 @@ def inverse_embedding_bound(
         else:
             hi = max(row_hi)
             return Enclosure(min(max(row_lo), hi), hi)
+        boxes = None
         precision /= 10 ** 4
     raise PrecisionError("f'(sigma) could not be separated from 0")

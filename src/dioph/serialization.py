@@ -51,6 +51,40 @@ def parse_rational(text: Union[str, int, float]) -> Fraction:
         raise ParseError(f"not a rational: {text!r}") from exc
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; floats, booleans and strings are not silently cast."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_rational(value, what: str) -> Fraction:
+    """A rational from a JSON string or integer; booleans, floats and
+    other JSON values are refused, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ParseError(f"{what} must be a rational string or a JSON integer, got {value!r}")
+    try:
+        return parse_rational(value)
+    except ParseError as exc:
+        raise ParseError(f"{what}: {exc}") from exc
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
+def _json_object(value, what: str, *keys: str) -> dict:
+    """`value` as a JSON object holding every one of `keys`."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be a JSON object, got {value!r}")
+    for key in keys:
+        if key not in value:
+            raise ParseError(f'{what} needs "{key}"')
+    return value
+
+
 def format_rational(q: Fraction) -> str:
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
@@ -163,9 +197,10 @@ def parse_poly_input(data: Union[str, dict]) -> List[Fraction]:
     """Polynomial from text ("x^2 - 2") or JSON {"coeffs": [...]} form,
     as ascending rational coefficients."""
     if isinstance(data, dict):
-        if "coeffs" not in data:
-            raise ParseError('polynomial JSON must carry a "coeffs" array')
-        return [parse_rational(c) for c in data["coeffs"]]
+        coeffs = _json_list(_json_object(data, "polynomial JSON", "coeffs")["coeffs"], '"coeffs"')
+        return [_json_rational(c, '"coeffs" entry') for c in coeffs]
+    if not isinstance(data, str):
+        raise ParseError(f"a polynomial must be text or a JSON object, got {data!r}")
     text = data.strip()
     if text.startswith("{"):
         try:
@@ -200,22 +235,28 @@ def multipoly_to_json(P: MultiPoly) -> dict:
     return {"arity": P.arity, "terms": terms}
 
 
+def _rep_from_json(cell, base: AlgebraicNumber) -> NumberFieldElement:
+    """A {"rep": [...]} power-basis element of Q(alpha)."""
+    rep = _json_list(_json_object(cell, "a number-field value", "rep")["rep"], '"rep"')
+    return NumberFieldElement(base, [_json_rational(r, '"rep" entry') for r in rep])
+
+
 def multipoly_from_json(
     data: dict, base: Optional[AlgebraicNumber] = None
 ) -> MultiPoly:
-    if "arity" not in data or "terms" not in data:
-        raise ParseError('multivariate JSON needs "arity" and "terms"')
-    arity = int(data["arity"])
+    _json_object(data, "multivariate JSON", "arity", "terms")
+    arity = _json_int(data["arity"], '"arity"')
     terms = {}
-    for item in data["terms"]:
-        exps = tuple(int(e) for e in item["exps"])
+    for item in _json_list(data["terms"], '"terms"'):
+        _json_object(item, "a term", "coeff", "exps")
+        exps = tuple(_json_int(e, '"exps" entry') for e in _json_list(item["exps"], '"exps"'))
         c = item["coeff"]
         if isinstance(c, dict):
             if base is None:
                 raise ParseError("rep coefficients need a base generator")
-            coeff = NumberFieldElement(base, [parse_rational(r) for r in c["rep"]])
+            coeff = _rep_from_json(c, base)
         else:
-            coeff = parse_rational(c)
+            coeff = _json_rational(c, '"coeff"')
         terms[exps] = coeff
     return MultiPoly(arity, terms)
 
@@ -224,20 +265,11 @@ def multipoly_from_json(
 # matrices and bodies
 
 
-def _json_int(value, what: str) -> int:
-    """A JSON integer; floats, booleans and strings are not silently cast."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{what} must be a JSON integer, got {value!r}")
-    return value
-
-
 def int_matrix_from_json(data: dict) -> IntMatrix:
-    if "entries" not in data:
-        raise ParseError('matrix JSON needs "entries"')
-    entries = data["entries"]
-    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
-        raise ParseError('"entries" must be a list of rows')
-    entries = [[_json_int(c, "matrix entry") for c in row] for row in entries]
+    entries = [
+        [_json_int(c, "matrix entry") for c in _json_list(row, '"entries" row')]
+        for row in _json_list(_json_object(data, "matrix JSON", "entries")["entries"], '"entries"')
+    ]
     if "rows" in data and len(entries) != _json_int(data["rows"], '"rows"'):
         raise ParseError("row count disagrees with entries")
     if "cols" in data and entries and len(entries[0]) != _json_int(data["cols"], '"cols"'):
@@ -246,21 +278,20 @@ def int_matrix_from_json(data: dict) -> IntMatrix:
 
 
 def nf_matrix_from_json(data: dict) -> NFMatrix:
-    if "base" not in data or "entries" not in data:
-        raise ParseError('NF matrix JSON needs "base" and "entries"')
+    _json_object(data, "NF matrix JSON", "base", "entries")
     base_poly = to_int_polynomial(parse_poly_input(data["base"]))
     base = _algebraic_from_poly(base_poly, data.get("root_interval"))
     rows = []
-    for row in data["entries"]:
+    for row in _json_list(data["entries"], '"entries"'):
         cells = []
-        for cell in row:
+        for cell in _json_list(row, '"entries" row'):
             if isinstance(cell, dict):
-                rep = [parse_rational(r) for r in cell["rep"]]
-            elif isinstance(cell, list):
-                rep = [parse_rational(r) for r in cell]
+                cells.append(_rep_from_json(cell, base))
             else:
-                rep = [parse_rational(cell)]
-            cells.append(NumberFieldElement(base, rep))
+                rep = cell if isinstance(cell, list) else [cell]
+                cells.append(
+                    NumberFieldElement(base, [_json_rational(r, '"entries" entry') for r in rep])
+                )
         rows.append(cells)
     return NFMatrix(base, rows)
 
@@ -271,7 +302,9 @@ def _algebraic_from_poly(
     """Root selection: an explicit interval, else the largest real root,
     else conjugate index 0."""
     if root_interval is not None:
-        lo, hi = (parse_rational(v) for v in root_interval)
+        if not isinstance(root_interval, list) or len(root_interval) != 2:
+            raise ParseError(f"a root interval is a pair lo, hi; got {root_interval!r}")
+        lo, hi = (_json_rational(v, "root interval endpoint") for v in root_interval)
         return AlgebraicNumber(poly, interval=(lo, hi))
     from .intpoly import isolate_real_roots
 
@@ -282,8 +315,10 @@ def _algebraic_from_poly(
 
 
 def body_from_json(data: dict) -> ConvexBody:
-    if "forms" not in data or "bounds" not in data:
-        raise ParseError('body JSON needs "forms" and "bounds"')
-    forms = [[parse_rational(c) for c in row] for row in data["forms"]]
-    bounds = [parse_rational(c) for c in data["bounds"]]
+    _json_object(data, "body JSON", "forms", "bounds")
+    forms = [
+        [_json_rational(c, '"forms" entry') for c in _json_list(row, '"forms" row')]
+        for row in _json_list(data["forms"], '"forms"')
+    ]
+    bounds = [_json_rational(c, '"bounds" entry') for c in _json_list(data["bounds"], '"bounds"')]
     return ConvexBody(forms, bounds)

@@ -2,34 +2,34 @@
 linear systems, over Z and over Q(alpha) via power-basis expansion.
 
 The solver computes an exact integer kernel basis by unimodular column
-reduction, LLL-reduces it once (linalg.lll_reduce_with_transform),
-searches the reduced vectors and then small integer combinations of
-them in increasing sup-norm until the size bound
-max|x_i| < (N*A)^(M/(N-M)) is met (compared exactly as
-max|x_i|^(N-M) < (N*A)^M), and falls back to a pigeonhole collision
-search for small N.  A returned vector is always re-verified to lie in
-the kernel.
+reduction and LLL-reduces it once (linalg.lll_reduce_with_transform).
+A reduced vector within the size bound max|x_i| < (N*A)^(M/(N-M))
+(compared exactly as max|x_i|^(N-M) < (N*A)^M) is the answer; else the
+kernel lattice is enumerated in the sup norm by the enumerator that
+also serves the successive minima (lattice._enumerate_reduced), at
+doubling caps up to the box the bound admits.  A returned vector is
+always re-verified to lie in the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .enclosure import Enclosure, log_enclosure
+from .enclosure import Enclosure, iroot, log_enclosure
 from .exceptions import DomainError, InternalError, UnsupportedError
+from .lattice import _enumerate_reduced
 from .linalg import lll_reduce_with_transform
 from .numberfield import (
+    EMBEDDING_PRECISION,
     AlgebraicNumber,
     NumberFieldElement,
     inverse_embedding_bound,
     embedding_matrix,
 )
-
-_PIGEONHOLE_CAP = 6
+from .roots import ordered_root_boxes
 
 
 def _integer_entry(c) -> int:
@@ -131,44 +131,17 @@ def satisfies_size_bound(x: Sequence[int], n: int, m: int, amax: int) -> bool:
     return mx ** (n - m) < (n * amax) ** m
 
 
-def pigeonhole_solve(matrix: IntMatrix, box: int) -> Optional[Tuple[int, ...]]:
-    """Nonzero kernel vector with all |x_i| <= box, by a meet-in-the-middle
-    collision search mirroring the pigeonhole existence proof; None if the
-    closed box is empty of solutions."""
-    n = matrix.ncols
-    half = n // 2
-    rng = range(-box, box + 1)
-    left_cols = list(range(half))
-    right_cols = list(range(half, n))
-    seen = {}
-    for xl in iter_product(*(rng for _ in left_cols)):
-        key = tuple(
-            sum(row[c] * xl[i] for i, c in enumerate(left_cols))
-            for row in matrix.entries
-        )
-        if key not in seen:
-            seen[key] = xl
-    for xr in iter_product(*(rng for _ in right_cols)):
-        target = tuple(
-            -sum(row[c] * xr[i] for i, c in enumerate(right_cols))
-            for row in matrix.entries
-        )
-        xl = seen.get(target)
-        if xl is None:
-            continue
-        x = tuple(xl) + tuple(xr)
-        if any(v != 0 for v in x):
-            return x
-    return None
-
-
 def siegel_solve_Z(matrix: IntMatrix) -> Tuple[int, ...]:
     """Nonzero integer solution of Ax = 0 within the size bound.
 
-    Requires M < N and A not all zero.  The bound
-    max|x_i| < (N*A)^(M/(N-M)) is guaranteed to admit a solution; a miss
-    after the kernel search and the pigeonhole fallback raises
-    InternalError because it would contradict the existence statement.
+    Requires M < N and A not all zero.  The integer kernel basis is
+    LLL-reduced once; the smallest normalized reduced vector within the
+    bound max|x_i| < (N*A)^(M/(N-M)) is the answer.  If none is, the
+    kernel lattice is enumerated in the sup norm
+    (lattice._enumerate_reduced) at caps 1, 2, 4, ... up to the largest
+    box inside the bound, and the smallest normalized vector at the
+    first cap that has one is the answer.  Siegel's lemma puts a
+    solution in that box, so a miss raises InternalError.
     """
     m, n = matrix.nrows, matrix.ncols
     if m >= n:
@@ -182,57 +155,23 @@ def siegel_solve_Z(matrix: IntMatrix) -> Tuple[int, ...]:
         raise InternalError("underdetermined system with trivial kernel")
 
     basis = [_normalize_vector(b) for b in lll_reduce_with_transform(raw)[0]]
-    basis.sort(key=lambda b: (max(abs(v) for v in b), b))
-    k = len(basis)
-    # deterministic search tiers: single vectors first, then small
-    # combination boxes over the shortest basis vectors; within a
-    # tier the lexicographically smallest qualifying vector wins
-    singles = [
-        b for b in basis if satisfies_size_bound(b, n, m, amax)
-    ]
-    if singles:
-        best = min(singles)
-        if any(v != 0 for v in matrix.apply(best)):
-            raise InternalError("kernel basis vector left the kernel")
-        return best
-    tiers = [(1, min(k, 8)), (2, min(k, 6)), (4, min(k, 5)),
-             (8, min(k, 4)), (16, min(k, 3)), (64, min(k, 2))]
-    for radius, k_eff in tiers:
-        qualifying = []
-        for combo in iter_product(
-            *(range(-radius, radius + 1) for _ in range(k_eff))
-        ):
-            if all(c == 0 for c in combo):
-                continue
-            x = [0] * n
-            for c, b in zip(combo, basis):
-                if c:
-                    for i in range(n):
-                        x[i] += c * b[i]
-            if all(v == 0 for v in x):
-                continue
-            if satisfies_size_bound(x, n, m, amax):
-                qualifying.append(_normalize_vector(x))
-        if qualifying:
-            best = min(qualifying)
-            if any(v != 0 for v in matrix.apply(best)):
-                raise InternalError("kernel combination left the kernel")
-            return best
-
-    if n <= _PIGEONHOLE_CAP:
-        # strict bound: integer solutions satisfy |x_i| <= ceil(bound) - 1
-        bound_pow = (n * amax) ** m
-        box = 1
-        while (box + 1) ** (n - m) < bound_pow:
-            box += 1
-        x = pigeonhole_solve(matrix, box)
-        if x is not None and satisfies_size_bound(x, n, m, amax):
-            if any(v != 0 for v in matrix.apply(x)):
-                raise InternalError("pigeonhole vector left the kernel")
-            return _normalize_vector(x)
-    raise InternalError(
-        "no kernel vector found within the guaranteed size bound (solver bug)"
-    )
+    found = [b for b in basis if satisfies_size_bound(b, n, m, amax)]
+    if not found:
+        box = iroot((n * amax) ** m - 1, n - m)
+        cap = 1
+        while True:
+            found = [_normalize_vector(y) for _, y in _enumerate_reduced(basis, cap)]
+            if found or cap == box:
+                break
+            cap = min(2 * cap, box)
+    if not found:
+        raise InternalError(
+            "no kernel vector found within the guaranteed size bound (solver bug)"
+        )
+    best = min(found)
+    if any(v != 0 for v in matrix.apply(best)):
+        raise InternalError("solution left the kernel")
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +280,14 @@ def siegel_solve_NF(matrix: NFMatrix, err: Fraction = Fraction(1, 10 ** 9)) -> N
 
     height = Fraction(max(max(abs(v) for v in x), 1))
     log_height = log_enclosure(height, err)
-    c1 = inverse_embedding_bound(base)
+    # one set of root boxes serves c1 and h(B); degree 1 needs none
+    boxes = ordered_root_boxes(base.min_poly, EMBEDDING_PRECISION) if d > 1 else []
+    c1 = inverse_embedding_bound(base, boxes=boxes)
     cK = Enclosure(
         log_enclosure(c1.lo, err).lo, log_enclosure(c1.hi, err).hi
     )
 
-    hB = _coefficient_log_height(matrix, err)
+    hB = _coefficient_log_height(matrix, err, boxes)
     ratio = Fraction(d * m, n - d * m)
     log_n = log_enclosure(n, err)
     nominal = (hB + log_n + cK) * ratio
@@ -369,12 +310,13 @@ def siegel_solve_NF(matrix: NFMatrix, err: Fraction = Fraction(1, 10 ** 9)) -> N
     )
 
 
-def _coefficient_log_height(matrix: NFMatrix, err: Fraction) -> Enclosure:
+def _coefficient_log_height(matrix: NFMatrix, err: Fraction, boxes) -> Enclosure:
     """h(B) of the (integral, after row scaling) coefficient vector.
 
     For integral entries the finite places contribute nothing and
     h(B) = (1/d) * sum over embeddings of log max(1, max_ij |sigma(a_ij)|),
-    each conjugate embedding counted once.
+    each conjugate embedding counted once; `boxes` are the root boxes
+    of the generator's minimal polynomial.
     """
     base = matrix.base
     d = base.degree
@@ -388,7 +330,7 @@ def _coefficient_log_height(matrix: NFMatrix, err: Fraction) -> Enclosure:
     if d == 1:
         best = max([abs(rep[0]) for rep in entries] + [Fraction(1)])
         return log_enclosure(best, err)
-    W = embedding_matrix(base, Fraction(1, 10 ** 15))
+    W = embedding_matrix(boxes)
     total = Enclosure.exact(0)
     for r in range(d):
         box_pows = W[r]

@@ -1,0 +1,112 @@
+"""Brute-force oracles the tests check the production routes against.
+
+Each one searches the defining box directly, with no reduction and no
+pruning, so it shares no code with the routes it checks.
+"""
+
+from fractions import Fraction
+from itertools import product as iter_product
+from typing import Optional, Tuple
+
+import sympy
+
+from dioph.siegel import IntMatrix
+
+
+def pigeonhole_solve(matrix: IntMatrix, box: int) -> Optional[Tuple[int, ...]]:
+    """Nonzero kernel vector with all |x_i| <= box, by a meet-in-the-middle
+    collision search mirroring the pigeonhole existence proof; None if the
+    closed box is empty of solutions."""
+    n = matrix.ncols
+    half = n // 2
+    rng = range(-box, box + 1)
+    left_cols = list(range(half))
+    right_cols = list(range(half, n))
+    seen = {}
+    for xl in iter_product(*(rng for _ in left_cols)):
+        key = tuple(
+            sum(row[c] * xl[i] for i, c in enumerate(left_cols))
+            for row in matrix.entries
+        )
+        if key not in seen:
+            seen[key] = xl
+    for xr in iter_product(*(rng for _ in right_cols)):
+        target = tuple(
+            -sum(row[c] * xr[i] for i, c in enumerate(right_cols))
+            for row in matrix.entries
+        )
+        xl = seen.get(target)
+        if xl is None:
+            continue
+        x = tuple(xl) + tuple(xr)
+        if any(v != 0 for v in x):
+            return x
+    return None
+
+
+def exact_rank(vectors) -> int:
+    """Rank over Q by plain Gaussian elimination on Fractions."""
+    rows = [[Fraction(v) for v in vec] for vec in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def lattice_points_in_cube(rows, cap: int):
+    """Every nonzero integer combination of the independent `rows` with
+    sup norm <= cap, found by scanning the cube [-cap, cap]^N and solving
+    for the coefficients with a left inverse computed by sympy."""
+    R = sympy.Matrix(rows)
+    # z = P y for every y in the row space, with P = (R R^T)^-1 R
+    P = [[Fraction(int(c.p), int(c.q)) for c in row] for row in ((R * R.T).inv() * R).tolist()]
+    found = set()
+    for y in iter_product(range(-cap, cap + 1), repeat=len(rows[0])):
+        z = [sum(p * v for p, v in zip(row, y)) for row in P]
+        if any(y) and all(c.denominator == 1 for c in z) and all(
+            sum(c * r[j] for c, r in zip(z, rows)) == v for j, v in enumerate(y)
+        ):
+            found.add(y)
+    return found
+
+
+def _greedy_minima(body, points):
+    """Gauges of the greedy independent picks from `points` sorted by gauge."""
+    lambdas, picked = [], []
+    for t, x in sorted((body.gauge(x), x) for x in points):
+        if len(picked) == body.dimension:
+            break
+        if exact_rank(picked + [x]) > len(picked):
+            picked.append(x)
+            lambdas.append(t)
+    return lambdas
+
+
+def brute_force_minima(body, max_points: int = 20_000) -> Optional[Tuple[Fraction, ...]]:
+    """Successive minima of a ConvexBody by scanning every integer point
+    of a box that holds all points of gauge <= lambda_N; None when that
+    box has more than `max_points` points.
+
+    The greedy picks among the points of [-1, 1]^N (the unit vectors are
+    there) give T >= lambda_N, and a point of gauge <= T has
+    |x|_inf <= T * |(D L)^-1|_inf."""
+    n = body.dimension
+    top = _greedy_minima(body, iter_product(range(-1, 2), repeat=n))[-1]
+    scaled = sympy.Matrix(
+        [[sympy.Rational(a.numerator, a.denominator) / sympy.Rational(c.numerator, c.denominator)
+          for a in row] for row, c in zip(body.forms, body.bounds)]
+    )
+    inv = scaled.inv()
+    norm = max(sum(abs(inv[i, j]) for j in range(n)) for i in range(n))
+    box = int(sympy.floor(norm * sympy.Rational(top.numerator, top.denominator)))
+    if (2 * box + 1) ** n > max_points:
+        return None
+    points = (x for x in iter_product(range(-box, box + 1), repeat=n) if any(x))
+    return tuple(_greedy_minima(body, points))

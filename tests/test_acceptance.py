@@ -28,7 +28,8 @@ from dioph.rothlab import (
     vanishing_tuples,
     verify_aux_poly,
 )
-from dioph.siegel import IntMatrix, pigeonhole_solve, satisfies_size_bound, siegel_solve_Z
+from dioph.siegel import IntMatrix, satisfies_size_bound, siegel_solve_Z
+from oracles import pigeonhole_solve
 from dioph.lattice import ConvexBody, minkowski_check
 from dioph.wronskian import are_linearly_independent, _coefficient_rank
 from dioph.heights import height_polynomial

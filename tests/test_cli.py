@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 import time
 from fractions import Fraction
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dioph.cli import main
+from dioph.cli import build_parser, main
 from dioph.exceptions import ParseError
 from dioph.serialization import (
     multipoly_from_json,
@@ -423,3 +424,50 @@ def test_readme_command_line_examples_run(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 0
     assert out
+
+
+_WRONSKIAN_PAIR = '[{"arity":1,"terms":[{"coeff":"1","exps":[0]}]},{"arity":1,"terms":[{"coeff":"1","exps":[1]}]}]'
+_ROTH_POLY = '{"arity": 1, "terms": [{"coeff": "1", "exps": [1]}]}'
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["wronskian", "--", '[{"arity": 1, "terms": [{"coeff": "1"}]}]'], '"exps"'),
+        (["wronskian", "--", "5"], "polynomial family"),
+        (["wronskian", "--", "[5]"], "multivariate JSON"),
+        (["wronskian", "--", '[{"arity": "a", "terms": []}]'], '"arity"'),
+        (["wronskian", "--mus", "5", "--", _WRONSKIAN_PAIR], "--mus"),
+        (["wronskian", "--", '[{"arity": 1.7, "terms": [{"coeff": "1", "exps": [1]}]}]'], '"arity"'),
+        (["wronskian", "--", '[{"arity": 1, "terms": [{"coeff": "1", "exps": [true]}]}]'], '"exps"'),
+        (["wronskian", "--mus", "[[0],[1.5]]", "--", _WRONSKIAN_PAIR], "--mus entry"),
+        (["siegel-nf", "--", '{"base": "x^2-2", "entries": [[{"x": 1}, "1", "0"]]}'], '"rep"'),
+        (["siegel-nf", "--", '{"base": "x^2-2", "entries": 5}'], '"entries"'),
+        (["siegel-nf", "--", '{"base": "x^2-2", "root_interval": ["1"], "entries": [["1", "1", "0"]]}'],
+         "root interval"),
+        (["index", "--base", "x^2-2", "--point", "0", "--weights", "1",
+          "--poly", '{"arity": 1, "terms": [{"coeff": {"x": 1}, "exps": [1]}]}'], '"rep"'),
+        (["roth-verify", "--", '{"poly": %s, "betas": ["4"], "weights": ["a"], "eta": "1/2"}' % _ROTH_POLY],
+         '"weights"'),
+        (["roth-verify", "--", '{"poly": %s, "betas": ["4"], "weights": [1.5], "eta": "1/2"}' % _ROTH_POLY],
+         '"weights"'),
+        (["minima", "--", '{"forms": 5, "bounds": ["1"]}'], '"forms"'),
+        (["mahler", "--", '{"coeffs": 5}'], '"coeffs"'),
+        (["mahler", "--", '{"coeffs": [1, true]}'], '"coeffs"'),
+    ],
+    ids=[
+        "wronskian-term-without-exps", "wronskian-number", "wronskian-list-of-number",
+        "wronskian-string-arity", "wronskian-mus-number", "wronskian-float-arity",
+        "wronskian-bool-exponent", "wronskian-float-mu", "siegel-nf-cell-without-rep",
+        "siegel-nf-entries-number", "siegel-nf-short-root-interval", "index-coeff-without-rep",
+        "roth-verify-string-weight", "roth-verify-float-weight", "minima-forms-number",
+        "mahler-coeffs-number", "mahler-bool-coeff",
+    ],
+)
+def test_malformed_json_fields_are_parse_errors(capsys, argv, field):
+    args = build_parser().parse_args(argv)
+    with pytest.raises(ParseError, match=re.escape(field)):
+        args.func(args)
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""

@@ -4,14 +4,17 @@ from math import factorial
 
 import pytest
 
-from dioph.exceptions import DomainError
+import dioph.lattice as lattice
+from dioph.exceptions import DomainError, UnsupportedError
 from dioph.lattice import (
     ConvexBody,
     body_volume,
     minkowski_check,
     successive_minima,
+    _enumerate_reduced,
     _rank_int,
 )
+from oracles import brute_force_minima, exact_rank, lattice_points_in_cube
 
 
 def unimodular(rng, n, shears=3):
@@ -152,3 +155,53 @@ def test_unimodular_invariance():
             body.bounds,
         )
         assert successive_minima(composed).lambdas == successive_minima(body).lambdas
+
+
+def test_enumerate_reduced_matches_brute_force():
+    rng = random.Random(106)
+    shapes = [(k, n) for n in range(1, 5) for k in range(1, n + 1)]
+    for k, n in shapes * 3:
+        while True:
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+            if exact_rank(rows) == k:
+                break
+        for cap in (1, 2, 3):
+            pairs = _enumerate_reduced(rows, cap)
+            assert isinstance(pairs, list)
+            found = set()
+            for z, y in pairs:
+                assert y == tuple(sum(c * r[j] for c, r in zip(z, rows)) for j in range(n))
+                assert next(c for c in z if c != 0) > 0  # one of each +-pair
+                found.add(y)
+                found.add(tuple(-v for v in y))
+            assert len(found) == 2 * len(pairs)
+            assert found == lattice_points_in_cube(rows, cap), (rows, cap)
+
+
+def test_successive_minima_match_brute_force():
+    rng = random.Random(107)
+    checked = 0
+    while checked < 40:
+        n = 1 + checked % 3
+        body = rand_body(rng, n)
+        lambdas = brute_force_minima(body)
+        if lambdas is None:  # the oracle's box is too large to scan
+            continue
+        res = successive_minima(body)
+        assert res.lambdas == lambdas
+        assert exact_rank(res.witnesses) == n
+        for lam, w in zip(res.lambdas, res.witnesses):
+            assert body.gauge(w) == lam
+        checked += 1
+
+
+def test_enumeration_node_budget_names_budget_and_nodes(monkeypatch):
+    monkeypatch.setattr(lattice, "_ENUM_NODE_BUDGET", 50)
+    with pytest.raises(UnsupportedError, match=r"cap 10 used \d+ nodes, past its budget of 50"):
+        _enumerate_reduced([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 10)
+
+
+def test_enumeration_point_budget_names_budget_and_points(monkeypatch):
+    monkeypatch.setattr(lattice, "_ENUM_POINT_BUDGET", 20)
+    with pytest.raises(UnsupportedError, match=r"cap 10 kept \d+ points, past its budget of 20"):
+        _enumerate_reduced([[1, 0], [0, 1]], 10)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import dioph.siegel as siegel
+from dioph.enclosure import iroot
 from dioph.exceptions import DomainError, UnsupportedError
 from dioph.intpoly import IntPolynomial
 from dioph.numberfield import AlgebraicNumber, NumberFieldElement
@@ -11,11 +13,11 @@ from dioph.siegel import (
     NFMatrix,
     expand_nf_system,
     kernel_basis,
-    pigeonhole_solve,
     satisfies_size_bound,
     siegel_solve_NF,
     siegel_solve_Z,
 )
+from oracles import pigeonhole_solve
 
 SQRT2 = AlgebraicNumber(IntPolynomial([-2, 0, 1]), interval=(1, 2))
 
@@ -201,3 +203,52 @@ def test_rational_rep_scaling():
     for e, v in zip(mat.entries[0], res.x):
         acc = acc + e * v
     assert acc.is_zero()
+
+
+def test_forced_enumeration_fallback_agrees_with_pigeonhole(monkeypatch):
+    # no reduced basis vector is accepted, so every system goes to the
+    # sup-norm enumeration of the kernel lattice
+    monkeypatch.setattr(siegel, "satisfies_size_bound", lambda *args: False)
+    rng = random.Random(86)
+    oracle_checked = 0
+    for _ in range(150):
+        m = rng.randint(1, 6)
+        n = rng.randint(m + 1, min(14, m + 8))
+        size = rng.choice([3, 10, 100])
+        entries = [[rng.randint(-size, size) for _ in range(n)] for _ in range(m)]
+        if all(c == 0 for row in entries for c in row):
+            continue
+        matrix = IntMatrix(entries)
+        amax = matrix.max_abs()
+        x = siegel_solve_Z(matrix)
+        assert any(v != 0 for v in x)
+        assert all(v == 0 for v in matrix.apply(x))
+        assert satisfies_size_bound(x, n, m, amax)
+        box = iroot((n * amax) ** m - 1, n - m)  # the largest box inside the bound
+        if (2 * box + 1) ** ((n + 1) // 2) <= 300_000:
+            assert pigeonhole_solve(matrix, box) is not None
+            # the caps run 1, 2, 4, ..., box: the one before the cap that
+            # found x held no solution
+            top = max(abs(v) for v in x)
+            if top > 1:
+                assert pigeonhole_solve(matrix, 1 << ((top - 1).bit_length() - 1)) is None
+            oracle_checked += 1
+    assert oracle_checked >= 40
+
+
+def test_nf_solve_certifies_the_root_boxes_once(monkeypatch):
+    import dioph.numberfield as numberfield
+
+    calls = []
+    original = numberfield.ordered_root_boxes
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(numberfield, "ordered_root_boxes", counted)
+    monkeypatch.setattr(siegel, "ordered_root_boxes", counted)
+    cbrt2 = AlgebraicNumber(IntPolynomial([-2, 0, 0, 1]), interval=(1, 2))
+    b = NumberFieldElement.generator(cbrt2)
+    siegel_solve_NF(NFMatrix(cbrt2, [[1 + b, b, -1, 0, 2]]))
+    assert len(calls) == 1

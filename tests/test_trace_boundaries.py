@@ -36,3 +36,17 @@ def test_boundary_resolves(name, module, path):
 def test_cf_generator_resolves():
     module, attr = tracing.CF_GENERATOR
     assert callable(vars(importlib.import_module(f"dioph.{module}"))[attr])
+
+
+def test_wrapped_enumerator_returns_a_list():
+    # the tracer counts enumerated points with len() of the result, so a
+    # generator there would break `bench/run.py --trace 1`
+    lattice = importlib.import_module("dioph.lattice")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        pairs = lattice._enumerate_reduced([[1, 0], [0, 1]], 1)
+        assert len(pairs) == 4
+        assert tracer.metrics()["lattice._enumerate_reduced.points"] == 4
+    finally:
+        tracer.uninstall()
