@@ -6,9 +6,11 @@ exponents.
 Partial quotients are read off the isolating interval: the common
 prefix of the continued fractions of its two rational endpoints is a
 prefix of alpha's, and the interval is refined (width w to w^2) when
-the prefix runs out.  Every convergent's |alpha - p/q| < 1/q^2 is
-certified by two exact sign tests of the minimal polynomial; no
-floating point enters any verdict.
+the prefix runs out.  Every comparison of alpha with a rational is one
+exact sign test of the minimal polynomial (compare_rational): two
+certify each convergent's |alpha - p/q| < 1/q^2, and at most four
+decide each Liouville candidate against c(alpha)/q^n.  No floating
+point enters any verdict, and no comparison refines the interval.
 """
 
 from __future__ import annotations
@@ -16,14 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, takewhile
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from .enclosure import Enclosure, log_enclosure
 from .exceptions import DomainError, InternalError, PrecisionError, UnsupportedError
 from .numberfield import AlgebraicNumber
 from .roots import max_root_modulus
 
-_REFINE_ROUNDS = 80
+_REFINE_ROUNDS = 320
 # continued_fraction computes at most this many partial quotients
 CF_TERMS_CAP = 1000
 
@@ -46,10 +48,8 @@ class ContinuedFraction:
     terminated: bool = False
 
 
-def error_enclosure(
-    alpha: AlgebraicNumber, p: int, q: int, rel_bits: int = 30
-) -> Enclosure:
-    """Enclosure of |alpha - p/q| with relative width about 2**-rel_bits.
+def error_enclosure(alpha: AlgebraicNumber, p: int, q: int) -> Enclosure:
+    """Enclosure of |alpha - p/q| with relative width about 2**-30.
 
     For irrational alpha the enclosure excludes zero.
     """
@@ -59,11 +59,11 @@ def error_enclosure(
     if alpha.is_rational():
         return Enclosure.exact(abs(alpha.rational_value() - target))
     lo, hi = alpha.interval()
-    for _ in range(_REFINE_ROUNDS * 4):
+    for _ in range(_REFINE_ROUNDS):
         diff = Enclosure(lo - target, hi - target)
         if not diff.contains(0):
             err = abs(diff)
-            if err.width * (1 << rel_bits) <= err.lo:
+            if err.width * (1 << 30) <= err.lo:
                 return err
         lo, hi = alpha.refine((hi - lo) / 16)
     raise PrecisionError("error enclosure refinement stalled")
@@ -147,10 +147,14 @@ def continued_fraction(alpha: AlgebraicNumber, n_terms: int) -> ContinuedFractio
     )
 
 
+def _within(alpha: AlgebraicNumber, x: Fraction, r: Fraction) -> bool:
+    """|alpha - x| < r (also <= r, alpha irrational) by two exact sign tests."""
+    return alpha.compare_rational(x - r) > 0 and alpha.compare_rational(x + r) < 0
+
+
 def _certify_dirichlet(alpha: AlgebraicNumber, p: int, q: int) -> None:
     """Exact check of the convergent inequality |alpha - p/q| < 1/q^2."""
-    target, bound = Fraction(p, q), Fraction(1, q * q)
-    if alpha.compare_rational(target - bound) <= 0 or alpha.compare_rational(target + bound) >= 0:
+    if not _within(alpha, Fraction(p, q), Fraction(1, q * q)):
         raise InternalError(f"convergent {p}/{q} violates the 1/q^2 bound")
 
 
@@ -193,48 +197,66 @@ class LiouvilleViolation:
     threshold: Enclosure
 
 
+def _fatou_candidates(alpha: AlgebraicNumber, q_max: int) -> Set[Tuple[int, int]]:
+    """The convergents and neighbours (p_(k+1) +- p_k)/(q_(k+1) +- q_k),
+    from (p_-1, q_-1) = (1, 0), with 1 <= q <= q_max: by Fatou's theorem
+    every p/q in lowest terms with |alpha - p/q| < 1/q^2."""
+    out: Set[Tuple[int, int]] = set()
+    p0, q0 = 1, 0
+    for _, p1, q1 in _convergents(alpha):
+        for p, q in ((p1, q1), (p1 + p0, q1 + q0), (p1 - p0, q1 - q0)):
+            if 1 <= q <= q_max:
+                out.add((p, q))
+        if q1 > q_max:
+            # later neighbours have q > q_max or repeat an earlier convergent
+            return out
+        p0, q0 = p1, q1
+    return out
+
+
+def _violates(alpha: AlgebraicNumber, p: int, q: int, c: Enclosure) -> Optional[bool]:
+    """True if |alpha - p/q| <= c.lo/q^n, False if it exceeds c.hi/q^n,
+    None if c's window leaves it open."""
+    x, qn = Fraction(p, q), q ** alpha.degree
+    if not _within(alpha, x, c.hi / qn):
+        return False
+    return True if _within(alpha, x, c.lo / qn) else None
+
+
 def liouville_scan(
     alpha: AlgebraicNumber, q_max: int, sweep_limit: int = 1000
 ) -> List[LiouvilleViolation]:
-    """Certify |alpha - p/q| > c(alpha)/q^n over all convergents with
-    q <= q_max plus a complete sweep of every q <= sweep_limit.
+    """Certify |alpha - p/q| > c(alpha)/q^n for every p/q with q <= q_max;
+    returns the violations, expected empty.
 
-    Returns the violation list, expected empty: the best-approximation
-    theorem makes convergents (plus the small-q sweep) a complete search.
+    The search is complete: c(alpha) <= min(M, 1/(3M)) <= 1/sqrt(3) < 1,
+    so a violator in lowest terms has |alpha - p/q| < 1/q^2 and is among
+    _fatou_candidates.  The four p nearest q*alpha for each q <= sweep_limit
+    are checked too.  A candidate in the window of c's 1e-12 enclosure is
+    decided again with c to 1e-30, once.
     """
     n = alpha.degree
     if n < 2:
         raise DomainError("Liouville scan needs an irrational algebraic number")
     if q_max < 1:
         raise DomainError("q_max must be >= 1")
-    c = liouville_constant(alpha, Fraction(1, 10 ** 12))
-    candidates = set(convergents_up_to(alpha, q_max))
+    candidates = _fatou_candidates(alpha, q_max)
     for q in range(1, min(sweep_limit, q_max) + 1):
-        lo, hi = alpha.refine(Fraction(1, 4 * q))
-        base = (lo * q).__floor__()
-        for p in (base - 1, base, base + 1, base + 2):
-            candidates.add((p, q))
+        base = (alpha.refine(Fraction(1, 4 * q))[0] * q).__floor__()
+        candidates.update((p, q) for p in range(base - 1, base + 3))
+    coarse = liouville_constant(alpha, Fraction(1, 10 ** 12))
+    fine = None
     violations = []
     for p, q in sorted(candidates, key=lambda t: (t[1], t[0])):
-        threshold = c * Fraction(1, q ** n)
-        err = error_enclosure(alpha, p, q)
-        decided = False
-        for _ in range(_REFINE_ROUNDS):
-            if err.lo > threshold.hi:
-                decided = True
-                break
-            if err.hi <= threshold.lo:
-                violations.append(
-                    LiouvilleViolation(p=p, q=q, error=err, threshold=threshold)
-                )
-                decided = True
-                break
-            err = error_enclosure(alpha, p, q, rel_bits=60)
-            threshold = liouville_constant(alpha, Fraction(1, 10 ** 30)) * Fraction(
-                1, q ** n
-            )
-        if not decided:
+        c, verdict = coarse, _violates(alpha, p, q, coarse)
+        if verdict is None:
+            fine = fine or liouville_constant(alpha, Fraction(1, 10 ** 30))
+            c, verdict = fine, _violates(alpha, p, q, fine)
+        if verdict is None:
             raise PrecisionError(f"could not decide the bound at {p}/{q}")
+        if verdict:
+            threshold = c * Fraction(1, q ** n)
+            violations.append(LiouvilleViolation(p, q, error_enclosure(alpha, p, q), threshold))
     return violations
 
 

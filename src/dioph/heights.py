@@ -291,25 +291,11 @@ def is_product_of_cyclotomics(f: IntPolynomial) -> bool:
     equivalently M(primitive part) = 1 (Kronecker)."""
     if f.is_zero():
         raise DomainError("zero polynomial")
-    _, g = content_and_primitive(f)
-    if g.leading < 0:
-        g = -g
-    k = 0
-    while g.constant == 0 and g.degree > 0:
-        g = IntPolynomial(g.coeffs[1:])
-        k += 1
-    changed = True
-    while g.degree > 0 and changed:
-        changed = False
-        for kk in range(1, 2 * g.degree * g.degree + 3):
-            if euler_phi(kk) > g.degree:
-                continue
-            q = poly_divide_exact(g, cyclotomic(kk))
-            if q is not None:
-                g = q
-                changed = True
-                break
-    return g.degree == 0 and abs(g.constant) == 1
+    # exact_mahler strips x and each cyclotomic factor at measure 1 and any
+    # other rational root at measure >= 2.  Its complex-quadratic branch has
+    # a_0 a_2 > 0, so max(|a_2|, |a_0|) = 1 forces a_0 = a_2 = +-1 and
+    # |a_1| < 2: x^2 + 1 or x^2 +- x + 1, cyclotomic and stripped already.
+    return exact_mahler(content_and_primitive(f)[1]) == 1
 
 
 def _strip_exact_factors(prim: IntPolynomial) -> Tuple[Fraction, IntPolynomial]:
@@ -342,6 +328,19 @@ def _strip_exact_factors(prim: IntPolynomial) -> Tuple[Fraction, IntPolynomial]:
     return acc, work
 
 
+def _residual_mahler(work: IntPolynomial) -> Optional[Fraction]:
+    """Exact Mahler measure of a cofactor left by _strip_exact_factors, or
+    None: a constant, or a quadratic with a complex pair, whose
+    |root|^2 = |a_0/a_2| is rational."""
+    if work.degree == 0:
+        return Fraction(abs(work.constant))
+    if work.degree == 2:
+        a0, a1, a2 = work.coeffs
+        if a1 * a1 - 4 * a0 * a2 < 0:
+            return Fraction(max(abs(a2), abs(a0)))
+    return None
+
+
 def exact_mahler(prim: IntPolynomial) -> Optional[Fraction]:
     """Exact Mahler measure of a primitive polynomial when structurally
     available: cyclotomic and rational linear factors are stripped
@@ -349,15 +348,8 @@ def exact_mahler(prim: IntPolynomial) -> Optional[Fraction]:
     |root|^2 = |a_0/a_2| rational.  None when the value is irrational
     (only enclosures apply)."""
     acc, work = _strip_exact_factors(prim)
-    if work.degree == 0:
-        return acc * abs(work.constant)
-    if work.degree == 2:
-        a0, a1, a2 = work.coeffs
-        disc = a1 * a1 - 4 * a0 * a2
-        if disc < 0:
-            # complex pair of modulus sqrt(|a0/a2|)
-            return acc * max(abs(a2), abs(a0))
-    return None
+    rest = _residual_mahler(work)
+    return None if rest is None else acc * rest
 
 
 def mahler_leq(f: IntPolynomial, c: Fraction) -> bool:
@@ -379,12 +371,12 @@ def mahler_leq(f: IntPolynomial, c: Fraction) -> bool:
         return False
     if prim.constant != 0 and abs(prim.constant) > target:
         return False  # M >= |a_0| always
-    exact = exact_mahler(prim)
-    if exact is not None:
-        return exact <= target
     # strip the exactly-known factors; the enclosure ladder decides the rest
     exact_part, rest = _strip_exact_factors(prim)
     target = target / exact_part
+    exact = _residual_mahler(rest)
+    if exact is not None:
+        return exact <= target
     n = rest.degree
     w = Fraction(1, 10 ** 8)
     for _ in range(9):  # 1e-8 down to 1e-40 in 1e-4 steps, plus slack
@@ -414,24 +406,28 @@ def mahler_leq(f: IntPolynomial, c: Fraction) -> bool:
     )
 
 
-def weil_height_algebraic(
-    a: AlgebraicNumber, precision: Fraction = DEFAULT_PRECISION
-) -> HeightValue:
-    """Weil height H(a) = M(min poly)^(1/deg) as a certified enclosure."""
+def _mahler_root_height(f: IntPolynomial, n: int, precision: Fraction) -> HeightValue:
+    """M(f)^(1/n) as a certified enclosure of width <= precision."""
     precision = Fraction(precision)
-    if a.is_rational():
-        return height_rational(a.rational_value())
-    n = a.degree
     w = precision
     for _ in range(60):
-        m_enc = mahler_enclosure(a.min_poly, w)
+        m_enc = mahler_enclosure(f, w)
         lo = nth_root_enclosure(m_enc.lo, n, precision / 4).lo
         hi = nth_root_enclosure(m_enc.hi, n, precision / 4).hi
         enc = Enclosure(lo, hi)
         if enc.width <= precision:
             return HeightValue.from_enclosure(enc)
         w /= 64
-    raise PrecisionError("Weil height enclosure did not converge")
+    raise PrecisionError("height enclosure did not converge")
+
+
+def weil_height_algebraic(
+    a: AlgebraicNumber, precision: Fraction = DEFAULT_PRECISION
+) -> HeightValue:
+    """Weil height H(a) = M(min poly)^(1/deg) as a certified enclosure."""
+    if a.is_rational():
+        return height_rational(a.rational_value())
+    return _mahler_root_height(a.min_poly, a.degree, precision)
 
 
 def nf_element_height(
@@ -448,19 +444,7 @@ def nf_element_height(
         return HeightValue.from_exact(1)
     if gamma.is_rational():
         return height_rational(gamma.rational_value())
-    d = gamma.base.degree
-    cp = gamma.char_poly()
-    precision = Fraction(precision)
-    w = precision
-    for _ in range(60):
-        m_enc = mahler_enclosure(cp, w)
-        lo = nth_root_enclosure(m_enc.lo, d, precision / 4).lo
-        hi = nth_root_enclosure(m_enc.hi, d, precision / 4).hi
-        enc = Enclosure(lo, hi)
-        if enc.width <= precision:
-            return HeightValue.from_enclosure(enc)
-        w /= 64
-    raise PrecisionError("element height enclosure did not converge")
+    return _mahler_root_height(gamma.char_poly(), gamma.base.degree, precision)
 
 
 # ---------------------------------------------------------------------------

@@ -53,12 +53,6 @@ class IntPolynomial:
     def constant(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def sign_at(self, x) -> int:
         """Sign of self(x) for rational x = n/d: Horner's rule on n and d
         gives the integer d^degree * self(x), with no fraction reduced."""
@@ -460,12 +454,12 @@ def isolate_real_roots(f: IntPolynomial) -> List[Tuple[Fraction, Fraction]]:
             out.append((a, b))
             return
         m = (a + b) / 2
-        if g(m) == 0:
+        if g.sign_at(m) == 0:
             # rational root at the midpoint; wall it off with a tight interval
             w = (b - a) / 8
             while True:
                 vl, vr = var(m - w), var(m + w)
-                if vl - vr == 1 and g(m - w) != 0 and g(m + w) != 0:
+                if vl - vr == 1 and g.sign_at(m - w) != 0 and g.sign_at(m + w) != 0:
                     break
                 w /= 2
             out.append((m - w, m + w))
@@ -651,9 +645,9 @@ def rational_root(f: IntPolynomial) -> Optional[Fraction]:
             if math.gcd(p, q) != 1:
                 continue
             x = Fraction(p, q)
-            if f(x) == 0:
+            if f.sign_at(x) == 0:
                 return x
-            if f(-x) == 0:
+            if f.sign_at(-x) == 0:
                 return -x
     return None
 

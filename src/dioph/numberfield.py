@@ -3,9 +3,11 @@
 An AlgebraicNumber is an irreducible primitive integer polynomial with
 positive leading coefficient together with a root selector: either a
 rational isolating interval (real roots) or a conjugate index under the
-canonical ordering of ordered_root_boxes.  NumberFieldElement represents
-residue classes modulo the minimal polynomial in the power basis
-1, alpha, ..., alpha^(d-1).
+canonical ordering of ordered_root_boxes.  A real root is compared with
+a rational by one exact sign of the minimal polynomial, and with another
+real root by a Sturm count over the hull of the two intervals.
+NumberFieldElement represents residue classes modulo the minimal
+polynomial in the power basis 1, alpha, ..., alpha^(d-1).
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class AlgebraicNumber:
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
         if lo >= hi:
             raise DomainError("isolating interval must have positive width")
-        if self.min_poly(lo) == 0 or self.min_poly(hi) == 0:
+        if self.min_poly.sign_at(lo) == 0 or self.min_poly.sign_at(hi) == 0:
             raise DomainError("isolating interval endpoints must not be roots")
         if count_real_roots(self.min_poly, lo, hi) != 1:
             raise DomainError("interval does not isolate exactly one real root")
@@ -88,10 +90,6 @@ class AlgebraicNumber:
         """All real roots of an irreducible poly, ascending."""
         prim = _normalize_min_poly(poly)
         return [cls(prim, interval=iv) for iv in isolate_real_roots(prim)]
-
-    @classmethod
-    def real_root(cls, poly: IntPolynomial, interval) -> "AlgebraicNumber":
-        return cls(poly, interval=(Fraction(interval[0]), Fraction(interval[1])))
 
     # ---- basic structure ----
 
@@ -119,11 +117,11 @@ class AlgebraicNumber:
             return True
         if self.conjugate_index is not None or other.conjugate_index is not None:
             return self.conjugate_index == other.conjugate_index
+        # the hull of two isolating intervals holds one root iff they isolate
+        # the same one; overlapping intervals may still isolate different roots
         a, b = self._interval
         c, d = other._interval
-        return max(a, c) < min(b, d) or count_real_roots(
-            self.min_poly, min(a, c), max(b, d)
-        ) == 1
+        return count_real_roots(self.min_poly, min(a, c), max(b, d)) == 1
 
     def __hash__(self):
         return hash(self.min_poly)
@@ -157,18 +155,19 @@ class AlgebraicNumber:
         return Enclosure(lo, hi)
 
     def compare_rational(self, q) -> int:
-        """-1, 0, or 1 as self <, ==, > q.  Zero only for rational selves."""
+        """-1, 0, or 1 as self <, ==, > q.  Zero only for rational selves.
+
+        Exact and leaves the interval alone: it isolates one simple root
+        and no endpoint is a root, so a q inside lies below the root iff
+        the minimal polynomial has the same sign at q as at lo."""
         q = Fraction(q)
         if self.is_rational():
             v = self.rational_value()
             return (v > q) - (v < q)
-        if self.min_poly.sign_at(q) == 0:
-            # q would be a rational root of an irreducible poly of degree >= 2
-            raise DomainError("rational root of an irreducible polynomial?")
         lo, hi = self.interval()
-        while lo < q < hi:
-            lo, hi = self.refine((hi - lo) / 4)
-        return 1 if lo >= q else -1
+        if lo < q < hi:
+            return 1 if self.min_poly.sign_at(q) == self.min_poly.sign_at(lo) else -1
+        return 1 if q <= lo else -1
 
     def sign(self) -> int:
         return self.compare_rational(0)

@@ -1,7 +1,9 @@
-"""Brute-force oracles the tests check the production routes against.
+"""Oracles the tests check the production routes against.
 
-Each one searches the defining box directly, with no reduction and no
-pruning, so it shares no code with the routes it checks.
+The search oracles scan the defining box directly, with no reduction
+and no pruning, so they share no code with the routes they check.  The
+Liouville oracle decides by enclosures of the error, not by the sign
+tests of the production scan.
 """
 
 from fractions import Fraction
@@ -10,6 +12,7 @@ from typing import Optional, Tuple
 
 import sympy
 
+from dioph.numberfield import AlgebraicNumber
 from dioph.siegel import IntMatrix
 
 
@@ -110,3 +113,21 @@ def brute_force_minima(body, max_points: int = 20_000) -> Optional[Tuple[Fractio
         return None
     points = (x for x in iter_product(range(-box, box + 1), repeat=n) if any(x))
     return tuple(_greedy_minima(body, points))
+
+
+def liouville_verdict_by_enclosure(alpha, p: int, q: int, c) -> bool:
+    """True if |alpha - p/q| <= c.lo/q^n, False if it exceeds c.hi/q^n:
+    the enclosure route of the Liouville scan, which refines a copy of
+    alpha's isolating interval until the enclosure of the error
+    |alpha - p/q| clears the threshold window."""
+    alpha = AlgebraicNumber(alpha.min_poly, interval=alpha.interval())
+    x, qn = Fraction(p, q), q ** alpha.degree
+    for _ in range(400):
+        lo, hi = alpha.interval()
+        err_lo, err_hi = max(lo - x, x - hi, 0), max(hi - x, x - lo)
+        if err_lo > c.hi / qn:
+            return False
+        if err_hi <= c.lo / qn:
+            return True
+        alpha.refine((hi - lo) / 16)
+    raise AssertionError(f"enclosures did not decide the bound at {p}/{q}")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import mpmath
 import pytest
 import sympy
 
+from dioph import approx
 from dioph.approx import (
     CF_TERMS_CAP,
     continued_fraction,
@@ -14,9 +16,12 @@ from dioph.approx import (
     liouville_constant,
     liouville_scan,
 )
-from dioph.exceptions import DomainError, UnsupportedError
+from dioph.enclosure import Enclosure
+from dioph.exceptions import DomainError, PrecisionError, UnsupportedError
 from dioph.intpoly import IntPolynomial
 from dioph.numberfield import AlgebraicNumber
+
+from oracles import liouville_verdict_by_enclosure
 
 SQRT2 = AlgebraicNumber(IntPolynomial([-2, 0, 1]), interval=(1, 2))
 PHI = AlgebraicNumber(IntPolynomial([-1, -1, 1]), interval=(1, 2))
@@ -178,6 +183,109 @@ def test_liouville_scan_empty():
     assert liouville_scan(CBRT2, 10 ** 3, sweep_limit=100) == []
     quartic = AlgebraicNumber(IntPolynomial([-2, 0, 0, 0, 1]), interval=(1, 2))
     assert liouville_scan(quartic, 10 ** 3, sweep_limit=100) == []
+
+
+def _fresh(alpha):
+    return AlgebraicNumber(alpha.min_poly, interval=alpha.interval())
+
+
+def _random_real_roots(rng, count, degrees):
+    """count (alpha, mpmath value at 60 digits) pairs: a random real root
+    of a random irreducible integer polynomial of a degree in degrees."""
+    x = sympy.Symbol("x")
+    out = []
+    while len(out) < count:
+        degree = rng.choice(degrees)
+        coeffs = [rng.randint(-9, 9) for _ in range(degree)] + [rng.randint(1, 4)]
+        poly = sympy.Poly(list(reversed(coeffs)), x)
+        if coeffs[0] == 0 or not poly.is_irreducible:
+            continue
+        roots = poly.real_roots()
+        if not roots:
+            continue
+        k = rng.randrange(len(roots))
+        alpha = AlgebraicNumber.real_roots_of(IntPolynomial(coeffs))[k]
+        with mpmath.workdps(60):
+            out.append((alpha, mpmath.mpf(str(roots[k].evalf(70)))))
+    return out
+
+
+def test_fatou_candidates_hold_every_fraction_within_one_over_q_squared():
+    # brute force: every p/q in lowest terms, q < 600, with |alpha - p/q| < 1/q^2
+    rng = random.Random(7)
+    q_max = 600
+    checked = 0
+    for alpha, value in _random_real_roots(rng, 30, (2, 3, 4, 5)):
+        candidates = approx._fatou_candidates(alpha, q_max)
+        assert all(1 <= q <= q_max for _, q in candidates)
+        with mpmath.workdps(60):
+            for q in range(1, q_max + 1):
+                base = int(mpmath.floor(value * q))
+                for p in (base, base + 1):
+                    if math.gcd(p, q) == 1 and abs(value - mpmath.mpf(p) / q) < mpmath.mpf(1) / (q * q):
+                        assert (p, q) in candidates, (alpha, p, q)
+                        checked += 1
+    assert checked > 200
+
+
+def test_liouville_scan_builds_no_error_enclosure(monkeypatch):
+    calls = []
+    real = approx.error_enclosure
+    monkeypatch.setattr(approx, "error_enclosure", lambda *a: calls.append(a) or real(*a))
+    quartic = AlgebraicNumber(IntPolynomial([-2, 0, 0, 0, 1]), interval=(1, 2))
+    for alpha, q_max, sweep in ((SQRT2, 10 ** 4, 300), (PHI, 10 ** 4, 300),
+                                (CBRT2, 10 ** 3, 100), (quartic, 10 ** 3, 100)):
+        assert liouville_scan(_fresh(alpha), q_max, sweep_limit=sweep) == []
+    assert calls == []
+
+
+def test_liouville_violation_branch_matches_the_enclosure_oracle(monkeypatch):
+    # with c = 1 exactly, every p/q with |alpha - p/q| <= 1/q^n is a violation
+    one = Enclosure.exact(Fraction(1))
+    monkeypatch.setattr(approx, "liouville_constant", lambda alpha, precision=None: one)
+    q_max, sweep = 150, 20
+    subjects = [(_fresh(a), None) for a in (SQRT2, PHI, CBRT2)]
+    subjects += _random_real_roots(random.Random(11), 4, (2, 3))
+    reported_total = 0
+    for alpha, value in subjects:
+        if value is None:
+            with mpmath.workdps(60):
+                value = mpmath.findroot(
+                    lambda t: mpmath.polyval(list(reversed(alpha.min_poly.coeffs)), t), 1.5
+                )
+        reported = {(v.p, v.q): v for v in liouville_scan(_fresh(alpha), q_max, sweep_limit=sweep)}
+        expected = set()
+        with mpmath.workdps(60):
+            for q in range(1, q_max + 1):
+                base = int(mpmath.floor(value * q))
+                for p in range(base - 1, base + 3):
+                    if (math.gcd(p, q) == 1 or q <= sweep) and liouville_verdict_by_enclosure(
+                        alpha, p, q, one
+                    ):
+                        expected.add((p, q))
+            assert set(reported) == expected
+            for (p, q), v in reported.items():
+                assert v.threshold.lo == v.threshold.hi == Fraction(1, q ** alpha.degree)
+                # 60 digits resolve the enclosure's 2^-30 relative width
+                err, slack = abs(value - mpmath.mpf(p) / q), 1 + mpmath.mpf(10) ** -50
+                assert mpmath.mpf(v.error.lo.numerator) / v.error.lo.denominator <= err * slack
+                assert err <= slack * v.error.hi.numerator / v.error.hi.denominator
+        reported_total += len(reported)
+    assert reported_total > 20
+
+
+def test_liouville_scan_retries_an_undecided_candidate_once(monkeypatch):
+    # a window [1/10, 10] around c leaves |sqrt2 - 0/1| undecided at both precisions
+    calls = []
+
+    def wide(alpha, precision=None):
+        calls.append(precision)
+        return Enclosure(Fraction(1, 10), Fraction(10))
+
+    monkeypatch.setattr(approx, "liouville_constant", wide)
+    with pytest.raises(PrecisionError, match="0/1"):
+        liouville_scan(_fresh(SQRT2), 100, sweep_limit=10)
+    assert calls == [Fraction(1, 10 ** 12), Fraction(1, 10 ** 30)]
 
 
 def test_convergents_up_to():

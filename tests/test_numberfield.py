@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dioph.exceptions import DomainError
 from dioph.intpoly import IntPolynomial, _q_to_primitive, is_irreducible, squarefree_part
@@ -199,6 +202,49 @@ def test_compare_rational():
     half = AlgebraicNumber.from_rational(Fraction(5, 2))
     assert _between(half, 2, 3) and half.compare_rational(Fraction(5, 2)) == 0
     assert _between(AlgebraicNumber.from_rational(Fraction(-5, 2)), -3, -2)
+
+
+@st.composite
+def roots_and_rationals(draw):
+    """(alpha, its index among the real roots, rationals inside and outside
+    its isolating interval) for a real root of an irreducible polynomial of
+    degree 2-6, its interval optionally refined first."""
+    degree = draw(st.integers(2, 6))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=degree, max_size=degree))
+    f = IntPolynomial(coeffs + [draw(st.integers(1, 4))])
+    assume(f.constant != 0 and is_irreducible(f))
+    roots = AlgebraicNumber.real_roots_of(f)
+    assume(roots)
+    k = draw(st.integers(0, len(roots) - 1))
+    alpha = roots[k]
+    alpha.refine(Fraction(1, 10 ** draw(st.sampled_from([0, 3, 12, 40]))))
+    lo, hi = alpha.interval()
+    fractions = st.fractions(0, 1, max_denominator=10 ** 6)
+    inside = [lo + (hi - lo) * t for t in draw(st.lists(fractions, min_size=1, max_size=6))]
+    outside = [lo - draw(fractions) * 3, hi + draw(fractions) * 3, lo, hi]
+    return alpha, k, inside + outside
+
+
+@settings(max_examples=120)
+@given(roots_and_rationals())
+def test_compare_rational_agrees_with_sympy_and_keeps_the_interval(case):
+    alpha, k, rationals = case
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed(alpha.min_poly.coeffs)), x)
+    interval = alpha.interval()
+    for r in rationals:
+        # alpha is the k-th real root, so alpha > r iff at most k roots are <= r
+        below = poly.count_roots(None, sympy.Rational(r.numerator, r.denominator))
+        assert alpha.compare_rational(r) == (1 if below <= k else -1)
+        assert alpha.interval() == interval
+
+
+def test_eq_tells_apart_roots_with_overlapping_intervals():
+    f = IntPolynomial([-2, 0, 1])
+    minus, plus = AlgebraicNumber(f, interval=(-2, 0)), AlgebraicNumber(f, interval=(-1, 2))
+    assert minus != plus and plus != minus
+    assert plus == AlgebraicNumber(f, interval=(Fraction(1, 2), Fraction(3, 2)))
+    assert minus == AlgebraicNumber(f, interval=(Fraction(-3, 2), -1))
 
 
 def test_shift_and_reciprocal():
