@@ -20,12 +20,14 @@ from fractions import Fraction
 from itertools import islice, takewhile
 from typing import Iterator, List, Optional, Set, Tuple
 
-from .enclosure import Enclosure, log_enclosure
+from .enclosure import Enclosure, floor_log2, log_enclosure
 from .exceptions import DomainError, InternalError, PrecisionError, UnsupportedError
 from .numberfield import AlgebraicNumber
 from .roots import max_root_modulus
 
 _REFINE_ROUNDS = 320
+# error_enclosure's grid: 2**-_ERROR_BITS relative to the error
+_ERROR_BITS = 40
 # continued_fraction computes at most this many partial quotients
 CF_TERMS_CAP = 1000
 
@@ -49,9 +51,14 @@ class ContinuedFraction:
 
 
 def error_enclosure(alpha: AlgebraicNumber, p: int, q: int) -> Enclosure:
-    """Enclosure of |alpha - p/q| with relative width about 2**-30.
+    """Enclosure of |alpha - p/q|.
 
-    For irrational alpha the enclosure excludes zero.
+    For irrational alpha it is the cell [k, k + 1] * 2**(f - 40) that holds
+    the value, f = floor(log2 |alpha - p/q|): the interval is refined until
+    the endpoints, rounded outward to that grid, span one cell.  A
+    binade boundary 2**f is a grid point, so the accepted cell is the
+    same whatever alpha's cached interval was, and its relative width is
+    at most 2**-40.
     """
     if q < 1:
         raise DomainError("denominator must be >= 1")
@@ -63,8 +70,10 @@ def error_enclosure(alpha: AlgebraicNumber, p: int, q: int) -> Enclosure:
         diff = Enclosure(lo - target, hi - target)
         if not diff.contains(0):
             err = abs(diff)
-            if err.width * (1 << 30) <= err.lo:
-                return err
+            bits = max(0, _ERROR_BITS - floor_log2(err.lo))
+            cell = err.round_out(bits)
+            if cell.width == Fraction(1, 1 << bits):
+                return cell
         lo, hi = alpha.refine((hi - lo) / 16)
     raise PrecisionError("error enclosure refinement stalled")
 
@@ -224,7 +233,10 @@ def _violates(alpha: AlgebraicNumber, p: int, q: int, c: Enclosure) -> Optional[
 
 
 def liouville_scan(
-    alpha: AlgebraicNumber, q_max: int, sweep_limit: int = 1000
+    alpha: AlgebraicNumber,
+    q_max: int,
+    sweep_limit: int = 1000,
+    coarse: Optional[Enclosure] = None,
 ) -> List[LiouvilleViolation]:
     """Certify |alpha - p/q| > c(alpha)/q^n for every p/q with q <= q_max;
     returns the violations, expected empty.
@@ -233,7 +245,9 @@ def liouville_scan(
     so a violator in lowest terms has |alpha - p/q| < 1/q^2 and is among
     _fatou_candidates.  The four p nearest q*alpha for each q <= sweep_limit
     are checked too.  A candidate in the window of c's 1e-12 enclosure is
-    decided again with c to 1e-30, once.
+    decided again with c to 1e-30, once.  A coarse enclosure of c at
+    most 1e-12 wide, such as the caller's own liouville_constant, is used
+    in place of the 1e-12 one.
     """
     n = alpha.degree
     if n < 2:
@@ -244,7 +258,8 @@ def liouville_scan(
     for q in range(1, min(sweep_limit, q_max) + 1):
         base = (alpha.refine(Fraction(1, 4 * q))[0] * q).__floor__()
         candidates.update((p, q) for p in range(base - 1, base + 3))
-    coarse = liouville_constant(alpha, Fraction(1, 10 ** 12))
+    if coarse is None or coarse.width > Fraction(1, 10 ** 12):
+        coarse = liouville_constant(alpha, Fraction(1, 10 ** 12))
     fine = None
     violations = []
     for p, q in sorted(candidates, key=lambda t: (t[1], t[0])):

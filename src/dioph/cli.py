@@ -306,7 +306,7 @@ def _cmd_cf(args):
 def _cmd_liouville(args):
     alpha = _alpha_from_args(args)
     c = liouville_constant(alpha, parse_rational(args.precision))
-    violations = liouville_scan(alpha, args.qmax, sweep_limit=args.sweep)
+    violations = liouville_scan(alpha, args.qmax, sweep_limit=args.sweep, coarse=c)
     return {
         "constant": enclosure_to_json(c),
         "degree": alpha.degree,

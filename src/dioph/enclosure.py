@@ -2,19 +2,24 @@
 
 Every transcendental quantity in the library (logarithms, Mahler
 measures, root moduli, exponentials) is carried as an Enclosure: a pair
-of rationals [lo, hi] guaranteed to contain the true value.  Endpoint
-arithmetic is exact big-rational arithmetic, so enclosures are sound by
-construction; precision is improved by recomputing with a smaller error
-budget, never by trusting floats.
+of rationals [lo, hi] guaranteed to contain the true value.  Arithmetic
+on enclosures is exact rational arithmetic on the endpoints.  Logs,
+exponentials and n-th roots are computed on integer mantissas at scale
+2**-w, with every step that feeds the lower end floored and every step
+that feeds the upper end ceiled, so they are sound by construction; w is
+the requested bits plus the guard bits counted in their docstrings, and
+the endpoints' denominators are powers of two of about that size.
+Precision is improved by recomputing with a smaller error budget, never
+by trusting floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Tuple, Union
 
-from .exceptions import DomainError, PrecisionError
+from .exceptions import DomainError
 
 Rat = Union[int, Fraction]
 
@@ -37,15 +42,14 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-def floor_log2(q: Fraction) -> int:
-    """Largest e with 2**e <= q, for q > 0."""
+def floor_log2(q: Rat) -> int:
+    """Largest e with 2**e <= q, for rational q > 0."""
     if q <= 0:
         raise DomainError("floor_log2 needs a positive rational")
-    e = q.numerator.bit_length() - q.denominator.bit_length()
-    if Fraction(2) ** e > q:
+    n, d = q.numerator, q.denominator
+    e = n.bit_length() - d.bit_length()  # n/d lies in (2**(e-1), 2**(e+1))
+    if n << max(-e, 0) < d << max(e, 0):
         e -= 1
-    if Fraction(2) ** (e + 1) <= q:
-        e += 1
     return e
 
 
@@ -206,82 +210,119 @@ def nth_root_enclosure(q: Rat, k: int, err: Rat) -> Enclosure:
     return Enclosure(Fraction(lo_int, scale), Fraction(lo_int + 1, scale))
 
 
-def _atanh_series(z: Fraction, budget: Fraction) -> Enclosure:
-    """Enclosure of 2*atanh(z) = log((1+z)/(1-z)) for 0 <= z < 1/2."""
-    if z == 0:
-        return Enclosure.exact(0)
-    zz = z * z
-    geom = Fraction(1, 1) / (1 - zz)
-    total = Fraction(0)
-    term = z
-    k = 1
-    while True:
-        total += term / k
-        term *= zz
+def _working_bits(base: int) -> int:
+    """base + g with g = bit_length(base + 64), so the result w < 2**g
+    (g <= 64).  The series below round at most w times, a few units each,
+    and g pays for that count: 4w + 2 < 2**(g + 2)."""
+    return base + (base + 64).bit_length()
+
+
+def _atanh_units(a: int, b: int, w: int) -> Tuple[int, int]:
+    """(lo, hi) with lo <= 2**w * 2*atanh(a/b) <= hi, for 0 <= a/b <= 1/3.
+
+    Fixed point at scale S = 2**w.  The lower sum floors every power and
+    quotient and the upper sum ceils them, so pl <= z**k * S <= pu at each
+    odd k, and the sums bracket the partial sums of sum z**k / k.  The
+    series stops at the first k with pu <= k; the upper end then adds
+    ceil(9 pu / (8 k)), which bounds the tail because
+    sum_{j >= k} z**j / j <= z**k / (k (1 - z**2)) and z**2 <= 1/9.
+
+    Width: the rounded squares of z differ by at most 2 units, so
+    pu - pl <= 3 at every k; each term after the first then adds at most
+    2 units to hi - lo, the first at most 1 and the tail at most 2, and
+    hi - lo <= 2 (2n + 1) for n terms.  While the loop runs, z**k * S > 2
+    for k >= 5, i.e. 3**k < S, so n <= w / 3 + 3 <= w and
+    hi - lo <= 4w + 2.
+    """
+    zl = (a << w) // b
+    zu = -((-a << w) // b)
+    z2l = zl * zl >> w
+    z2u = -(-zu * zu >> w)
+    lo = hi = 0
+    pl, pu, k = zl, zu, 1
+    while pu > k:
+        lo += pl // k
+        hi -= -pu // k
+        pl = pl * z2l >> w
+        pu = -(-pu * z2u >> w)
         k += 2
-        tail = 2 * term / k * geom
-        if tail <= budget:
-            return Enclosure(2 * total, 2 * total + tail)
+    hi -= -9 * pu // (8 * k)
+    return 2 * lo, 2 * hi
 
 
 @lru_cache(maxsize=None)
-def _log2_at_bits(k: int) -> Enclosure:
-    return _atanh_series(Fraction(1, 3), Fraction(1, 1 << k))
-
-
-def log2_enclosure(err: Rat) -> Enclosure:
-    """Enclosure of log 2 of width <= err (natural log).
-
-    A function of err alone: the series runs to the budget 2^-k with
-    k = ceil(-log2 err) (at least 0), and each k is computed once."""
-    return _log2_at_bits(max(0, -floor_log2(Fraction(err))))
+def _log2_units(w: int) -> Tuple[int, int]:
+    """log 2 = 2*atanh(1/3) at scale 2**w, each w computed once."""
+    return _atanh_units(1, 3, w)
 
 
 def log_enclosure(q: Rat, err: Rat) -> Enclosure:
-    """Enclosure of log(q) of width <= err, for rational q > 0."""
+    """Enclosure of log(q) of width <= err, for rational q > 0.
+
+    With q = 2**e * m, m = num/den in [1, 2) and z = (num - den)/(num + den)
+    in [0, 1/3), log q = e log 2 + 2 atanh(z).  Both series run at scale
+    2**-w (_atanh_units) and each has width at most 4w + 2 units, so the
+    enclosure is at most (1 + |e|)(4w + 2) < 2**(bit_length(|e|) + g + 2)
+    units wide, g = w - base from _working_bits.  With 2**-b <= err and
+    w = b + bit_length(|e|) + 2 + g that is at most 2**-b <= err.
+    """
     q = Fraction(q)
     err = Fraction(err)
     if q <= 0:
         raise DomainError("log of a non-positive rational")
     if err <= 0:
         raise DomainError("error budget must be positive")
-    if q == 1:
-        return Enclosure.exact(0)
-    if q < 1:
-        return -log_enclosure(1 / q, err)
     e = floor_log2(q)
-    m = q / Fraction(2) ** e  # in [1, 2)
-    budget = err / 4
-    bits = max(8, 1 - floor_log2(budget))
-    m_lo = _round_down(m, bits)
-    m_hi = _round_up(m, bits)
-    if m_lo < 1:
-        m_lo = Fraction(1)
-    lo_part = _atanh_series((m_lo - 1) / (m_lo + 1), budget)
-    hi_part = _atanh_series((m_hi - 1) / (m_hi + 1), budget)
-    if e == 0:
-        return Enclosure(lo_part.lo, hi_part.hi)
-    ln2 = log2_enclosure(budget / abs(e))
-    scaled = ln2 * e
-    return Enclosure(scaled.lo + lo_part.lo, scaled.hi + hi_part.hi)
+    num, den = q.numerator << max(-e, 0), q.denominator << max(e, 0)
+    w = _working_bits(max(0, -floor_log2(err)) + abs(e).bit_length() + 2)
+    lo, hi = _atanh_units(num - den, num + den, w)
+    if e:
+        ln2_lo, ln2_hi = _log2_units(w)
+        lo += e * (ln2_lo if e > 0 else ln2_hi)
+        hi += e * (ln2_hi if e > 0 else ln2_lo)
+    return Enclosure(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
 
 
-def _exp_core(t: Fraction, budget: Fraction) -> Enclosure:
-    """Enclosure of exp(t) for 0 <= t <= 1/2 with series tail <= budget."""
-    total = Fraction(1)
-    term = Fraction(1)
+def _exp_units(a: int, b: int, w: int) -> Tuple[int, int]:
+    """(lo, hi) with lo <= 2**w * exp(a/b) <= hi, for 0 < a/b <= 1/2.
+
+    Fixed point at scale S = 2**w.  The terms s**j / j! * S are floored
+    in the lower sum and ceiled in the upper one, down to the first upper
+    term tu <= 1; the tail after it is at most that term times
+    (s/2)/(1 - s/2) <= 1/3, so the upper end adds tu once more.
+
+    Width: with s * S <= S/2 the two j-th terms differ by at most 3 units
+    (the first by 1), and the loop stops by j = w + 2, so
+    hi - lo <= 3 (w + 2) + 1 < 4w.
+    """
+    sl = (a << w) // b
+    su = -((-a << w) // b)
+    lo = hi = tl = tu = 1 << w
     j = 0
-    while True:
+    while tu > 1:
         j += 1
-        term = term * t / j
-        total += term
-        tail = 2 * term * t / (j + 1)
-        if tail <= budget:
-            return Enclosure(total, total + tail)
+        tl = tl * sl // (j << w)
+        tu = -(-tu * su // (j << w))
+        lo += tl
+        hi += tu
+    return lo, hi + tu
 
 
 def exp_enclosure(t: Rat, err: Rat) -> Enclosure:
-    """Enclosure of exp(t) of width <= err, for rational t."""
+    """Enclosure of exp(t) of width <= err, for rational t.
+
+    For t > 0, s = t / 2**h <= 1/2 and exp(t) = exp(s)**(2**h): the series
+    (_exp_units) at scale S = 2**w is squared h times, flooring the lower
+    and ceiling the upper end.  Both ends stay >= S, so each squaring
+    costs a factor (1 +- 1/S) on top of squaring the relative error; from
+    the series' relative error eps <= 4w / S, the squares end within a
+    factor exp(y) above and 1 - y below exp(t), y = 2**h (eps + 1/S).
+    With 4w < 2**(g + 2) (g = w - base from _working_bits), y <= 1/4 and
+    the width is below 3 y exp(t) < 2**(h + g + 4 + mag - w), where
+    mag = ceil(3t/2) >= log2 exp(t).  Hence w = b + mag + h + 4 + g gives
+    width <= 2**-b <= err.  For t < 0 the reciprocal of exp(-t) >= 1 is
+    no wider than exp(-t).
+    """
     t = Fraction(t)
     err = Fraction(err)
     if err <= 0:
@@ -289,22 +330,18 @@ def exp_enclosure(t: Rat, err: Rat) -> Enclosure:
     if t == 0:
         return Enclosure.exact(1)
     if t < 0:
-        # exp(t) = 1/exp(-t); reciprocal shrinks widths since exp(-t) >= 1
         return exp_enclosure(-t, err).reciprocal()
+    n, d = t.numerator, t.denominator
     halvings = 0
-    s = t
-    while s > Fraction(1, 2):
-        s /= 2
+    while 2 * n > d << halvings:
         halvings += 1
-    budget = err / 4
-    for _ in range(80):
-        enc = _exp_core(s, budget)
-        for _ in range(halvings):
-            enc = enc * enc
-        if enc.width <= err:
-            return enc
-        budget /= 16
-    raise PrecisionError(f"exp enclosure did not converge for t={t}")
+    mag = -(-3 * n // (2 * d))
+    w = _working_bits(max(0, -floor_log2(err)) + mag + halvings + 4)
+    lo, hi = _exp_units(n, d << halvings, w)
+    for _ in range(halvings):
+        lo = lo * lo >> w
+        hi = -(-hi * hi >> w)
+    return Enclosure(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
 
 
 def pow_enclosure(base: Enclosure, p: int, q: int, err: Rat) -> Enclosure:

@@ -155,6 +155,18 @@ def test_error_enclosure_positive():
     assert (Fraction(3, 2) - enc.hi) ** 2 <= 2 <= (Fraction(3, 2) - enc.lo) ** 2
 
 
+def test_error_enclosure_is_independent_of_refinement_history():
+    # the reported cell of the 2**-40-relative grid depends on |alpha - p/q| alone
+    refined = AlgebraicNumber(IntPolynomial([-2, 0, 1]), interval=(1, 2))
+    refined.refine(Fraction(1, 10 ** 600))
+    for p, q in ((4, 3), (3, 2), (1, 1), (7, 5), (99, 70), (577, 408)):
+        fresh = AlgebraicNumber(IntPolynomial([-2, 0, 1]), interval=(1, 2))
+        enc = error_enclosure(refined, p, q)
+        assert enc == error_enclosure(fresh, p, q)
+        assert enc.lo.denominator < 2 ** 80 and enc.hi.denominator < 2 ** 80
+        assert enc.lo > 0 and enc.width * 2 ** 40 <= enc.lo
+
+
 def test_liouville_constant_values():
     c = liouville_constant(SQRT2, Fraction(1, 10 ** 9))
     # c = 1/(3 sqrt2): certified via (3c)^2 * 2 = 1
@@ -239,6 +251,19 @@ def test_liouville_scan_builds_no_error_enclosure(monkeypatch):
     assert calls == []
 
 
+def test_liouville_scan_takes_a_coarse_constant_from_the_caller(monkeypatch):
+    c = liouville_constant(_fresh(SQRT2), Fraction(1, 10 ** 12))
+    calls = []
+    real = approx.liouville_constant
+    monkeypatch.setattr(approx, "liouville_constant", lambda *a: calls.append(a) or real(*a))
+    assert liouville_scan(_fresh(SQRT2), 10 ** 4, sweep_limit=50, coarse=c) == []
+    assert calls == []
+    # one wider than 1e-12 is replaced by the scan's own
+    wide = Enclosure(c.lo, c.hi + Fraction(1, 10 ** 11))
+    assert liouville_scan(_fresh(SQRT2), 10 ** 4, sweep_limit=50, coarse=wide) == []
+    assert len(calls) == 1
+
+
 def test_liouville_violation_branch_matches_the_enclosure_oracle(monkeypatch):
     # with c = 1 exactly, every p/q with |alpha - p/q| <= 1/q^n is a violation
     one = Enclosure.exact(Fraction(1))
@@ -266,7 +291,7 @@ def test_liouville_violation_branch_matches_the_enclosure_oracle(monkeypatch):
             assert set(reported) == expected
             for (p, q), v in reported.items():
                 assert v.threshold.lo == v.threshold.hi == Fraction(1, q ** alpha.degree)
-                # 60 digits resolve the enclosure's 2^-30 relative width
+                # 60 digits resolve the enclosure's 2^-40 relative width
                 err, slack = abs(value - mpmath.mpf(p) / q), 1 + mpmath.mpf(10) ** -50
                 assert mpmath.mpf(v.error.lo.numerator) / v.error.lo.denominator <= err * slack
                 assert err <= slack * v.error.hi.numerator / v.error.hi.denominator

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from dioph import approx, cli
 from dioph.cli import build_parser, main
 from dioph.exceptions import ParseError
 from dioph.serialization import (
@@ -254,6 +255,17 @@ def test_cf_and_liouville_subcommands(capsys):
     code, out = run(capsys, "liouville", "x^2-2", "--qmax", "1000", "--sweep", "50")
     data = json.loads(out)
     assert data["violations"] == []
+
+
+def test_liouville_subcommand_certifies_the_constant_once(capsys, monkeypatch):
+    calls = []
+    real = approx.liouville_constant
+    counted = lambda *a: calls.append(a) or real(*a)
+    monkeypatch.setattr(approx, "liouville_constant", counted)
+    monkeypatch.setattr(cli, "liouville_constant", counted)
+    code, out = run(capsys, "liouville", "x^2-2", "--qmax", "1000", "--sweep", "50")
+    assert code == 0 and json.loads(out)["violations"] == []
+    assert len(calls) == 1
 
 
 def test_cf_terms_above_the_cap_exit_2_at_once(capsys):

@@ -2,13 +2,15 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dioph.enclosure import (
     Enclosure,
     exp_enclosure,
     iroot,
-    log2_enclosure,
     log_enclosure,
     nth_root_enclosure,
     pow_enclosure,
@@ -60,7 +62,7 @@ def test_log_one_is_exact_zero():
 
 
 def test_log2_cached_value():
-    enc = log2_enclosure(Fraction(1, 10 ** 20))
+    enc = log_enclosure(2, Fraction(1, 10 ** 20))
     assert enc.width <= Fraction(1, 10 ** 20)
     assert exp_enclosure(enc.lo, Fraction(1, 10 ** 25)).lo <= 2
     assert exp_enclosure(enc.hi, Fraction(1, 10 ** 25)).hi >= 2
@@ -70,7 +72,7 @@ def test_log2_cached_value():
 def test_log_enclosure_independent_of_earlier_log2_requests():
     q, err = Fraction(1234567, 1000), Fraction(1, 10 ** 12)
     before = log_enclosure(q, err)
-    log2_enclosure(Fraction(1, 10 ** 400))
+    log_enclosure(2, Fraction(1, 10 ** 400))
     after = log_enclosure(q, err)
     assert before == after
     assert before.width <= err
@@ -115,3 +117,64 @@ def test_round_out_is_outward():
     r = e.round_out(16)
     assert r.lo <= e.lo and r.hi >= e.hi
     assert r.lo.denominator <= 2 ** 16 and r.hi.denominator <= 2 ** 16
+
+
+# ---------------------------------------------------------------------------
+# containment against mpmath at three times the working digits
+
+_HUGE = 2 ** 400
+rationals = st.builds(Fraction, st.integers(1, _HUGE), st.integers(1, _HUGE))
+budgets = st.integers(1, 200).map(lambda k: Fraction(1, 10 ** k))
+
+
+def _assert_encloses(enc, err, value):
+    """enc is at most err wide and holds value, an mpf computed at
+    three times err's digits; value is made a Fraction exactly and given
+    a margin of 2**-(prec - 8) relative to it."""
+    assert enc.width <= err
+    man, exp = value.man_exp  # of |value|
+    exact = Fraction(int(man)) * Fraction(2) ** int(exp) * int(mpmath.sign(value))
+    margin = max(abs(exact), Fraction(1)) / 2 ** (mpmath.mp.prec - 8)
+    assert enc.lo <= exact + margin
+    assert enc.hi >= exact - margin
+
+
+def _digits(err, extra):
+    return 3 * len(str(err.denominator)) + extra
+
+
+def _mpf(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+@settings(max_examples=150, deadline=None)
+@given(rationals, budgets)
+def test_log_enclosure_contains_mpmath_log(q, err):
+    enc = log_enclosure(q, err)
+    with mpmath.workdps(_digits(err, 30)):
+        _assert_encloses(enc, err, mpmath.log(_mpf(q)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, _HUGE).flatmap(
+    lambda den: st.builds(Fraction, st.integers(-60 * den, 60 * den), st.just(den))), budgets)
+def test_exp_enclosure_contains_mpmath_exp(t, err):
+    enc = exp_enclosure(t, err)
+    # exp(t) < e**60 < 10**27 needs 27 more digits before the point
+    with mpmath.workdps(_digits(err, 60)):
+        _assert_encloses(enc, err, mpmath.exp(_mpf(t)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rationals, st.integers(1, 7), budgets)
+def test_nth_root_enclosure_contains_mpmath_root(q, k, err):
+    enc = nth_root_enclosure(q, k, err)
+    with mpmath.workdps(_digits(err, 150)):
+        _assert_encloses(enc, err, mpmath.root(_mpf(q), k))
+
+
+@pytest.mark.parametrize("q", [Fraction(1234567, 1000), Fraction(3, 10 ** 20)])
+def test_log_enclosure_denominators_follow_the_budget(q):
+    # a 30-bit request gives endpoints over 2**w, w = 30 bits plus guard bits
+    enc = log_enclosure(q, Fraction(1, 10 ** 9))
+    assert enc.lo.denominator < 2 ** 64 and enc.hi.denominator < 2 ** 64
