@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, takewhile
+from itertools import islice
 from typing import Iterator, List, Optional, Set, Tuple
 
 from .enclosure import Enclosure, floor_log2, log_enclosure
@@ -167,9 +167,24 @@ def _certify_dirichlet(alpha: AlgebraicNumber, p: int, q: int) -> None:
         raise InternalError(f"convergent {p}/{q} violates the 1/q^2 bound")
 
 
+def _convergents_past(alpha: AlgebraicNumber, q_max: int) -> Iterator[Tuple[int, int, int]]:
+    """_convergents up to the first with q > q_max (or the end, for
+    rational alpha).  Raises UnsupportedError when that takes more than
+    CF_TERMS_CAP partial quotients."""
+    for k, c in enumerate(_convergents(alpha)):
+        if k == CF_TERMS_CAP:
+            raise UnsupportedError(
+                f"a q_max of {q_max.bit_length()} bits needs more than {CF_TERMS_CAP} "
+                f"continued-fraction terms; the cap is CF_TERMS_CAP = {CF_TERMS_CAP}"
+            )
+        yield c
+        if c[2] > q_max:
+            return
+
+
 def convergents_up_to(alpha: AlgebraicNumber, q_max: int) -> List[Tuple[int, int]]:
     """All convergents with denominator <= q_max."""
-    return [(p, q) for _, p, q in takewhile(lambda c: c[2] <= q_max, _convergents(alpha))]
+    return [(p, q) for _, p, q in _convergents_past(alpha, q_max) if q <= q_max]
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +224,15 @@ class LiouvilleViolation:
 def _fatou_candidates(alpha: AlgebraicNumber, q_max: int) -> Set[Tuple[int, int]]:
     """The convergents and neighbours (p_(k+1) +- p_k)/(q_(k+1) +- q_k),
     from (p_-1, q_-1) = (1, 0), with 1 <= q <= q_max: by Fatou's theorem
-    every p/q in lowest terms with |alpha - p/q| < 1/q^2."""
+    every p/q in lowest terms with |alpha - p/q| < 1/q^2.  The stream
+    stops at the first q_(k+1) > q_max: later neighbours have q > q_max
+    or repeat an earlier convergent."""
     out: Set[Tuple[int, int]] = set()
     p0, q0 = 1, 0
-    for _, p1, q1 in _convergents(alpha):
+    for _, p1, q1 in _convergents_past(alpha, q_max):
         for p, q in ((p1, q1), (p1 + p0, q1 + q0), (p1 - p0, q1 - q0)):
             if 1 <= q <= q_max:
                 out.add((p, q))
-        if q1 > q_max:
-            # later neighbours have q > q_max or repeat an earlier convergent
-            return out
         p0, q0 = p1, q1
     return out
 

@@ -311,17 +311,26 @@ def _exp_units(a: int, b: int, w: int) -> Tuple[int, int]:
 def exp_enclosure(t: Rat, err: Rat) -> Enclosure:
     """Enclosure of exp(t) of width <= err, for rational t.
 
-    For t > 0, s = t / 2**h <= 1/2 and exp(t) = exp(s)**(2**h): the series
-    (_exp_units) at scale S = 2**w is squared h times, flooring the lower
-    and ceiling the upper end.  Both ends stay >= S, so each squaring
+    With u = |t|, s = u / 2**h <= 1/2 and exp(u) = exp(s)**(2**h): the
+    series (_exp_units) at scale S = 2**w is squared h times, flooring the
+    lower and ceiling the upper end.  Both ends stay >= S, so each squaring
     costs a factor (1 +- 1/S) on top of squaring the relative error; from
-    the series' relative error eps <= 4w / S, the squares end within a
-    factor exp(y) above and 1 - y below exp(t), y = 2**h (eps + 1/S).
-    With 4w < 2**(g + 2) (g = w - base from _working_bits), y <= 1/4 and
-    the width is below 3 y exp(t) < 2**(h + g + 4 + mag - w), where
-    mag = ceil(3t/2) >= log2 exp(t).  Hence w = b + mag + h + 4 + g gives
-    width <= 2**-b <= err.  For t < 0 the reciprocal of exp(-t) >= 1 is
-    no wider than exp(-t).
+    the series' relative error eps <= 4w / S, the squares lo <= S exp(u)
+    <= hi end within a factor exp(y) above and 1 - y below, where
+    y = 2**h (eps + 1/S) <= 2**(h + g + 2) / S, as 4w < 2**(g + 2) with
+    g = w - base from _working_bits.  Every w below is at least h + g + 4,
+    so y <= 1/4 and hi - lo < 3 y S exp(u).  Let 2**-b <= err.
+
+    t > 0: the width is below 3 y exp(t) < 2**(h + g + 4 + mag - w), where
+    mag = ceil(3t/2) >= log2 exp(t), so w = b + mag + h + 4 + g gives
+    width <= 2**-b.
+
+    t < 0: the ends are floor(S**2 / hi) and ceil(S**2 / lo), which
+    bracket S exp(t) = S**2 / (S exp(u)).  Their difference is at most
+    S**2 (hi - lo) / (lo hi) + 2 <= 3 y S / ((1 - y) exp(u)) + 2 <= 4 y S + 2
+    units, since lo >= (1 - y) S exp(u), hi >= S exp(u) and exp(u) >= 1; the
+    width is then at most 2**(h + g + 4 - w) + 2**(1 - w), and
+    w = b + 1 + h + 4 + g gives width <= 2**-b, whatever the size of u.
     """
     t = Fraction(t)
     err = Fraction(err)
@@ -329,18 +338,18 @@ def exp_enclosure(t: Rat, err: Rat) -> Enclosure:
         raise DomainError("error budget must be positive")
     if t == 0:
         return Enclosure.exact(1)
-    if t < 0:
-        return exp_enclosure(-t, err).reciprocal()
-    n, d = t.numerator, t.denominator
+    n, d = abs(t.numerator), t.denominator
     halvings = 0
     while 2 * n > d << halvings:
         halvings += 1
-    mag = -(-3 * n // (2 * d))
+    mag = -(-3 * n // (2 * d)) if t > 0 else 1
     w = _working_bits(max(0, -floor_log2(err)) + mag + halvings + 4)
     lo, hi = _exp_units(n, d << halvings, w)
     for _ in range(halvings):
         lo = lo * lo >> w
         hi = -(-hi * hi >> w)
+    if t < 0:
+        lo, hi = (1 << 2 * w) // hi, -(-(1 << 2 * w) // lo)
     return Enclosure(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
 
 

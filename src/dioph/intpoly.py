@@ -334,26 +334,41 @@ def poly_divide_exact(f: IntPolynomial, g: IntPolynomial):
     return IntPolynomial(int(c) for c in q)
 
 
+def _squarefree_mod_p(f: IntPolynomial) -> bool:
+    """True when gcd(f, f') modulo some prime of _FILTER_PRIMES not
+    dividing the leading coefficient is constant.  Then f is squarefree
+    over Q: a square factor g^2 of f over Z has a leading coefficient
+    prime to p, so g mod p has degree >= 1 and its square divides f mod p.
+    False decides nothing."""
+    deriv = f.derivative().coeffs
+    return any(
+        f.leading % p and len(_pmod_gcd(f.coeffs, deriv, p)) == 1 for p in _FILTER_PRIMES
+    )
+
+
 def squarefree_part(f: IntPolynomial) -> IntPolynomial:
-    """Primitive squarefree polynomial with the same roots as f."""
+    """Primitive squarefree polynomial with the same roots as f, positive
+    leading coefficient.  The primitive part is returned as it stands when
+    _squarefree_mod_p proves it squarefree; otherwise it is divided by
+    gcd(f, f') over Q."""
     if f.is_zero():
         raise DomainError("squarefree part of zero polynomial")
     _, fp = content_and_primitive(f)
     if fp.degree < 1:
         return IntPolynomial([1])
+    if fp.leading < 0:
+        fp = -fp
+    if _squarefree_mod_p(fp):
+        return fp
     g = poly_gcd(fp, fp.derivative())
-    if g.degree == 0:
-        result = fp
-    else:
-        q, _ = _qdivmod(fp.to_fractions(), g.to_fractions())
-        result = _q_to_primitive(q)
-    if result.leading < 0:
-        result = -result
-    return result
+    return _q_to_primitive(_qdivmod(fp.to_fractions(), g.to_fractions())[0])
 
 
 def squarefree_decomposition(f: IntPolynomial) -> List[Tuple[IntPolynomial, int]]:
-    """Yun decomposition: list of (g_i, i) with f ~ prod g_i^i, g_i squarefree."""
+    """List of (g_i, i) with f ~ prod g_i^i, g_i primitive, squarefree and
+    with positive leading coefficient.  [(f, 1)] for the primitive part f
+    when _squarefree_mod_p proves it squarefree, else Yun's algorithm with
+    gcds over Q."""
     if f.is_zero():
         raise DomainError("squarefree decomposition of zero polynomial")
     _, fp = content_and_primitive(f)
@@ -361,6 +376,8 @@ def squarefree_decomposition(f: IntPolynomial) -> List[Tuple[IntPolynomial, int]
         fp = -fp
     if fp.degree < 1:
         return []
+    if _squarefree_mod_p(fp):
+        return [(fp, 1)]
     a0 = poly_gcd(fp, fp.derivative())
     b = _q_to_primitive(_qdivmod(fp.to_fractions(), a0.to_fractions())[0])
     c = _qdivmod(fp.derivative().to_fractions(), a0.to_fractions())[0]
@@ -662,9 +679,8 @@ def _mignotte_bound(f: IntPolynomial, k: int, i: int) -> int:
 
 
 def iroot_ceil(n: int) -> int:
-    from .enclosure import iroot
-
-    r = iroot(n, 2)
+    """ceil(sqrt(n)) for an integer n >= 0."""
+    r = math.isqrt(n)
     return r if r * r == n else r + 1
 
 

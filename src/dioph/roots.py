@@ -11,9 +11,12 @@ A center is a pair of integer mantissas (x, y) standing for
 (x + iy) / 2**bits.  The starting bits come from the target radius, and
 doubling them is the fallback when certification fails.  g and g' are
 evaluated by Horner's rule on Gaussian integers, each step rounds
-z - g(z)/g'(z) down to 2**-bits, and the residual bound and the
-disjointness test are decided by integer cross-multiplication.  All
-certificates are exact; the floats only ever choose starting points.
+z - g(z)/g'(z) down to 2**-bits, and the residual bound is decided by
+integer cross-multiplication.  Two disks are disjoint when their centers
+are further apart than the sum of integer upper bounds on the radii, a
+test on integers of about 2*bits bits; only disks that nearly touch go
+on to the exact cross-multiplied test.  All certificates are exact; the
+floats only ever choose starting points.
 """
 
 from __future__ import annotations
@@ -23,11 +26,13 @@ from typing import List, Tuple
 
 from .enclosure import Enclosure, sqrt_enclosure
 from .exceptions import DomainError, PrecisionError
-from .intpoly import IntPolynomial, squarefree_decomposition
+from .intpoly import IntPolynomial, iroot_ceil, squarefree_decomposition
 
 CRat = Tuple[Fraction, Fraction]
 # seeds: a shared binary scale and one integer mantissa pair per root
 Seeds = Tuple[int, List[Tuple[int, int]]]
+# (x, y, p, q): center (x + iy) / 2**b and squared radius p / (q * 4**b)
+Disk = Tuple[int, int, int, int]
 
 
 def _c_abs2(z: CRat) -> Fraction:
@@ -122,17 +127,32 @@ def _mpmath_seeds(g: IntPolynomial, digits: int) -> Seeds:
         ]
 
 
-def _pairwise_disjoint(disks: List[Tuple[int, int, int, int]]) -> bool:
+def _pairwise_disjoint(disks: List[Disk]) -> bool:
     """Disks (x, y, p, q) with center (x + iy) / 2**b and squared radius
     p / (q * 4**b), q > 0, on one scale b.  True iff every two satisfy
-    |z_i - z_j| > r_i + r_j, that is s = |z_i - z_j|^2 - r_i^2 - r_j^2 > 0
-    and s^2 > 4 r_i^2 r_j^2, tested on t = s * q_i * q_j * 4**b."""
-    for i, (xi, yi, pi, qi) in enumerate(disks):
-        for xj, yj, pj, qj in disks[i + 1:]:
-            t = ((xi - xj) ** 2 + (yi - yj) ** 2) * qi * qj - pi * qj - pj * qi
-            if t <= 0 or t * t <= 4 * pi * pj * qi * qj:
+    |z_i - z_j| > r_i + r_j.
+
+    In units of 2**-b the radius is sqrt(p/q) <= R = ceil(sqrt(ceil(p/q))),
+    so (x_i - x_j)^2 + (y_i - y_j)^2 > (R_i + R_j)^2 proves the pair
+    disjoint on integers of about 2b bits.  Only a pair that fails this
+    is decided exactly (_apart): s = |z_i - z_j|^2 - r_i^2 - r_j^2 > 0
+    and s^2 > 4 r_i^2 r_j^2, tested on t = s * q_i * q_j * 4**b.
+    """
+    radii = [iroot_ceil(-(-p // q)) for _, _, p, q in disks]
+    for i, (xi, yi, _, _) in enumerate(disks):
+        for j in range(i + 1, len(disks)):
+            xj, yj, _, _ = disks[j]
+            near = (xi - xj) ** 2 + (yi - yj) ** 2 <= (radii[i] + radii[j]) ** 2
+            if near and not _apart(disks[i], disks[j]):
                 return False
     return True
+
+
+def _apart(u: Disk, v: Disk) -> bool:
+    """The exact test of _pairwise_disjoint for one pair of disks."""
+    (xi, yi, pi, qi), (xj, yj, pj, qj) = u, v
+    t = ((xi - xj) ** 2 + (yi - yj) ** 2) * qi * qj - pi * qj - pj * qi
+    return t > 0 and t * t > 4 * pi * pj * qi * qj
 
 
 def root_disks(g: IntPolynomial, radius_sq_target: Fraction) -> List[RootDisk]:

@@ -319,6 +319,25 @@ def test_convergents_up_to():
     assert all(q1 < q2 for (_, q1), (_, q2) in zip(conv, conv[1:]))
 
 
+def test_convergents_up_to_a_large_q_max_stay_under_the_cap():
+    # 785 partial quotients reach a denominator above 10**300
+    assert len(convergents_up_to(_fresh(SQRT2), 10 ** 300)) == 784
+
+
+def test_q_max_needing_more_quotients_than_the_cap_is_refused(monkeypatch):
+    # sqrt(2) needs 12 partial quotients to pass q = 10**4 (q = 5741, 13860)
+    monkeypatch.setattr(approx, "CF_TERMS_CAP", 12)
+    assert convergents_up_to(_fresh(SQRT2), 10 ** 4)[-1] == (8119, 5741)
+    monkeypatch.setattr(approx, "CF_TERMS_CAP", 11)
+    with pytest.raises(UnsupportedError, match="CF_TERMS_CAP = 11"):
+        convergents_up_to(_fresh(SQRT2), 10 ** 4)
+    with pytest.raises(UnsupportedError, match="CF_TERMS_CAP = 11"):
+        liouville_scan(_fresh(SQRT2), 10 ** 4, sweep_limit=10)
+    # a rational number's expansion ends before the cap
+    assert convergents_up_to(AlgebraicNumber.from_rational(Fraction(13, 8)), 10 ** 4) == [
+        (1, 1), (2, 1), (3, 2), (5, 3), (13, 8)]
+
+
 def test_exponent_report_phi():
     records, summary = exponent_report(PHI, 832040)
     assert summary.dirichlet_count == len(records)

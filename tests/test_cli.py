@@ -295,6 +295,15 @@ def test_inputs_above_a_cap_exit_2_at_once(capsys, argv, value, cap):
     assert value in err and cap in err
 
 
+@pytest.mark.parametrize("command", ["liouville", "exponents"])
+def test_q_max_above_the_terms_cap_exits_2(capsys, monkeypatch, command):
+    # sqrt(2) needs 12 partial quotients to pass q = 10**4
+    monkeypatch.setattr(approx, "CF_TERMS_CAP", 11)
+    code = main([command, "--qmax", "10000", "--", "x^2-2"])
+    assert code == 2
+    assert "the cap is CF_TERMS_CAP = 11" in capsys.readouterr().err
+
+
 def test_exponents_csv(capsys):
     code, out = run(
         capsys, "exponents", "x^2-2", "--qmax", "100", "--format", "csv"

@@ -166,6 +166,23 @@ def test_exp_enclosure_contains_mpmath_exp(t, err):
 
 
 @settings(max_examples=150, deadline=None)
+@given(st.integers(1, _HUGE).flatmap(
+    lambda den: st.builds(Fraction, st.integers(-60 * den, -1), st.just(den))), budgets)
+def test_exp_enclosure_of_negative_t_contains_mpmath_exp(t, err):
+    # the fixed-point reciprocal of exp(|t|), for t in [-60, 0)
+    enc = exp_enclosure(t, err)
+    with mpmath.workdps(_digits(err, 30)):
+        _assert_encloses(enc, err, mpmath.exp(_mpf(t)))
+
+
+def test_exp_enclosure_of_negative_t_denominators_follow_the_budget():
+    # a 40-bit request at t = -50 needs no bits for the size of exp(50)
+    enc = exp_enclosure(-50, Fraction(1, 10 ** 12))
+    assert enc.lo.denominator < 2 ** 64 and enc.hi.denominator < 2 ** 64
+    assert enc.width <= Fraction(1, 10 ** 12)
+
+
+@settings(max_examples=150, deadline=None)
 @given(rationals, st.integers(1, 7), budgets)
 def test_nth_root_enclosure_contains_mpmath_root(q, k, err):
     enc = nth_root_enclosure(q, k, err)

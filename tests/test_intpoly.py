@@ -1,11 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dioph.exceptions import DomainError, UnsupportedError
 from dioph.intpoly import (
+    _FILTER_PRIMES,
     IntPolynomial,
+    _squarefree_mod_p,
     content_and_primitive,
     count_real_roots,
     cyclotomic,
@@ -231,6 +237,50 @@ def test_squarefree_decomposition_structure():
         if prim.leading < 0:
             prim = -prim
         assert rebuilt == prim
+
+
+small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(IntPolynomial)
+
+
+def _sympy_sqf(f: IntPolynomial):
+    """sympy's squarefree decomposition of f as {multiplicity: g}, each g
+    primitive with positive leading coefficient."""
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(list(reversed(f.coeffs)), x, domain="ZZ").sqf_list()
+    out = {}
+    for g, k in factors:
+        coeffs = [int(c) for c in reversed(g.all_coeffs())]
+        _, prim = content_and_primitive(IntPolynomial(coeffs))
+        out[k] = prim if prim.leading > 0 else -prim
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_polys, small_polys, small_polys, st.integers(-6, 6).filter(bool))
+def test_squarefree_structure_matches_sympy(a, b, c, content):
+    f = a * b * b * c * c * c * IntPolynomial([content])
+    assume(not f.is_zero() and f.degree >= 1)
+    expected = _sympy_sqf(f)
+    assert dict((k, g) for g, k in squarefree_decomposition(f)) == expected
+    assert squarefree_part(f) == math.prod(expected.values(), start=IntPolynomial([1]))
+
+
+_FILTER_PRODUCT = math.prod(_FILTER_PRIMES)
+
+
+@pytest.mark.parametrize("f, parts", [
+    # squarefree over Q, but x^2 modulo every filter prime
+    (IntPolynomial([-_FILTER_PRODUCT, 0, 1]), {1: IntPolynomial([-_FILTER_PRODUCT, 0, 1])}),
+    # every filter prime divides the leading coefficient
+    (IntPolynomial([-1, 0, _FILTER_PRODUCT]), {1: IntPolynomial([-1, 0, _FILTER_PRODUCT])}),
+    (IntPolynomial([1, _FILTER_PRODUCT]) ** 2 * IntPolynomial([-2, 1]),
+     {1: IntPolynomial([-2, 1]), 2: IntPolynomial([1, _FILTER_PRODUCT])}),
+])
+def test_squarefree_structure_without_a_usable_filter_prime(f, parts):
+    # no filter prime proves these squarefree, so Yun's route decides
+    assert not _squarefree_mod_p(f)
+    assert dict((k, g) for g, k in squarefree_decomposition(f)) == parts
+    assert squarefree_part(f) == math.prod(parts.values(), start=IntPolynomial([1]))
 
 
 def test_cyclotomic_values():

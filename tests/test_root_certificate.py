@@ -9,8 +9,10 @@ Fractions below is the oracle for the centers and radii.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,7 @@ from dioph.intpoly import IntPolynomial, squarefree_part
 from dioph.roots import (
     _float_seeds,
     _horner,
+    _apart,
     _mpmath_seeds,
     _pairwise_disjoint,
     root_disks,
@@ -145,11 +148,52 @@ small_disks = st.tuples(
 )
 
 
+def _radius_ceiling(p: int, q: int) -> int:
+    """ceil(sqrt(p / q)), computed apart from dioph.roots."""
+    r = isqrt(p // q)
+    while r * r * q < p:
+        r += 1
+    return r
+
+
+@st.composite
+def near_tie_disks(draw):
+    """Disks at a scale b up to 256 with mantissas of about b bits and
+    many-bit squared radii p/q; each disk after the first sits at
+    distance sqrt(dx^2 + dy^2) from its predecessor, with dx within two
+    units of R_i + R_j (R = ceil(sqrt(p/q))) and dy in 0..3, so that the
+    squared distance falls a few units either side of (R_i + R_j)^2."""
+    b = draw(st.integers(4, 256))
+    count = draw(st.integers(2, 4))
+    x = draw(st.integers(-(1 << (b + 2)), 1 << (b + 2)))
+    y = draw(st.integers(-(1 << (b + 2)), 1 << (b + 2)))
+    disks = []
+    for k in range(count):
+        q = draw(st.integers(1, 1 << draw(st.integers(0, 2 * b))))
+        root = draw(st.integers(0, 1 << draw(st.integers(0, b))))
+        # p / q in [root^2, (root + 1)^2], so the fractional part of the
+        # radius varies
+        p = root * root * q + draw(st.integers(0, (2 * root + 1) * q))
+        if disks:
+            reach = _radius_ceiling(*disks[-1][2:]) + _radius_ceiling(p, q)
+            dx, dy = reach + draw(st.integers(-2, 1)), draw(st.integers(0, 3))
+            if draw(st.booleans()):
+                dx, dy = dy, dx
+            x, y = x + dx, y + dy
+        disks.append((x, y, p, q))
+    return disks, b
+
+
 @settings(max_examples=300)
-@given(st.lists(small_disks, min_size=2, max_size=5), st.integers(0, 3))
-def test_integer_disjointness_decides_as_the_fraction_test(disks, b):
+@given(st.one_of(
+    st.tuples(st.lists(small_disks, min_size=2, max_size=5), st.integers(0, 3)),
+    near_tie_disks(),
+))
+def test_integer_disjointness_decides_as_the_fraction_test(case):
     # radii comparable to the distances, where r_i + r_j and
-    # sqrt(r_i^2 + r_j^2) give different answers
+    # sqrt(r_i^2 + r_j^2) give different answers; near ties exercise both
+    # the integer accept and the exact fallback
+    disks, b = case
     one = 1 << b
     as_fractions = [
         ((Fraction(x, one), Fraction(y, one)), Fraction(p, q * one * one)) for x, y, p, q in disks
@@ -215,6 +259,20 @@ def test_moduli_and_mahler_measure_hold_the_mpmath_values(g, precision):
         assert _matched([abs(r) for r in roots], moduli, slack)
         mahler = abs(g.leading) * mpmath.fprod(max(1, abs(r)) for r in roots)
         assert _mp(enc.lo) - slack * mahler <= mahler <= _mp(enc.hi) + slack * mahler
+
+
+@pytest.mark.parametrize("coeffs, digits", [
+    ([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1], 40),  # Lehmer's polynomial
+    ([3, -1, 4, 1, -5, 9, -2, 6, -5, 3, -5, 8, 1], 30),
+])
+def test_separated_roots_never_reach_the_exact_disjointness_test(monkeypatch, coeffs, digits):
+    # converged disks are many radii apart, so the integer test decides
+    # every pair
+    calls = []
+    monkeypatch.setattr("dioph.roots._apart", lambda u, v: calls.append(1) or _apart(u, v))
+    moduli = root_moduli(IntPolynomial(coeffs), Fraction(1, 10 ** digits))
+    assert len(moduli) == len(coeffs) - 1
+    assert calls == []
 
 
 def test_failed_attempt_asks_for_finer_seeds(monkeypatch):
