@@ -778,7 +778,9 @@ def _reducible_by_modular_recombination(g: IntPolynomial) -> bool:
     The prime exceeds twice the Mignotte bound scaled by the leading
     coefficient, so the centered lift of lc * (subset product) recovers
     any true factor exactly; exhaustiveness over subsets makes the
-    negative answer a proof of irreducibility.
+    negative answer a proof of irreducibility.  A factor of g over Z has
+    leading and constant coefficients dividing g's, so a candidate
+    failing that is rejected without the trial division.
     """
     n = g.degree
     bound = max(
@@ -794,6 +796,10 @@ def _reducible_by_modular_recombination(g: IntPolynomial) -> bool:
             for u in subset:
                 prod = _pmod_mul(prod, u, p)
             _, prim = content_and_primitive(IntPolynomial(_centered(c, p) for c in prod))
+            if g.leading % prim.leading or (
+                g.constant and (not prim.constant or g.constant % prim.constant)
+            ):
+                continue
             if poly_divide_exact(g, prim) is not None:
                 return True
     return False

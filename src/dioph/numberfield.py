@@ -8,6 +8,14 @@ a rational by one exact sign of the minimal polynomial, and with another
 real root by a Sturm count over the hull of the two intervals.
 NumberFieldElement represents residue classes modulo the minimal
 polynomial in the power basis 1, alpha, ..., alpha^(d-1).
+
+The complex embeddings are the root boxes of ordered_root_boxes, whose
+endpoints are dyadic.  They are carried as integer mantissas at one
+binary scale (dyadic_boxes), and products and sums of boxes are exact
+integer operations, so the inverse-basis bound c1 and the coefficient
+heights of the Siegel lemma are the rationals exact interval arithmetic
+on the boxes would give, without Fraction arithmetic and without
+rounding.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .enclosure import Enclosure, sqrt_enclosure
-from .exceptions import DomainError, PrecisionError
+from .exceptions import DomainError, InternalError, PrecisionError
 from .intpoly import (
     IntPolynomial,
     content_and_primitive,
@@ -436,54 +444,59 @@ def power_min_poly(a: AlgebraicNumber, m: int) -> IntPolynomial:
 
 # ---------------------------------------------------------------------------
 # certified complex embeddings and the inverse-basis operator bound
+#
+# A box is four integers (re_lo, re_hi, im_lo, im_hi) standing for
+# [re_lo, re_hi] / 2**s + i [im_lo, im_hi] / 2**s at a scale s that the
+# caller tracks.  Products add scales and sums are taken at one scale, so
+# every value is the same rational that Enclosure arithmetic on the
+# boxes would give, with no rounding.
+
+Box = Tuple[int, int, int, int]
 
 
-class ComplexBox:
-    """A complex rectangle re + i*im with enclosure parts.  Sums,
-    products and negation are the exact interval operations."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Enclosure, im: Enclosure):
-        self.re = re
-        self.im = im
-
-    def __add__(self, other: "ComplexBox") -> "ComplexBox":
-        return ComplexBox(self.re + other.re, self.im + other.im)
-
-    def __neg__(self) -> "ComplexBox":
-        return ComplexBox(-self.re, -self.im)
-
-    def __mul__(self, other: "ComplexBox") -> "ComplexBox":
-        return ComplexBox(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def _abs2(self) -> Enclosure:
-        return self.re * self.re + self.im * self.im
-
-    def abs_upper(self, err: Fraction) -> Fraction:
-        hi = max(self._abs2().hi, Fraction(0))
-        return sqrt_enclosure(hi, err).hi
-
-    def abs_lower(self, err: Fraction) -> Fraction:
-        lo = max(self._abs2().lo, Fraction(0))
-        return sqrt_enclosure(lo, err).lo
+def dyadic_boxes(boxes: Sequence[Tuple[Enclosure, Enclosure]]) -> Tuple[int, List[Box]]:
+    """The scale s of the finest endpoint and every root box as
+    mantissas at that scale.  Root box endpoints are dyadic by
+    construction (a center x / 2**b plus or minus a radius from
+    nth_root_enclosure); any other denominator raises InternalError."""
+    ends = [q for re, im in boxes for q in (re.lo, re.hi, im.lo, im.hi)]
+    if any(q.denominator & (q.denominator - 1) for q in ends):
+        raise InternalError("root box endpoint is not dyadic")
+    s = max(q.denominator.bit_length() - 1 for q in ends)
+    m = [q.numerator << (s + 1 - q.denominator.bit_length()) for q in ends]
+    return s, [tuple(m[i : i + 4]) for i in range(0, len(m), 4)]
 
 
-def embedding_matrix(boxes: Sequence[Tuple[Enclosure, Enclosure]]):
-    """Complex boxes for W[r][k] = sigma_r(alpha)^k, one row per root box
-    of the minimal polynomial, in the order of ordered_root_boxes."""
-    d = len(boxes)
-    W = []
-    for re, im in boxes:
-        row = [ComplexBox(Enclosure.exact(1), Enclosure.exact(0))]
-        z = ComplexBox(re, im)
-        for _ in range(1, d):
-            row.append(row[-1] * z)
-        W.append(row)
-    return W
+def _imul(alo: int, ahi: int, blo: int, bhi: int) -> Tuple[int, int]:
+    """[alo, ahi] * [blo, bhi] from all four products, as Enclosure.__mul__."""
+    p = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    return min(p), max(p)
+
+
+def box_mul(a: Box, b: Box) -> Box:
+    """a * b at the sum of their scales: re*re' - im*im', re*im' + im*re'."""
+    rr_lo, rr_hi = _imul(a[0], a[1], b[0], b[1])
+    ii_lo, ii_hi = _imul(a[2], a[3], b[2], b[3])
+    ri_lo, ri_hi = _imul(a[0], a[1], b[2], b[3])
+    ir_lo, ir_hi = _imul(a[2], a[3], b[0], b[1])
+    return (rr_lo - ii_hi, rr_hi - ii_lo, ri_lo + ir_lo, ri_hi + ir_hi)
+
+
+def box_abs2(a: Box) -> Tuple[int, int]:
+    """re*re + im*im at twice a's scale, each square a four-product."""
+    r_lo, r_hi = _imul(a[0], a[1], a[0], a[1])
+    i_lo, i_hi = _imul(a[2], a[3], a[2], a[3])
+    return r_lo + i_lo, r_hi + i_hi
+
+
+def _abs_bounds(a: Box, s: int, err: Fraction) -> Tuple[Fraction, Fraction]:
+    """Lower and upper bounds on |a| for a box at scale s."""
+    lo, hi = box_abs2(a)
+    unit = 1 << (2 * s)
+    return (
+        sqrt_enclosure(Fraction(max(lo, 0), unit), err).lo,
+        sqrt_enclosure(Fraction(max(hi, 0), unit), err).hi,
+    )
 
 
 def inverse_embedding_bound(
@@ -497,9 +510,10 @@ def inverse_embedding_bound(
     Lagrange polynomial f(x) / ((x - sigma_r) f'(sigma_r)) of the minimal
     polynomial f, so with q_r = f / (x - sigma_r), one synthetic division,
     (W^{-1})[k][r] = [q_r]_k / q_r(sigma_r), as f'(sigma_r) = q_r(sigma_r).
-    That is O(d^2) box operations.  Reported with outward rounding; use
-    the upper endpoint.  `boxes`, if given, are the caller's
-    ordered_root_boxes of the minimal polynomial at `precision`.
+    That is O(d^2) box operations on the exact dyadic boxes.  Reported
+    with outward rounding; use the upper endpoint.  `boxes`, if given,
+    are the caller's ordered_root_boxes of the minimal polynomial at
+    `precision`.
     """
     precision = Fraction(precision)
     d = a.degree
@@ -511,23 +525,26 @@ def inverse_embedding_bound(
         row_lo = [Fraction(0)] * d
         if boxes is None:
             boxes = ordered_root_boxes(a.min_poly, precision)
-        for re, im in boxes:
-            z = ComplexBox(re, im)
-            q = [ComplexBox(Enclosure.exact(coeffs[d]), Enclosure.exact(0))]
-            for c in reversed(coeffs[1:d]):
-                t = q[-1] * z
-                q.append(ComplexBox(t.re + c, t.im))
-            q.reverse()  # q[k] is the coefficient of x^k in f / (x - z)
-            fprime = q[d - 1]
-            for c in reversed(q[: d - 1]):
-                fprime = fprime * z + c
-            f_lo = fprime.abs_lower(precision)
+        s, zs = dyadic_boxes(boxes)
+        for z in zs:
+            # q[j] is the coefficient of x^(d-1-j) in f / (x - z), at scale j*s
+            q = [(coeffs[d], coeffs[d], 0, 0)]
+            for j, c in enumerate(reversed(coeffs[1:d]), 1):
+                t = box_mul(q[-1], z)
+                c <<= j * s
+                q.append((t[0] + c, t[1] + c, t[2], t[3]))
+            # f'(z) = q(z) by Horner's rule, at scale (d-1)*s throughout
+            fprime = q[0]
+            for c in q[1:]:
+                t = box_mul(fprime, z)
+                fprime = (t[0] + c[0], t[1] + c[1], t[2] + c[2], t[3] + c[3])
+            f_lo, f_hi = _abs_bounds(fprime, (d - 1) * s, precision)
             if f_lo == 0:
                 break
-            f_hi = fprime.abs_upper(precision)
-            for k in range(d):
-                row_hi[k] += q[k].abs_upper(precision) / f_lo
-                row_lo[k] += q[k].abs_lower(precision) / f_hi
+            for j, c in enumerate(q):
+                c_lo, c_hi = _abs_bounds(c, j * s, precision)
+                row_hi[d - 1 - j] += c_hi / f_lo
+                row_lo[d - 1 - j] += c_lo / f_hi
         else:
             hi = max(row_hi)
             return Enclosure(min(max(row_lo), hi), hi)

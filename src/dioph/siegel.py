@@ -26,8 +26,10 @@ from .numberfield import (
     EMBEDDING_PRECISION,
     AlgebraicNumber,
     NumberFieldElement,
+    box_abs2,
+    box_mul,
+    dyadic_boxes,
     inverse_embedding_bound,
-    embedding_matrix,
 )
 from .roots import ordered_root_boxes
 
@@ -215,23 +217,33 @@ class NFMatrix:
         return all(e.is_zero() for row in self.entries for e in row)
 
 
-def expand_nf_system(matrix: NFMatrix) -> IntMatrix:
-    """The d*M x N integer system equivalent to Ax = 0 over Q(alpha).
+def integer_coordinates(matrix: NFMatrix) -> List[List[Tuple[int, ...]]]:
+    """Power-basis coordinates of every entry, as integer tuples.
 
     Each row is scaled by the lcm of its denominators first (the kernel
     is unchanged), making every entry integral in Z[alpha], so the
-    power-basis coordinates are honest integers.
+    coordinates are honest integers.
     """
-    d = matrix.base.degree
-    out_rows: List[List[int]] = []
+    rows = []
     for row in matrix.entries:
         den = 1
         for e in row:
             for c in e.rep:
                 den = lcm(den, c.denominator)
-        for k in range(d):
-            out_rows.append([int(e.rep[k] * den) for e in row])
-    return IntMatrix(out_rows)
+        rows.append([tuple(c.numerator * (den // c.denominator) for c in e.rep) for e in row])
+    return rows
+
+
+def _stacked(coords: List[List[Tuple[int, ...]]]) -> IntMatrix:
+    d = len(coords[0][0])
+    return IntMatrix([[t[k] for t in row] for row in coords for k in range(d)])
+
+
+def expand_nf_system(matrix: NFMatrix) -> IntMatrix:
+    """The d*M x N integer system equivalent to Ax = 0 over Q(alpha):
+    row k of the block for an equation holds the x^k coordinates of its
+    row-scaled entries (integer_coordinates)."""
+    return _stacked(integer_coordinates(matrix))
 
 
 @dataclass
@@ -268,7 +280,8 @@ def siegel_solve_NF(matrix: NFMatrix, err: Fraction = Fraction(1, 10 ** 9)) -> N
     if matrix.is_zero():
         raise DomainError("coefficient matrix must not be all zero")
 
-    expanded = expand_nf_system(matrix)
+    coords = integer_coordinates(matrix)
+    expanded = _stacked(coords)
     x = siegel_solve_Z(expanded)
 
     for row in matrix.entries:
@@ -287,7 +300,8 @@ def siegel_solve_NF(matrix: NFMatrix, err: Fraction = Fraction(1, 10 ** 9)) -> N
         log_enclosure(c1.lo, err).lo, log_enclosure(c1.hi, err).hi
     )
 
-    hB = _coefficient_log_height(matrix, err, boxes)
+    entries = {t for row in coords for t in row if any(t)}
+    hB = _coefficient_log_height(entries, d, err, boxes)
     ratio = Fraction(d * m, n - d * m)
     log_n = log_enclosure(n, err)
     nominal = (hB + log_n + cK) * ratio
@@ -310,43 +324,48 @@ def siegel_solve_NF(matrix: NFMatrix, err: Fraction = Fraction(1, 10 ** 9)) -> N
     )
 
 
-def _coefficient_log_height(matrix: NFMatrix, err: Fraction, boxes) -> Enclosure:
-    """h(B) of the (integral, after row scaling) coefficient vector.
+def _coefficient_log_height(entries, d: int, err: Fraction, boxes) -> Enclosure:
+    """h(B) of the coefficient vector whose distinct nonzero entries have
+    the integer power-basis coordinates `entries`.
 
     For integral entries the finite places contribute nothing and
     h(B) = (1/d) * sum over embeddings of log max(1, max_ij |sigma(a_ij)|),
     each conjugate embedding counted once; `boxes` are the root boxes
-    of the generator's minimal polynomial.
+    of the generator's minimal polynomial.  |sigma(a)|^2 is bounded on
+    the exact dyadic boxes (numberfield.dyadic_boxes) at one scale.
     """
-    base = matrix.base
-    d = base.degree
-    entries = set()
-    for row in matrix.entries:
-        den = 1
-        for e in row:
-            for c in e.rep:
-                den = lcm(den, c.denominator)
-        entries.update((e * den).rep for e in row if not e.is_zero())
     if d == 1:
-        best = max([abs(rep[0]) for rep in entries] + [Fraction(1)])
+        best = max([abs(rep[0]) for rep in entries] + [1])
         return log_enclosure(best, err)
-    W = embedding_matrix(boxes)
+    s, zs = dyadic_boxes(boxes)
+    top = (d - 1) * s  # the scale of every sum
+    unit = Fraction(1, 1 << (2 * top))
     total = Enclosure.exact(0)
-    for r in range(d):
-        box_pows = W[r]
-        max_sq_hi = Fraction(1)
-        max_sq_lo = Fraction(1)
+    for z in zs:
+        # z^k at scale k*s, lifted to the common scale
+        pows = [(1, 1, 0, 0)]
+        for _ in range(1, d):
+            pows.append(box_mul(pows[-1], z))
+        pows = [tuple(v << (top - k * s) for v in p) for k, p in enumerate(pows)]
+        max_sq_hi = max_sq_lo = 1 << (2 * top)
         # the max over the distinct entries is the max over all of them
         for rep in entries:
-            re = Enclosure.exact(0)
-            im = Enclosure.exact(0)
-            for k, c in enumerate(rep):
-                re = re + box_pows[k].re * c
-                im = im + box_pows[k].im * c
-            abs2 = re * re + im * im
-            max_sq_hi = max(max_sq_hi, abs2.hi)
-            max_sq_lo = max(max_sq_lo, max(abs2.lo, Fraction(0)))
-        hi = log_enclosure(max_sq_hi, err).hi / 2
-        lo = log_enclosure(max_sq_lo, err).lo / 2 if max_sq_lo > 0 else Fraction(0)
+            re_lo = re_hi = im_lo = im_hi = 0
+            for (rlo, rhi, ilo, ihi), c in zip(pows, rep):
+                if c > 0:
+                    re_lo += rlo * c
+                    re_hi += rhi * c
+                    im_lo += ilo * c
+                    im_hi += ihi * c
+                elif c < 0:
+                    re_lo += rhi * c
+                    re_hi += rlo * c
+                    im_lo += ihi * c
+                    im_hi += ilo * c
+            lo, hi = box_abs2((re_lo, re_hi, im_lo, im_hi))
+            max_sq_hi = max(max_sq_hi, hi)
+            max_sq_lo = max(max_sq_lo, lo)
+        hi = log_enclosure(max_sq_hi * unit, err).hi / 2
+        lo = log_enclosure(max_sq_lo * unit, err).lo / 2
         total = total + Enclosure(min(lo, hi), hi)
     return total * Fraction(1, d)

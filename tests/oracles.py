@@ -3,7 +3,9 @@
 The search oracles scan the defining box directly, with no reduction
 and no pruning, so they share no code with the routes they check.  The
 Liouville oracle decides by enclosures of the error, not by the sign
-tests of the production scan.
+tests of the production scan.  The embedding oracles compute c1 and h(B)
+with Enclosure arithmetic on rational complex boxes, where production
+works on integer mantissas of the dyadic boxes.
 """
 
 from fractions import Fraction
@@ -12,7 +14,10 @@ from typing import Optional, Tuple
 
 import sympy
 
+from dioph.enclosure import Enclosure, log_enclosure, sqrt_enclosure
+from dioph.exceptions import PrecisionError
 from dioph.numberfield import AlgebraicNumber
+from dioph.roots import ordered_root_boxes
 from dioph.siegel import IntMatrix
 
 
@@ -131,3 +136,108 @@ def liouville_verdict_by_enclosure(alpha, p: int, q: int, c) -> bool:
             return True
         alpha.refine((hi - lo) / 16)
     raise AssertionError(f"enclosures did not decide the bound at {p}/{q}")
+
+
+class ComplexBox:
+    """A complex rectangle re + i*im with enclosure parts.  Sums,
+    products and negation are the exact interval operations."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Enclosure, im: Enclosure):
+        self.re = re
+        self.im = im
+
+    def __add__(self, other: "ComplexBox") -> "ComplexBox":
+        return ComplexBox(self.re + other.re, self.im + other.im)
+
+    def __mul__(self, other: "ComplexBox") -> "ComplexBox":
+        return ComplexBox(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def _abs2(self) -> Enclosure:
+        return self.re * self.re + self.im * self.im
+
+    def abs_upper(self, err: Fraction) -> Fraction:
+        return sqrt_enclosure(max(self._abs2().hi, Fraction(0)), err).hi
+
+    def abs_lower(self, err: Fraction) -> Fraction:
+        return sqrt_enclosure(max(self._abs2().lo, Fraction(0)), err).lo
+
+
+def embedding_matrix(boxes):
+    """Complex boxes for W[r][k] = sigma_r(alpha)^k, one row per root box."""
+    d = len(boxes)
+    W = []
+    for re, im in boxes:
+        row = [ComplexBox(Enclosure.exact(1), Enclosure.exact(0))]
+        z = ComplexBox(re, im)
+        for _ in range(1, d):
+            row.append(row[-1] * z)
+        W.append(row)
+    return W
+
+
+def inverse_embedding_bound_by_enclosures(a, precision, boxes) -> Enclosure:
+    """numberfield.inverse_embedding_bound on ComplexBoxes: the Lagrange
+    columns q_r = f / (x - sigma_r) by synthetic division, each entry
+    bounded in modulus and divided by bounds on |q_r(sigma_r)|."""
+    precision = Fraction(precision)
+    d = a.degree
+    if d == 1:
+        return Enclosure.exact(1)
+    coeffs = a.min_poly.coeffs
+    for _ in range(6):
+        row_hi = [Fraction(0)] * d
+        row_lo = [Fraction(0)] * d
+        if boxes is None:
+            boxes = ordered_root_boxes(a.min_poly, precision)
+        for re, im in boxes:
+            z = ComplexBox(re, im)
+            q = [ComplexBox(Enclosure.exact(coeffs[d]), Enclosure.exact(0))]
+            for c in reversed(coeffs[1:d]):
+                t = q[-1] * z
+                q.append(ComplexBox(t.re + c, t.im))
+            q.reverse()  # q[k] is the coefficient of x^k in f / (x - z)
+            fprime = q[d - 1]
+            for c in reversed(q[: d - 1]):
+                fprime = fprime * z + c
+            f_lo = fprime.abs_lower(precision)
+            if f_lo == 0:
+                break
+            f_hi = fprime.abs_upper(precision)
+            for k in range(d):
+                row_hi[k] += q[k].abs_upper(precision) / f_lo
+                row_lo[k] += q[k].abs_lower(precision) / f_hi
+        else:
+            hi = max(row_hi)
+            return Enclosure(min(max(row_lo), hi), hi)
+        boxes = None
+        precision /= 10 ** 4
+    raise PrecisionError("f'(sigma) could not be separated from 0")
+
+
+def coefficient_log_height_by_enclosures(entries, d: int, err, boxes) -> Enclosure:
+    """siegel._coefficient_log_height on the rows of embedding_matrix:
+    (1/d) * sum over the root boxes of log max(1, max |sigma(a)|) over
+    the integer coordinate tuples a in `entries`."""
+    if d == 1:
+        return log_enclosure(max([abs(rep[0]) for rep in entries] + [1]), err)
+    total = Enclosure.exact(0)
+    for box_pows in embedding_matrix(boxes):
+        max_sq_hi = max_sq_lo = Fraction(1)
+        for rep in entries:
+            re = Enclosure.exact(0)
+            im = Enclosure.exact(0)
+            for k, c in enumerate(rep):
+                re = re + box_pows[k].re * c
+                im = im + box_pows[k].im * c
+            abs2 = re * re + im * im
+            max_sq_hi = max(max_sq_hi, abs2.hi)
+            max_sq_lo = max(max_sq_lo, abs2.lo)
+        hi = log_enclosure(max_sq_hi, err).hi / 2
+        lo = log_enclosure(max_sq_lo, err).lo / 2
+        total = total + Enclosure(min(lo, hi), hi)
+    return total * Fraction(1, d)

@@ -172,6 +172,54 @@ def test_irreducible_high_degree_products():
         done += 1
 
 
+def test_recombination_pretest_skips_trial_divisions(monkeypatch):
+    # the kronecker workload's inputs (cyclotomic polynomials of degree
+    # <= 8 and random monic irreducibles) and sympy-built products without
+    # rational roots; a subset product whose leading or constant
+    # coefficient does not divide g's is rejected without poly_divide_exact
+    import itertools
+
+    import dioph.intpoly as intpoly
+
+    X = sympy.Symbol("x")
+    rng = random.Random(17)
+    irreducible = [cyclotomic(k) for k in range(2, 31) if euler_phi(k) <= 8]
+    while len(irreducible) < 45:
+        d = rng.choice([2, 3, 4, 5, 6, 8])
+        f = IntPolynomial([rng.randint(-3, 3) for _ in range(d)] + [1])
+        if f.constant and sympy.Poly(f.coeffs[::-1], X).is_irreducible:
+            irreducible.append(f)
+    reducible = []
+    while len(reducible) < 15:
+        u, v = (
+            sympy.Poly([rng.randint(1, 4)] + [rng.randint(-6, 6) for _ in range(rng.randint(2, 4))], X)
+            for _ in range(2)
+        )
+        h = sympy.Poly(u * v, X)
+        if h.is_sqf and all(f.degree() >= 2 for f, _ in h.factor_list()[1]):
+            reducible.append(IntPolynomial([int(c) for c in h.all_coeffs()[::-1]]))
+
+    counts = {"divisions": 0, "subsets": 0}
+    divide, combinations = intpoly.poly_divide_exact, itertools.combinations
+
+    def counted_divide(f, g):
+        counts["divisions"] += 1
+        return divide(f, g)
+
+    def counted_combinations(items, size):
+        for subset in combinations(items, size):
+            counts["subsets"] += 1
+            yield subset
+
+    monkeypatch.setattr(intpoly, "poly_divide_exact", counted_divide)
+    monkeypatch.setattr(intpoly, "combinations", counted_combinations)
+    assert all(is_irreducible(f) for f in irreducible)
+    assert counts["divisions"] * 4 < counts["subsets"]
+    for h in reducible:
+        _, prim = content_and_primitive(h)
+        assert not is_irreducible(prim), h
+
+
 def test_isolate_real_roots_examples():
     f = IntPolynomial([-2, 0, 1])
     iv = isolate_real_roots(f)

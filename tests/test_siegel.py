@@ -1,23 +1,44 @@
 import random
 from fractions import Fraction
+from math import lcm
 
+import mpmath
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import dioph.siegel as siegel
-from dioph.enclosure import iroot
-from dioph.exceptions import DomainError, UnsupportedError
-from dioph.intpoly import IntPolynomial
-from dioph.numberfield import AlgebraicNumber, NumberFieldElement
+from dioph import cli
+from dioph.enclosure import Enclosure, iroot
+from dioph.exceptions import DomainError, InternalError, UnsupportedError
+from dioph.intpoly import IntPolynomial, is_irreducible
+from dioph.numberfield import (
+    EMBEDDING_PRECISION,
+    AlgebraicNumber,
+    NumberFieldElement,
+    box_abs2,
+    box_mul,
+    dyadic_boxes,
+    inverse_embedding_bound,
+)
+from dioph.roots import ordered_root_boxes
 from dioph.siegel import (
     IntMatrix,
     NFMatrix,
+    _coefficient_log_height,
     expand_nf_system,
+    integer_coordinates,
     kernel_basis,
     satisfies_size_bound,
     siegel_solve_NF,
     siegel_solve_Z,
 )
-from oracles import pigeonhole_solve
+from oracles import (
+    coefficient_log_height_by_enclosures,
+    embedding_matrix,
+    inverse_embedding_bound_by_enclosures,
+    pigeonhole_solve,
+)
 
 SQRT2 = AlgebraicNumber(IntPolynomial([-2, 0, 1]), interval=(1, 2))
 
@@ -252,3 +273,144 @@ def test_nf_solve_certifies_the_root_boxes_once(monkeypatch):
     b = NumberFieldElement.generator(cbrt2)
     siegel_solve_NF(NFMatrix(cbrt2, [[1 + b, b, -1, 0, 2]]))
     assert len(calls) == 1
+
+
+def test_integer_coordinates_scale_each_row():
+    a = NumberFieldElement.generator(SQRT2)
+    half = NumberFieldElement(SQRT2, [Fraction(1, 2), Fraction(1, 3)])
+    mat = NFMatrix(SQRT2, [[half, 1 + a, 0], [a, Fraction(-5, 7), 2]])
+    assert integer_coordinates(mat) == [
+        [(3, 2), (6, 6), (0, 0)],
+        [(0, 7), (-5, 0), (14, 0)],
+    ]
+    assert expand_nf_system(mat).entries == (
+        (3, 6, 0), (2, 6, 0), (0, -5, 14), (7, 0, 0)
+    )
+
+
+@st.composite
+def monic_fields(draw):
+    d = draw(st.integers(2, 8))
+    coeffs = [draw(st.integers(-9, 9)) for _ in range(d)] + [1]
+    assume(coeffs[0] != 0 and is_irreducible(IntPolynomial(coeffs)))
+    return coeffs
+
+
+@settings(max_examples=100)
+@given(
+    coeffs=monic_fields(),
+    rows=st.lists(
+        st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=8, max_size=8), min_size=1, max_size=6
+    ),
+)
+@example(coeffs=[-2, 0, 1], rows=[[1, 1] + [0] * 6])  # real roots
+@example(coeffs=[1, 0, 1], rows=[[-3, 2] + [0] * 6])  # non-real roots
+@example(coeffs=[-1, -1, 0, 0, 0, 1], rows=[[1, -2, 3, -4, 5, 0, 0, 0], [0] * 8])
+@example(coeffs=[-7, 2, 0, -3, 0, 0, 0, 0, 1], rows=[[-1, 2, -3, 4, -5, 6, -7, 8]])
+def test_dyadic_boxes_agree_with_enclosure_oracle(coeffs, rows):
+    # the integer mantissa route returns the very rationals of the
+    # Enclosure route, not merely overlapping ones
+    a = AlgebraicNumber(IntPolynomial(coeffs), conjugate_index=0)
+    d = a.degree
+    boxes = ordered_root_boxes(a.min_poly, EMBEDDING_PRECISION)
+    assert inverse_embedding_bound(a, boxes=boxes) == inverse_embedding_bound_by_enclosures(
+        a, EMBEDDING_PRECISION, boxes
+    )
+    # every power z^k and its |z^k|^2 is the Enclosure route's rational
+    s, zs = dyadic_boxes(boxes)
+    for z, row in zip(zs, embedding_matrix(boxes)):
+        power = (1, 1, 0, 0)
+        for k, w in enumerate(row):
+            unit = Fraction(1, 1 << (k * s))
+            assert Enclosure(power[0] * unit, power[1] * unit) == w.re
+            assert Enclosure(power[2] * unit, power[3] * unit) == w.im
+            lo, hi = box_abs2(power)
+            assert Enclosure(lo * unit * unit, hi * unit * unit) == w._abs2()
+            power = box_mul(power, z)
+    entries = {tuple(row[:d]) for row in rows if any(row[:d])}
+    err = Fraction(1, 10 ** 40)  # fine enough to see the box widths
+    assert _coefficient_log_height(entries, d, err, boxes) == (
+        coefficient_log_height_by_enclosures(entries, d, err, boxes)
+    )
+
+
+def _mpmath_log_height(coeffs, coords):
+    """(1/d) sum over the roots of log max(1, max |a(root)|), at the
+    working precision, for the integer coordinate tuples `coords`."""
+    roots = mpmath.polyroots(coeffs[::-1], maxsteps=400, extraprec=400)
+    total = 0
+    for r in roots:
+        top = max([1] + [abs(sum(c * r ** k for k, c in enumerate(t))) for t in coords])
+        total += mpmath.log(top)
+    return total / len(roots)
+
+
+def _mpmath_c1(coeffs):
+    roots = mpmath.polyroots(coeffs[::-1], maxsteps=400, extraprec=400)
+    d = len(roots)
+    W_inv = mpmath.matrix([[r ** k for k in range(d)] for r in roots]) ** -1
+    return max(sum(abs(W_inv[k, r]) for r in range(d)) for k in range(d))
+
+
+def _contains(enc, value):
+    lo = mpmath.mpf(enc.lo.numerator) / enc.lo.denominator
+    hi = mpmath.mpf(enc.hi.numerator) / enc.hi.denominator
+    return lo <= value <= hi
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[3, -1, 1], [-1, -1, 0, 0, 0, 1], [-7, 2, 0, -3, 0, 0, 0, 0, 1]],
+    ids=["degree-2", "degree-5", "degree-8"],
+)
+def test_coefficient_height_against_mpmath(coeffs):
+    # h(B) and the nominal bound against mpmath at three times the 20
+    # digits of the error budget, with the row scaling done here
+    rng = random.Random(len(coeffs))
+    base = AlgebraicNumber(IntPolynomial(coeffs), conjugate_index=0)
+    d = base.degree
+    m = 2 if d < 8 else 1
+    n = d * m + 3
+    rows = [
+        [
+            NumberFieldElement(
+                base, [Fraction(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(d)]
+            )
+            for _ in range(n)
+        ]
+        for _ in range(m)
+    ]
+    res = siegel_solve_NF(NFMatrix(base, rows), Fraction(1, 10 ** 20))
+    coords = []
+    for row in rows:
+        den = lcm(*(c.denominator for e in row for c in e.rep))
+        coords += [[int(c * den) for c in e.rep] for e in row]
+    with mpmath.workdps(60):
+        h = _mpmath_log_height(coeffs, coords)
+        assert _contains(res.coeff_log_height, h)
+        assert res.coeff_log_height.width < Fraction(1, 10 ** 13)
+        c1 = _mpmath_c1(coeffs)
+        nominal = mpmath.mpf(d * m) / (n - d * m) * (h + mpmath.log(n) + mpmath.log(c1))
+        assert _contains(res.nominal_bound, nominal)
+        assert res.nominal_bound.width < Fraction(1, 10 ** 12)
+
+
+NON_DYADIC_BOX = (Enclosure(Fraction(1, 3), Fraction(1, 2)), Enclosure(0, 0))
+
+
+def test_non_dyadic_box_is_an_internal_error():
+    boxes = [NON_DYADIC_BOX, (Enclosure(Fraction(-3, 2), Fraction(-5, 4)), Enclosure(0, 0))]
+    with pytest.raises(InternalError):
+        dyadic_boxes(boxes)
+    with pytest.raises(InternalError):
+        inverse_embedding_bound(SQRT2, boxes=boxes)
+    with pytest.raises(InternalError):
+        _coefficient_log_height({(1, 1)}, 2, Fraction(1, 10 ** 9), boxes)
+    assert dyadic_boxes(boxes[1:]) == (2, [(-6, -5, 0, 0)])
+
+
+def test_non_dyadic_root_box_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(siegel, "ordered_root_boxes", lambda f, p: [NON_DYADIC_BOX] * 2)
+    nf = '{"base": "x^2-2", "entries": [[["1", "1"], "1", "0", "0", "0"]]}'
+    assert cli.main(["siegel-nf", "--", nf]) == 4
+    assert capsys.readouterr().out == ""
