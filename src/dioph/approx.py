@@ -6,11 +6,15 @@ exponents.
 Partial quotients are read off the isolating interval: the common
 prefix of the continued fractions of its two rational endpoints is a
 prefix of alpha's, and the interval is refined (width w to w^2) when
-the prefix runs out.  Every comparison of alpha with a rational is one
-exact sign test of the minimal polynomial (compare_rational): two
-certify each convergent's |alpha - p/q| < 1/q^2, and at most four
-decide each Liouville candidate against c(alpha)/q^n.  No floating
-point enters any verdict, and no comparison refines the interval.
+the prefix runs out.  Every comparison of alpha with a rational is made
+on integers (AlgebraicNumber.compare_ratio): p/q +- a/(b q^k) is the
+pair (p b q^(k-1) -+ a, b q^k), which is cross-multiplied with the
+endpoints of the isolating interval, and only a point strictly inside
+the interval costs a sign test of the minimal polynomial.  Two such
+comparisons certify each convergent's |alpha - p/q| < 1/q^2, and at
+most four decide each Liouville candidate against c(alpha)/q^n.  No
+floating point enters any verdict, and no comparison refines the
+interval.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, List, Optional, Set, Tuple
 
-from .enclosure import Enclosure, floor_log2, log_enclosure
+from .enclosure import Enclosure, floor_log2_ratio, log_enclosure
 from .exceptions import DomainError, InternalError, PrecisionError, UnsupportedError
 from .numberfield import AlgebraicNumber
 from .roots import max_root_modulus
@@ -58,22 +62,25 @@ def error_enclosure(alpha: AlgebraicNumber, p: int, q: int) -> Enclosure:
     the endpoints, rounded outward to that grid, span one cell.  A
     binade boundary 2**f is a grid point, so the accepted cell is the
     same whatever alpha's cached interval was, and its relative width is
-    at most 2**-40.
+    at most 2**-40.  The differences of the endpoints with p/q and their
+    grid cells are computed on integer numerators and denominators.
     """
     if q < 1:
         raise DomainError("denominator must be >= 1")
-    target = Fraction(p, q)
     if alpha.is_rational():
-        return Enclosure.exact(abs(alpha.rational_value() - target))
+        return Enclosure.exact(abs(alpha.rational_value() - Fraction(p, q)))
     lo, hi = alpha.interval()
     for _ in range(_REFINE_ROUNDS):
-        diff = Enclosure(lo - target, hi - target)
-        if not diff.contains(0):
-            err = abs(diff)
-            bits = max(0, _ERROR_BITS - floor_log2(err.lo))
-            cell = err.round_out(bits)
-            if cell.width == Fraction(1, 1 << bits):
-                return cell
+        # lo - p/q = nl/dl and hi - p/q = nh/dh with dl, dh > 0
+        nl, dl = lo.numerator * q - p * lo.denominator, lo.denominator * q
+        nh, dh = hi.numerator * q - p * hi.denominator, hi.denominator * q
+        if nl > 0 or nh < 0:
+            # |alpha - p/q| lies in [n1/d1, n2/d2]
+            n1, d1, n2, d2 = (nl, dl, nh, dh) if nl > 0 else (-nh, dh, -nl, dl)
+            bits = max(0, _ERROR_BITS - floor_log2_ratio(n1, d1))
+            k = (n1 << bits) // d1
+            if -((-n2 << bits) // d2) == k + 1:
+                return Enclosure(Fraction(k, 1 << bits), Fraction(k + 1, 1 << bits))
         lo, hi = alpha.refine((hi - lo) / 16)
     raise PrecisionError("error enclosure refinement stalled")
 
@@ -156,14 +163,16 @@ def continued_fraction(alpha: AlgebraicNumber, n_terms: int) -> ContinuedFractio
     )
 
 
-def _within(alpha: AlgebraicNumber, x: Fraction, r: Fraction) -> bool:
-    """|alpha - x| < r (also <= r, alpha irrational) by two exact sign tests."""
-    return alpha.compare_rational(x - r) > 0 and alpha.compare_rational(x + r) < 0
+def _within(alpha: AlgebraicNumber, p: int, q: int, a: int, b: int, k: int) -> bool:
+    """|alpha - p/q| < a/(b q^k) (also <=, alpha irrational), for b, k >= 1:
+    alpha is compared with p/q -+ a/(b q^k) = (p b q^(k-1) -+ a)/(b q^k)."""
+    den, mid = b * q ** k, p * b * q ** (k - 1)
+    return alpha.compare_ratio(mid - a, den) > 0 and alpha.compare_ratio(mid + a, den) < 0
 
 
 def _certify_dirichlet(alpha: AlgebraicNumber, p: int, q: int) -> None:
     """Exact check of the convergent inequality |alpha - p/q| < 1/q^2."""
-    if not _within(alpha, Fraction(p, q), Fraction(1, q * q)):
+    if not _within(alpha, p, q, 1, 1, 2):
         raise InternalError(f"convergent {p}/{q} violates the 1/q^2 bound")
 
 
@@ -240,10 +249,10 @@ def _fatou_candidates(alpha: AlgebraicNumber, q_max: int) -> Set[Tuple[int, int]
 def _violates(alpha: AlgebraicNumber, p: int, q: int, c: Enclosure) -> Optional[bool]:
     """True if |alpha - p/q| <= c.lo/q^n, False if it exceeds c.hi/q^n,
     None if c's window leaves it open."""
-    x, qn = Fraction(p, q), q ** alpha.degree
-    if not _within(alpha, x, c.hi / qn):
+    n = alpha.degree
+    if not _within(alpha, p, q, c.hi.numerator, c.hi.denominator, n):
         return False
-    return True if _within(alpha, x, c.lo / qn) else None
+    return True if _within(alpha, p, q, c.lo.numerator, c.lo.denominator, n) else None
 
 
 def liouville_scan(
@@ -270,7 +279,8 @@ def liouville_scan(
         raise DomainError("q_max must be >= 1")
     candidates = _fatou_candidates(alpha, q_max)
     for q in range(1, min(sweep_limit, q_max) + 1):
-        base = (alpha.refine(Fraction(1, 4 * q))[0] * q).__floor__()
+        lo = alpha.refine(Fraction(1, 4 * q))[0]
+        base = lo.numerator * q // lo.denominator
         candidates.update((p, q) for p in range(base - 1, base + 3))
     if coarse is None or coarse.width > Fraction(1, 10 ** 12):
         coarse = liouville_constant(alpha, Fraction(1, 10 ** 12))

@@ -46,7 +46,11 @@ def floor_log2(q: Rat) -> int:
     """Largest e with 2**e <= q, for rational q > 0."""
     if q <= 0:
         raise DomainError("floor_log2 needs a positive rational")
-    n, d = q.numerator, q.denominator
+    return floor_log2_ratio(q.numerator, q.denominator)
+
+
+def floor_log2_ratio(n: int, d: int) -> int:
+    """Largest e with 2**e <= n/d, for integers n, d > 0."""
     e = n.bit_length() - d.bit_length()  # n/d lies in (2**(e-1), 2**(e+1))
     if n << max(-e, 0) < d << max(e, 0):
         e -= 1

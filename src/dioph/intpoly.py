@@ -54,9 +54,13 @@ class IntPolynomial:
         return self.coeffs[0] if self.coeffs else 0
 
     def sign_at(self, x) -> int:
-        """Sign of self(x) for rational x = n/d: Horner's rule on n and d
-        gives the integer d^degree * self(x), with no fraction reduced."""
-        n, d = Fraction(x).as_integer_ratio()
+        """Sign of self(x) for rational x."""
+        return self.sign_at_ratio(*Fraction(x).as_integer_ratio())
+
+    def sign_at_ratio(self, n: int, d: int) -> int:
+        """Sign of self(n/d) for integers n and d > 0, not necessarily
+        coprime: Horner's rule on n and d gives the integer
+        d^degree * self(n/d), with no fraction formed."""
         acc, dpow = 0, 1
         for c in reversed(self.coeffs):
             acc, dpow = acc * n + c * dpow, dpow * d
@@ -498,7 +502,10 @@ def refine_root_interval(
     """Shrink an isolating interval of a squarefree f below the given width.
 
     Requires that f changes sign across the interval (true for an
-    isolating interval of a simple real root).
+    isolating interval of a simple real root).  The endpoints are kept
+    as integer numerators A, B over one denominator D: a bisection step
+    doubles D and tests the midpoint A + B; when that midpoint is a root
+    it triples D instead and tests 2A + B, the point a third of the way up.
     """
     a, b = Fraction(interval[0]), Fraction(interval[1])
     sa, sb = f.sign_at(a), f.sign_at(b)
@@ -506,17 +513,22 @@ def refine_root_interval(
         raise DomainError("isolating interval endpoints must not be roots")
     if sa == sb:
         raise DomainError("no sign change across the interval")
-    while b - a > width:
-        m = (a + b) / 2
-        sm = f.sign_at(m)
-        if sm == 0:
-            m = a + (b - a) / 3  # dodge an exact rational hit
-            sm = f.sign_at(m)
-        if sm == sa:
-            a = m
+    width = Fraction(width)
+    wn, wd = width.numerator, width.denominator
+    D = math.lcm(a.denominator, b.denominator)
+    A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
+    while (B - A) * wd > wn * D:
+        sm = f.sign_at_ratio(A + B, 2 * D)
+        if sm == 0:  # dodge an exact rational hit
+            A, B, D, M = 3 * A, 3 * B, 3 * D, 2 * A + B
+            sm = f.sign_at_ratio(M, D)
         else:
-            b = m
-    return a, b
+            A, B, D, M = 2 * A, 2 * B, 2 * D, A + B
+        if sm == sa:
+            A = M
+        else:
+            B = M
+    return Fraction(A, D), Fraction(B, D)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def _normalize_min_poly(poly: IntPolynomial) -> IntPolynomial:
 class AlgebraicNumber:
     """A root of an irreducible integer polynomial, with a chosen root."""
 
-    __slots__ = ("min_poly", "_interval", "conjugate_index")
+    __slots__ = ("min_poly", "_interval", "conjugate_index", "_sign_lo")
 
     def __init__(
         self,
@@ -67,6 +67,7 @@ class AlgebraicNumber:
             v = Fraction(-self.min_poly.constant, self.min_poly.leading)
             self._interval = (v, v)
             self.conjugate_index = None
+            self._sign_lo = None
             return
         if (interval is None) == (conjugate_index is None):
             raise DomainError("specify exactly one of interval, conjugate_index")
@@ -75,11 +76,13 @@ class AlgebraicNumber:
                 raise DomainError("conjugate index out of range")
             self._interval = None
             self.conjugate_index = conjugate_index
+            self._sign_lo = None
             return
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
         if lo >= hi:
             raise DomainError("isolating interval must have positive width")
-        if self.min_poly.sign_at(lo) == 0 or self.min_poly.sign_at(hi) == 0:
+        self._sign_lo = self.min_poly.sign_at(lo)
+        if self._sign_lo == 0 or self.min_poly.sign_at(hi) == 0:
             raise DomainError("isolating interval endpoints must not be roots")
         if count_real_roots(self.min_poly, lo, hi) != 1:
             raise DomainError("interval does not isolate exactly one real root")
@@ -163,19 +166,35 @@ class AlgebraicNumber:
         return Enclosure(lo, hi)
 
     def compare_rational(self, q) -> int:
-        """-1, 0, or 1 as self <, ==, > q.  Zero only for rational selves.
-
-        Exact and leaves the interval alone: it isolates one simple root
-        and no endpoint is a root, so a q inside lies below the root iff
-        the minimal polynomial has the same sign at q as at lo."""
+        """-1, 0, or 1 as self <, ==, > q.  Zero only for rational selves."""
         q = Fraction(q)
-        if self.is_rational():
-            v = self.rational_value()
-            return (v > q) - (v < q)
+        return self.compare_ratio(q.numerator, q.denominator)
+
+    def compare_ratio(self, n: int, d: int) -> int:
+        """-1, 0, or 1 as self <, ==, > n/d, for integers n and d > 0.
+        Zero only for rational selves.
+
+        Exact, on integers, and leaves the interval alone.  Against the
+        isolating interval lo < hi it cross-multiplies: n/d <= lo gives 1
+        and n/d >= hi gives -1.  Strictly inside, one sign test decides,
+        since the interval holds one simple root and no endpoint is a root:
+        n/d lies below the root iff f has the same sign at n/d as at lo.
+
+        That sign at lo is computed once, when the number is built.
+        Refinement never changes it: a refined interval [lo', hi'] lies in
+        [lo, hi] and still holds the root, so lo <= lo' < alpha; f has no
+        root in [lo, lo'], the only root in [lo, hi] being alpha, and so
+        by the intermediate value theorem f(lo') has the sign of f(lo).
+        """
         lo, hi = self.interval()
-        if lo < q < hi:
-            return 1 if self.min_poly.sign_at(q) == self.min_poly.sign_at(lo) else -1
-        return 1 if q <= lo else -1
+        if self.is_rational():
+            v = lo.numerator * d - n * lo.denominator
+            return (v > 0) - (v < 0)
+        if n * lo.denominator <= lo.numerator * d:
+            return 1
+        if n * hi.denominator >= hi.numerator * d:
+            return -1
+        return 1 if self.min_poly.sign_at_ratio(n, d) == self._sign_lo else -1
 
     def sign(self) -> int:
         return self.compare_rational(0)

@@ -3,7 +3,9 @@
 The search oracles scan the defining box directly, with no reduction
 and no pruning, so they share no code with the routes they check.  The
 Liouville oracle decides by enclosures of the error, not by the sign
-tests of the production scan.  The embedding oracles compute c1 and h(B)
+tests of the production scan.  The bisection oracle refines a root
+interval in Fraction arithmetic, where production bisects integer
+numerators over one denominator.  The embedding oracles compute c1 and h(B)
 with Enclosure arithmetic on rational complex boxes, where production
 works on integer mantissas of the dyadic boxes.
 """
@@ -118,6 +120,25 @@ def brute_force_minima(body, max_points: int = 20_000) -> Optional[Tuple[Fractio
         return None
     points = (x for x in iter_product(range(-box, box + 1), repeat=n) if any(x))
     return tuple(_greedy_minima(body, points))
+
+
+def refine_root_interval_by_fractions(f, interval, width):
+    """Bisect an isolating interval of a squarefree f, with a sign change
+    across it, below the given width: the midpoint, or the point a third
+    of the way up when the midpoint is a root."""
+    a, b = Fraction(interval[0]), Fraction(interval[1])
+    sa = f.sign_at(a)
+    while b - a > width:
+        m = (a + b) / 2
+        sm = f.sign_at(m)
+        if sm == 0:
+            m = a + (b - a) / 3
+            sm = f.sign_at(m)
+        if sm == sa:
+            a = m
+        else:
+            b = m
+    return a, b
 
 
 def liouville_verdict_by_enclosure(alpha, p: int, q: int, c) -> bool:

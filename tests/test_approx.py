@@ -5,6 +5,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dioph import approx
 from dioph.approx import (
@@ -262,6 +264,73 @@ def test_liouville_scan_takes_a_coarse_constant_from_the_caller(monkeypatch):
     wide = Enclosure(c.lo, c.hi + Fraction(1, 10 ** 11))
     assert liouville_scan(_fresh(SQRT2), 10 ** 4, sweep_limit=50, coarse=wide) == []
     assert len(calls) == 1
+
+
+_DECISION_SUBJECTS = [
+    (IntPolynomial([-2, 0, 1]), 1),  # sqrt 2
+    (IntPolynomial([-1, -1, 1]), 0),  # the conjugate of the golden ratio
+    (IntPolynomial([-3, -1, 0, 2]), 0),  # the real root of 2x^3 - x - 3
+    (IntPolynomial([1, -3, 0, 1]), 1),  # a root of x^3 - 3x + 1 in (0, 1)
+    (IntPolynomial([-2, 0, 0, 0, 1]), 0),  # -2^(1/4)
+]
+
+
+def _verdict_by_exact_constants(alpha, p, q, c):
+    """The oracle's verdict at c.lo and at c.hi: None when they differ,
+    which is when c's window leaves |alpha - p/q| <= c/q^n open."""
+    at_lo = liouville_verdict_by_enclosure(alpha, p, q, Enclosure.exact(c.lo))
+    at_hi = liouville_verdict_by_enclosure(alpha, p, q, Enclosure.exact(c.hi))
+    return at_lo if at_lo == at_hi else None
+
+
+def test_integer_liouville_decision_matches_the_enclosure_oracle():
+    seen = {"inside": 0, "tie": 0, "non_dyadic": 0, True: 0, False: 0, None: 0}
+
+    @given(
+        st.sampled_from(_DECISION_SUBJECTS),
+        st.integers(0, 60),
+        st.integers(1, 10 ** 6),
+        st.integers(-2, 3),
+        st.sampled_from(["near", "tie_lo", "tie_hi", "window_tie"]),
+        st.integers(-30, 30),
+        st.sampled_from([2, 3, 7]),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=300)
+    def check(subject, refine_bits, q, offset, kind, t, base, s):
+        poly, k = subject
+        alpha = AlgebraicNumber.real_roots_of(poly)[k]
+        alpha.refine(Fraction(1, 1 << refine_bits))
+        lo, hi = alpha.interval()
+        n = alpha.degree
+        # p next to q * alpha, read off a copy refined far below 1/q^2
+        fine = _fresh(alpha).refine(Fraction(1, 64 * q ** (n + 2)))[0]
+        p = math.floor(fine * q) + offset
+        x, qn = Fraction(p, q), q ** n
+        if kind == "near":
+            # c within base^-|t| (relative) of q^n |alpha - p/q|, below or above
+            center = abs(fine - x) * qn
+            assume(center > 0)
+            c_lo = center * (1 + Fraction(1 if t >= 0 else -1, base ** abs(t) + 1))
+            c = Enclosure(c_lo, c_lo * (1 + Fraction(1, base ** s)))
+        else:
+            # p/q + c.hi/q^n on hi, p/q - c.hi/q^n on lo, or the same for c.lo
+            edge = hi - x if kind == "tie_hi" else x - lo
+            assume(edge > 0)
+            tie = edge * qn
+            c = Enclosure(tie, tie * 2) if kind == "window_tie" else Enclosure(tie / 2, tie)
+            seen["tie"] += 1
+        seen["non_dyadic"] += c.lo.denominator & (c.lo.denominator - 1) != 0
+        for r in (c.lo, c.hi):
+            for point in (x - r / qn, x + r / qn):
+                seen["inside"] += lo < point < hi
+        verdict = approx._violates(alpha, p, q, c)
+        assert verdict == _verdict_by_exact_constants(alpha, p, q, c)
+        assert alpha.interval() == (lo, hi)
+        seen[verdict] += 1
+
+    check()
+    assert all(seen.values()), seen
 
 
 def test_liouville_violation_branch_matches_the_enclosure_oracle(monkeypatch):

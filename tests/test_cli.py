@@ -284,6 +284,8 @@ def test_cf_terms_above_the_cap_exit_2_at_once(capsys):
         (["mahler", "--", "x^" + "9" * 30], "x^" + "9" * 30, "the degree cap is 1000"),
         (["northcott", "--degree", "12", "--height", "1"],
          "29426343959418943113115032504", "the cap is 10000"),
+        (["auxpoly", "--alpha", "x^2-2", "--m", "3", "--epsilon", "1/4", "--r", "6,6,6"],
+         "343 unknowns", "the cap is 128"),
     ],
 )
 def test_inputs_above_a_cap_exit_2_at_once(capsys, argv, value, cap):

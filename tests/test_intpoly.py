@@ -27,6 +27,8 @@ from dioph.intpoly import (
     squarefree_part,
 )
 
+from oracles import refine_root_interval_by_fractions
+
 
 def rand_poly(rng, max_deg=6, coeff=9, primitive=False):
     while True:
@@ -251,6 +253,48 @@ def test_refine_root_interval():
     lo, hi = refine_root_interval(f, (Fraction(1), Fraction(2)), Fraction(1, 10 ** 20))
     assert hi - lo <= Fraction(1, 10 ** 20)
     assert lo ** 2 < 2 < hi ** 2
+
+
+@given(
+    st.lists(st.integers(-9, 9), min_size=3, max_size=7),
+    st.one_of(st.none(), st.tuples(st.integers(0, 4), st.integers(-15, 15))),
+    st.integers(0, 300),
+    st.integers(1, 9),
+)
+@settings(max_examples=80)
+def test_refine_root_interval_matches_the_fraction_bisection(coeffs, dyadic, k, num):
+    f = IntPolynomial(coeffs)
+    if dyadic is not None:
+        # a root at a dyadic rational, which the bisection's midpoints can hit
+        k2, j = dyadic
+        f = f * IntPolynomial([-j, 1 << k2])
+    assume(f.degree >= 2)
+    g = squarefree_part(f)
+    assume(2 <= g.degree <= 6)
+    width = Fraction(num, 1 << k) if k % 3 else Fraction(num, 3 ** (k // 3) + 1)
+    for iv in isolate_real_roots(g):
+        assert refine_root_interval(g, iv, width) == refine_root_interval_by_fractions(g, iv, width)
+
+
+def test_refine_root_interval_dodges_a_rational_root_like_the_fraction_bisection():
+    # (4x - 1)(x^2 - 3) on (0, 1): the second midpoint is the root 1/4
+    f = IntPolynomial([-1, 4]) * IntPolynomial([-3, 0, 1])
+    hits = []
+    sign_at_ratio = IntPolynomial.sign_at_ratio
+
+    class Counted(IntPolynomial):
+        def sign_at_ratio(self, n, d):
+            s = sign_at_ratio(self, n, d)
+            hits.append(s == 0)
+            return s
+
+    g = Counted(f.coeffs)
+    for k in (1, 2, 10, 100, 300):
+        width = Fraction(1, 1 << k)
+        got = refine_root_interval(g, (Fraction(0), Fraction(1)), width)
+        assert got == refine_root_interval_by_fractions(f, (0, 1), width)
+        assert got[0] < Fraction(1, 4) < got[1]
+    assert any(hits)
 
 
 def test_sturm_counts_random():

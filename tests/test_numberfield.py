@@ -239,6 +239,17 @@ def test_compare_rational_agrees_with_sympy_and_keeps_the_interval(case):
         assert alpha.interval() == interval
 
 
+@settings(max_examples=60)
+@given(roots_and_rationals(), st.integers(1, 10 ** 6))
+def test_compare_ratio_takes_any_representation_and_refinement(case, scale):
+    # the sign of f at lo, fixed when alpha is built, holds after refining
+    alpha, _, rationals = case
+    verdicts = [alpha.compare_rational(r) for r in rationals]
+    alpha.refine((alpha.interval()[1] - alpha.interval()[0]) / 2 ** 40)
+    for r, verdict in zip(rationals, verdicts):
+        assert alpha.compare_ratio(r.numerator * scale, r.denominator * scale) == verdict
+
+
 def test_eq_tells_apart_roots_with_overlapping_intervals():
     f = IntPolynomial([-2, 0, 1])
     minus, plus = AlgebraicNumber(f, interval=(-2, 0)), AlgebraicNumber(f, interval=(-1, 2))

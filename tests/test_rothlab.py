@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dioph import rothlab
 from dioph.exceptions import DomainError, InfeasibleError, UnsupportedError
 from dioph.heights import height_polynomial, height_rational
 from dioph.intpoly import IntPolynomial
@@ -131,6 +132,17 @@ def test_build_aux_poly_requires_algebraic_integer():
     nonmonic = AlgebraicNumber(IntPolynomial([-1, 0, 2]), interval=(0, 1))
     with pytest.raises(UnsupportedError):
         build_aux_poly(nonmonic, 2, Fraction(1, 2), (2, 2))
+
+
+def test_build_aux_poly_refuses_more_unknowns_than_the_cap(monkeypatch):
+    assert rothlab.AUX_UNKNOWNS_CAP == 128
+    with pytest.raises(UnsupportedError, match="129 unknowns; the cap is 128"):
+        build_aux_poly(SQRT2, 2, Fraction(1, 2), (2, 42))
+    # the cap itself is admitted: (3 + 1) * (3 + 1) unknowns at a cap of 16
+    monkeypatch.setattr(rothlab, "AUX_UNKNOWNS_CAP", 16)
+    assert build_aux_poly(SQRT2, 2, Fraction(1, 2), (3, 3)).unknowns == 16
+    with pytest.raises(UnsupportedError, match="20 unknowns; the cap is 16"):
+        build_aux_poly(SQRT2, 2, Fraction(1, 2), (3, 4))
 
 
 def test_height_ratio_monitored():
