@@ -1,9 +1,11 @@
-"""Exact stdout of a fixed set of `cf`, `liouville` and `exponents` commands.
+"""Exact stdout of fixed command sets: `cf`, `liouville` and `exponents`
+(the `approximation` set) and `index`, `auxpoly` and `roth-verify` (the
+`index` set).
 
-The expected bytes live in `tests/data/approximation_stdout.json`; they
+The expected bytes of a set live in `tests/data/<set>_stdout.json`; they
 were written by an earlier version of dioph, so any change to these
 outputs shows here as a failure.  After a change of output that is meant,
-rewrite the file with
+rewrite the files with
 
     PYTHONPATH=src python tests/test_approximation_stdout.py
 
@@ -17,26 +19,75 @@ import sys
 from pathlib import Path
 
 import pytest
+import sympy
 
 from dioph import cli
 
-DATA = Path(__file__).with_name("data") / "approximation_stdout.json"
+DATA = Path(__file__).with_name("data")
 
-# degree 2-4, the largest real root and (--root-interval) another one
-COMMANDS = [
-    ["cf", "--terms", "40", "--", "x^2-2"],
-    ["cf", "--terms", "20", "--", "2x^3-x-3"],
-    ["cf", "--terms", "16", "--root-interval=-2,-1", "--", "x^3-3x+1"],
-    ["cf", "--terms", "10", "--root-interval=-3,-2", "--", '{"coeffs": ["2", "0", "-5", "0", "1"]}'],
-    ["liouville", "--qmax", "1000000", "--sweep", "200", "--", "x^2-x-1"],
-    ["liouville", "--qmax", "100000", "--sweep", "100", "--root-interval=0,1", "--", "x^3-3x+1"],
-    ["liouville", "--qmax", "10000", "--sweep", "50", "--", "3x^4-2x-3"],
-    ["liouville", "--qmax", "5000", "--sweep", "40", "--root-interval=-2,-1", "--", "x^4-2"],
-    ["exponents", "--qmax", "10000000000", "--", "x^2-2"],
-    ["exponents", "--qmax", "100000000", "--root-interval=0,1", "--", "x^3-3x+1"],
-    ["exponents", "--qmax", "100000", "--", "x^4-x-1"],
-    ["exponents", "--qmax", "1000000", "--format", "csv", "--root-interval=-2,-1", "--", "2x^2+3x-1"],
-]
+
+def _poly(expr: str, names: str) -> str:
+    """Multivariate-polynomial JSON of an integer polynomial, expanded by
+    sympy, terms in increasing exponent order."""
+    gens = sympy.symbols(names, seq=True)
+    terms = [{"coeff": str(c), "exps": list(e)}
+             for e, c in sorted(sympy.Poly(sympy.sympify(expr), *gens).terms())]
+    return json.dumps({"arity": len(gens), "terms": terms}, separators=(",", ":"))
+
+
+def _roth(expr: str, names: str, betas, weights, eta) -> str:
+    return json.dumps({"poly": json.loads(_poly(expr, names)), "betas": [str(b) for b in betas],
+                       "weights": weights, "eta": eta}, separators=(",", ":"))
+
+
+# (x - sqrt(2))^2 (y - 1) with {"rep": [...]} coefficients in Q(sqrt(2))
+_SQRT2_SQUARE = json.dumps({"arity": 2, "terms": [
+    {"coeff": "-2", "exps": [0, 0]}, {"coeff": "2", "exps": [0, 1]},
+    {"coeff": {"rep": ["0", "2"]}, "exps": [1, 0]}, {"coeff": {"rep": ["0", "-2"]}, "exps": [1, 1]},
+    {"coeff": "-1", "exps": [2, 0]}, {"coeff": "1", "exps": [2, 1]}]}, separators=(",", ":"))
+
+COMMANDS = {
+    # degree 2-4, the largest real root and (--root-interval) another one
+    "approximation": [
+        ["cf", "--terms", "40", "--", "x^2-2"],
+        ["cf", "--terms", "20", "--", "2x^3-x-3"],
+        ["cf", "--terms", "16", "--root-interval=-2,-1", "--", "x^3-3x+1"],
+        ["cf", "--terms", "10", "--root-interval=-3,-2", "--", '{"coeffs": ["2", "0", "-5", "0", "1"]}'],
+        ["liouville", "--qmax", "1000000", "--sweep", "200", "--", "x^2-x-1"],
+        ["liouville", "--qmax", "100000", "--sweep", "100", "--root-interval=0,1", "--", "x^3-3x+1"],
+        ["liouville", "--qmax", "10000", "--sweep", "50", "--", "3x^4-2x-3"],
+        ["liouville", "--qmax", "5000", "--sweep", "40", "--root-interval=-2,-1", "--", "x^4-2"],
+        ["exponents", "--qmax", "10000000000", "--", "x^2-2"],
+        ["exponents", "--qmax", "100000000", "--root-interval=0,1", "--", "x^3-3x+1"],
+        ["exponents", "--qmax", "100000", "--", "x^4-x-1"],
+        ["exponents", "--qmax", "1000000", "--format", "csv", "--root-interval=-2,-1", "--", "2x^2+3x-1"],
+    ],
+    # the index at rational points, at alpha and at points mixing both;
+    # auxiliary polynomials up to the 128-unknown cap; the lemma verifier
+    # with its hypotheses holding and failing
+    "index": [
+        ["index", "--point=1,2", "--weights", "2,3", "--poly", _poly("(x-1)**2*(y-2)**3", "x y")],
+        ["index", "--point=1/2,-1,2", "--weights", "3,1,2", "--poly",
+         _poly("(2*x-1)**3*(y+1)*(z-2)**2 + 3*(2*x-1)**2*(y+1)**2*(z-2)", "x y z")],
+        ["index", "--point=-3/2", "--weights", "4", "--poly", _poly("(2*x+3)**3*(x**2+1)", "x")],
+        ["index", "--point=0,0", "--weights", "1,1", "--poly", '{"arity": 2, "terms": []}'],
+        ["index", "--point=alpha,1", "--weights", "2,1", "--base", "x^2-2", "--poly", _SQRT2_SQUARE],
+        ["index", "--point=alpha,alpha", "--weights", "2,3", "--base", "x^3-2", "--poly",
+         _poly("(x**3-2)*(y**3-2)**2 + (x-y)**3*(x**3-2)", "x y")],
+        ["index", "--point=alpha,-1/2,alpha", "--weights", "1,2,2", "--base", "x^2-x-1", "--poly",
+         _poly("(x**2-x-1)*(2*y+1)**2*(z**2-z-1) + (x-z)**2*(2*y+1)", "x y z")],
+        ["auxpoly", "--alpha", "x^2-2", "--m", "2", "--epsilon", "1/2", "--r", "3,3"],
+        ["auxpoly", "--alpha", "x^3-2", "--m", "3", "--epsilon", "1/2", "--r", "3,3,3"],
+        ["auxpoly", "--alpha", "x^2-3", "--m", "2", "--epsilon", "1/2", "--r", "1,63"],
+        ["auxpoly", "--alpha", "x^2-5", "--m", "7", "--epsilon", "1/2", "--r", "1,1,1,1,1,1,1"],
+        ["auxpoly", "--alpha", "x^3-5", "--m", "2", "--epsilon", "1/4", "--r", "5,4"],
+        ["roth-verify", "--", _roth("(x-2)**2", "x", [2 ** 60], [2], "1/2")],
+        ["roth-verify", "--", _roth("1+3*x", "x y", [2 ** 150, -(2 ** 300) + 5], [8, 2], "1/2")],
+        ["roth-verify", "--", _roth("(x-3)*(y-5)**2", "x y", [3, 5], [4, 2], "1/4")],
+    ],
+}
+
+CASES = [(name, argv) for name, cmds in COMMANDS.items() for argv in cmds]
 
 
 def _stdout(argv):
@@ -46,22 +97,27 @@ def _stdout(argv):
     return code, out.getvalue()
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(a[:3]) for a in COMMANDS])
-def test_stdout_is_unchanged(argv):
-    expected = json.loads(DATA.read_text())[" ".join(argv)]
-    assert _stdout(argv) == (0, expected)
+def _expected(name):
+    return json.loads((DATA / f"{name}_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[" ".join(a[:3]) for _, a in CASES])
+def test_stdout_is_unchanged(name, argv):
+    assert _stdout(argv) == (0, _expected(name)[" ".join(argv)])
 
 
 def test_every_command_has_expected_bytes():
-    assert sorted(json.loads(DATA.read_text())) == sorted(" ".join(a) for a in COMMANDS)
+    for name, cmds in COMMANDS.items():
+        assert sorted(_expected(name)) == sorted(" ".join(a) for a in cmds)
 
 
 if __name__ == "__main__":
-    table = {}
-    for argv in COMMANDS:
-        code, text = _stdout(argv)
-        if code != 0:
-            sys.exit(f"exit {code}: {' '.join(argv)}")
-        table[" ".join(argv)] = text
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    for name, cmds in COMMANDS.items():
+        table = {}
+        for argv in cmds:
+            code, text = _stdout(argv)
+            if code != 0:
+                sys.exit(f"exit {code}: {' '.join(argv)}")
+            table[" ".join(argv)] = text
+        DATA.mkdir(exist_ok=True)
+        (DATA / f"{name}_stdout.json").write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
