@@ -23,7 +23,7 @@ print(f"  d_(1,2) of (x-1)^2 (y-2)^3 has terms {dict(sorted(D.terms.items()))}")
 print("\n== the index at a point ==")
 point = [Fraction(1), Fraction(2)]
 weights = (2, 3)
-print("  enumerate-and-evaluate:", index_at(P, point, weights))
+print("  least weighted degree in P(x + point):", index_at(P, point, weights))
 print("  (the extremal value m = 2 for the weight-matched product)")
 
 print("\n== index algebra on products ==")

@@ -1,10 +1,12 @@
 """Sparse multivariate polynomials over Q or Q(alpha), normalized partial
-derivatives, and the weighted vanishing index.
+derivatives, the Taylor shift P(x + a), and the weighted vanishing index.
 
 Coefficients are Fractions or NumberFieldElements over one shared
 generator; exponent vectors are dense tuples of length arity.  The
 normalized derivative d_I carries the 1/I! factor, so it acts on
-integer polynomials without leaving Z.
+integer polynomials without leaving Z.  The coefficient of x^I in
+P(x + a) is d_I P evaluated at a, so one shift yields every normalized
+derivative at the point; the index is read off it.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .exceptions import DomainError, InternalError
+from .exceptions import DomainError
 from .numberfield import NumberFieldElement
 
 Scalar = Union[Fraction, NumberFieldElement]
@@ -254,6 +255,47 @@ def check_weights(weights: Sequence[int], arity: int) -> Tuple[int, ...]:
     return weights
 
 
+def taylor_shift(P: MultiPoly, point: Sequence) -> MultiPoly:
+    """P(x + point): the coefficient of x^I is d_I P evaluated at the point.
+
+    Shifts one variable at a time: x_h^k becomes sum_j C(k, j) a_h^(k-j) x_h^j,
+    with the powers of a_h computed once per variable.  Terms that cancel
+    are dropped by the MultiPoly constructor.
+    """
+    if len(point) != P.arity:
+        raise DomainError("point length differs from arity")
+    shifted = P
+    for h, a in enumerate(point):
+        a = _coerce_scalar(a)
+        if _is_zero_scalar(a):
+            continue
+        powers = [Fraction(1)]
+        for _ in range(max((exps[h] for exps in shifted.terms), default=0)):
+            powers.append(powers[-1] * a)
+        out: Dict[Tuple[int, ...], Scalar] = {}
+        for exps, c in shifted.terms.items():
+            k = exps[h]
+            head, tail = exps[:h], exps[h + 1 :]
+            for j in range(k + 1):
+                key = head + (j,) + tail
+                term = c if j == k else c * math.comb(k, j) * powers[k - j]
+                out[key] = out[key] + term if key in out else term
+        shifted = MultiPoly(P.arity, out)
+    return shifted
+
+
+def least_weighted_degree(P: MultiPoly, weights: Tuple[int, ...]) -> IndexValue:
+    """min sum i_h/r_h over the monomials x^I of P: the index of P at the
+    origin, +infinity for the zero polynomial."""
+    if P.is_zero():
+        return IndexValue(None)
+    D = math.lcm(*weights)
+    steps = [D // r for r in weights]
+    return IndexValue(
+        Fraction(min(sum(i * s for i, s in zip(exps, steps)) for exps in P.terms), D)
+    )
+
+
 def index_at(
     P: MultiPoly, point: Sequence, weights: Sequence[int]
 ) -> IndexValue:
@@ -261,25 +303,13 @@ def index_at(
     sum i_h/r_h over multi-indices with a nonvanishing normalized
     derivative at the point.  +infinity for the zero polynomial.
 
-    Multi-indices are scanned in increasing exact weighted order (ties
-    lexicographic) with early exit at the first nonvanishing value.
+    Read off the Taylor shift: the least weighted degree of a monomial
+    of P(x + point).
     """
     weights = check_weights(weights, P.arity)
     if P.is_zero():
         return IndexValue(None)
-    degs = P.partial_degrees()
-    candidates = sorted(
-        iter_product(*(range(d + 1) for d in degs)),
-        key=lambda idx: (
-            sum(Fraction(i, r) for i, r in zip(idx, weights)),
-            idx,
-        ),
-    )
-    for idx in candidates:
-        val = normalized_derivative(P, idx).evaluate(point)
-        if not _is_zero_scalar(val):
-            return IndexValue(sum(Fraction(i, r) for i, r in zip(idx, weights)))
-    raise InternalError("nonzero polynomial with all boxed derivatives zero")
+    return least_weighted_degree(taylor_shift(P, point), weights)
 
 
 def kronecker_substitution(P: MultiPoly, d: int) -> MultiPoly:

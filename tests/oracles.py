@@ -7,7 +7,9 @@ tests of the production scan.  The bisection oracle refines a root
 interval in Fraction arithmetic, where production bisects integer
 numerators over one denominator.  The embedding oracles compute c1 and h(B)
 with Enclosure arithmetic on rational complex boxes, where production
-works on integer mantissas of the dyadic boxes.
+works on integer mantissas of the dyadic boxes.  The index oracle builds
+and evaluates one normalized derivative per multi-index, where
+production reads every derivative off one Taylor shift.
 """
 
 from fractions import Fraction
@@ -18,6 +20,7 @@ import sympy
 
 from dioph.enclosure import Enclosure, log_enclosure, sqrt_enclosure
 from dioph.exceptions import PrecisionError
+from dioph.multipoly import IndexValue, MultiPoly, normalized_derivative
 from dioph.numberfield import AlgebraicNumber
 from dioph.roots import ordered_root_boxes
 from dioph.siegel import IntMatrix
@@ -120,6 +123,23 @@ def brute_force_minima(body, max_points: int = 20_000) -> Optional[Tuple[Fractio
         return None
     points = (x for x in iter_product(range(-box, box + 1), repeat=n) if any(x))
     return tuple(_greedy_minima(body, points))
+
+
+def index_by_enumeration(P: MultiPoly, point, weights) -> IndexValue:
+    """The index of P at the point by enumerate-and-evaluate: the
+    multi-indices of the degree box in increasing weighted order, one
+    normalized derivative built and evaluated per multi-index, up to the
+    first that does not vanish.  +infinity for the zero polynomial."""
+    if P.is_zero():
+        return IndexValue(None)
+
+    def order(idx):
+        return sum(Fraction(i, r) for i, r in zip(idx, weights))
+
+    for idx in sorted(iter_product(*(range(d + 1) for d in P.partial_degrees())), key=order):
+        if normalized_derivative(P, idx).evaluate(point) != 0:
+            return IndexValue(order(idx))
+    raise AssertionError("a nonzero polynomial with every boxed derivative zero")
 
 
 def refine_root_interval_by_fractions(f, interval, width):

@@ -1,6 +1,6 @@
-import math
 import random
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,44 +14,14 @@ from dioph.multipoly import (
     index_at,
     kronecker_substitution,
     normalized_derivative,
+    taylor_shift,
 )
 from dioph.numberfield import AlgebraicNumber, NumberFieldElement
 
+from oracles import index_by_enumeration
+
 X = MultiPoly.variable(2, 0)
 Y = MultiPoly.variable(2, 1)
-
-
-# ---------------------------------------------------------------------------
-# the oracle: move the point to the origin and read the index off the
-# monomials that survive
-
-
-def taylor_shift(P: MultiPoly, point) -> MultiPoly:
-    """P(x + point), expanded one variable at a time."""
-    result = P
-    for h, a in enumerate(point):
-        a = a if isinstance(a, NumberFieldElement) else Fraction(a)
-        out = {}
-        for exps, c in result.terms.items():
-            k = exps[h]
-            apow = Fraction(1)
-            # (x_h + a)^k from the highest binomial down
-            for j in range(k, -1, -1):
-                key = exps[:h] + (j,) + exps[h + 1 :]
-                out[key] = out.get(key, 0) + c * math.comb(k, j) * apow
-                apow = apow * a
-        result = MultiPoly(P.arity, out)  # drops the terms that cancelled
-    return result
-
-
-def index_via_taylor_shift(P: MultiPoly, point, weights) -> IndexValue:
-    """The least weighted degree of a monomial of P(x + point)."""
-    if P.is_zero():
-        return IndexValue(None)
-    shifted = taylor_shift(P, point)
-    return IndexValue(
-        min(sum(Fraction(i, r) for i, r in zip(exps, weights)) for exps in shifted.terms)
-    )
 
 
 def rand_point(rng, arity):
@@ -207,17 +177,27 @@ def test_oracle_equivalence():
         P = vanishing_poly(rng, arity, point, terms=4)
         if P.is_zero():
             continue
-        assert index_at(P, point, weights) == index_via_taylor_shift(P, point, weights)
+        assert index_at(P, point, weights) == index_by_enumeration(P, point, weights)
         done += 1
+
+
+SQRT2 = AlgebraicNumber(IntPolynomial([-2, 0, 1]), interval=(1, 2))
+CBRT2 = AlgebraicNumber(IntPolynomial([-2, 0, 0, 1]), interval=(1, 2))
 
 
 @st.composite
 def index_cases(draw):
     """(P, point, weights): a drawn polynomial times a drawn power of
-    (x_h - a_h) per variable, so that the index is often positive."""
+    (x_h - a_h) per variable, so that the index is often positive.  Each
+    coordinate a_h is a rational or, at an algebraic case, possibly the
+    generator of Q(sqrt 2) or Q(cbrt 2) plus a rational."""
     arity = draw(st.integers(1, 3))
-    point = draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=arity,
-                          max_size=arity))
+    rationals = st.fractions(-3, 3, max_denominator=4)
+    point = draw(st.lists(rationals, min_size=arity, max_size=arity))
+    base = draw(st.sampled_from([None, SQRT2, CBRT2]))
+    if base is not None:
+        gen = NumberFieldElement.generator(base)
+        point = [gen + a if draw(st.booleans()) else a for a in point]
     weights = draw(st.lists(st.integers(1, 5), min_size=arity, max_size=arity))
     exps = st.tuples(*[st.integers(0, 3)] * arity)
     P = MultiPoly(arity, draw(st.dictionaries(exps, st.integers(-9, 9), max_size=5)))
@@ -229,9 +209,9 @@ def index_cases(draw):
 
 @settings(max_examples=150)
 @given(index_cases())
-def test_index_at_equals_the_taylor_shift_oracle_on_drawn_cases(case):
+def test_index_at_equals_the_enumerate_oracle_on_drawn_cases(case):
     P, point, weights = case
-    assert index_at(P, point, weights) == index_via_taylor_shift(P, point, weights)
+    assert index_at(P, point, weights) == index_by_enumeration(P, point, weights)
 
 
 def test_taylor_shift_roundtrip():
@@ -241,6 +221,17 @@ def test_taylor_shift_roundtrip():
         a = rand_point(rng, 2)
         back = taylor_shift(taylor_shift(P, a), [-x for x in a])
         assert back == P
+
+
+def test_taylor_shift_coefficients_are_the_normalized_derivatives():
+    rng = random.Random(69)
+    gen = NumberFieldElement.generator(CBRT2)
+    for _ in range(40):
+        P = rand_poly(rng, 2, deg=3, terms=5)
+        a = [rng.choice([gen, gen + 1, gen * gen]), rand_point(rng, 1)[0]]
+        shifted = taylor_shift(P, a)
+        for I in iter_product(range(4), repeat=2):
+            assert shifted.terms.get(I, 0) == normalized_derivative(P, I).evaluate(a)
 
 
 def test_index_at_algebraic_point():

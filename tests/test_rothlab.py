@@ -113,6 +113,24 @@ def test_reference_witness_accepted():
     assert report["index"].value == Fraction(2, 3)
 
 
+def test_verify_rejects_a_candidate_of_too_low_index():
+    # x1 - x2 vanishes at (sqrt2, sqrt2) but its d/dx2 does not: index 1/3
+    report = verify_aux_poly(X - Y, SQRT2, 2, Fraction(1, 2), (3, 3))
+    assert report["index"].value == Fraction(1, 3) < report["threshold"] == Fraction(1, 2)
+    assert report["degree_ok"]
+    assert not report["vanishing_ok"]
+    assert not report["index_ok"]
+    assert not report["ok"]
+
+
+def test_verify_rejects_a_candidate_outside_the_degree_box():
+    # the reference witness times x1^2: partial degree 4 > r_1 = 3
+    report = verify_aux_poly((X - Y) ** 2 * X ** 2, SQRT2, 2, Fraction(1, 2), (3, 3))
+    assert not report["degree_ok"]
+    assert report["vanishing_ok"] and report["index_ok"]
+    assert not report["ok"]
+
+
 def test_build_aux_poly_degenerate_rational():
     one = AlgebraicNumber.from_rational(1)
     res = build_aux_poly(one, 1, Fraction(1, 2), (2,))
