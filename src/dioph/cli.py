@@ -142,9 +142,9 @@ def _cmd_northcott(args):
         cache_path = os.path.join(
             args.cache, f"northcott_{hashlib.sha256(key).hexdigest()[:32]}.json"
         )
-        if os.path.exists(cache_path):
-            with open(cache_path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
+        cached = _read_northcott_cache(cache_path)
+        if cached is not None:
+            return cached
     polys = northcott_enumerate(degree, height)
     result = [
         {
@@ -154,9 +154,43 @@ def _cmd_northcott(args):
         for f in polys
     ]
     if cache_path:
-        with open(cache_path, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
+        _write_northcott_cache(cache_path, result)
     return result
+
+
+def _read_northcott_cache(path: str):
+    """The scan stored at `path`, or None (a miss) when the file is absent,
+    does not parse, or is not a list of {"coeffs": [int, ...], "mahler":
+    {"lo": "p/q", "hi": "p/q"}} with lo <= hi, as `northcott` writes it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        for entry in _json_list(data, "cached scan"):
+            _json_object(entry, "cached entry", "coeffs", "mahler")
+            coeffs = [_json_int(c, "coefficient") for c in _json_list(entry["coeffs"], "coeffs")]
+            mahler = _json_object(entry["mahler"], '"mahler"', "lo", "hi")
+            lo, hi = (_json_rational(mahler[k], '"mahler" endpoint') for k in ("lo", "hi"))
+            canonical = {"lo": format_rational(lo), "hi": format_rational(hi)}
+            if not coeffs or lo > hi or entry != {"coeffs": coeffs, "mahler": canonical}:
+                return None
+    except (OSError, ValueError):  # ValueError covers JSON, decoding and ParseError
+        return None
+    return data
+
+
+def _write_northcott_cache(path: str, result) -> None:
+    """Write to a temporary file in the cache directory, then move it into
+    place, so a reader never sees a half-written file."""
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(result, fh, indent=2, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _cmd_kronecker(args):

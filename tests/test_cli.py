@@ -338,6 +338,32 @@ def test_multipoly_json_roundtrip():
     assert multipoly_from_json(data) == P
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda text: text[:20],  # truncated: was a JSONDecodeError traceback, exit 1
+        lambda text: '{"x": 1}',  # not a list: was printed back with exit 0
+        lambda text: '[{"coeffs": [1.5, 1], "mahler": {"lo": "1/1", "hi": "1/1"}}]',
+        lambda text: '[{"coeffs": [-1, 1], "mahler": {"lo": "one", "hi": "1/1"}}]',
+        lambda text: '[{"coeffs": [-1, 1], "mahler": {"lo": "2/1", "hi": "1/1"}}]',
+        lambda text: "\udcff",  # not UTF-8
+    ],
+    ids=["truncated", "not-a-list", "float-coeff", "bad-endpoint", "reversed-endpoints",
+         "not-utf8"],
+)
+def test_northcott_recomputes_a_bad_cache_file(capsys, tmp_path, damage):
+    argv = ["northcott", "--degree", "1", "--height", "1", "--cache", str(tmp_path)]
+    code, fresh = run(capsys, *argv)
+    assert code == 0
+    (path,) = tmp_path.glob("northcott_*.json")
+    path.write_text(damage(path.read_text()), encoding="utf-8", errors="surrogateescape")
+    assert run(capsys, *argv) == (0, fresh)
+    # the damaged file was rewritten, and no temporary file is left
+    assert path.read_text() == json.dumps(json.loads(fresh), indent=2, sort_keys=True)
+    assert run(capsys, *argv) == (0, fresh)
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_northcott_cache_is_keyed_by_precision(capsys, tmp_path):
     argv = ["northcott", "--degree", "2", "--height", "1", "--cache", str(tmp_path)]
     code, coarse = run(capsys, *argv, "--precision", "1e-3")
