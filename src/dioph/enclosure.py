@@ -183,13 +183,6 @@ class Enclosure:
         """Widen endpoints outward to denominators of at most 2**bits."""
         return Enclosure(_round_down(self.lo, bits), _round_up(self.hi, bits))
 
-    def intersect(self, other: "Enclosure") -> "Enclosure":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise DomainError("enclosures do not intersect")
-        return Enclosure(lo, hi)
-
 
 def sqrt_enclosure(q: Rat, err: Rat) -> Enclosure:
     """Enclosure of sqrt(q) of width <= err, q >= 0 rational."""
@@ -356,12 +349,3 @@ def exp_enclosure(t: Rat, err: Rat) -> Enclosure:
         lo, hi = (1 << 2 * w) // hi, -(-(1 << 2 * w) // lo)
     return Enclosure(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
 
-
-def pow_enclosure(base: Enclosure, p: int, q: int, err: Rat) -> Enclosure:
-    """Enclosure of base**(p/q) for a positive enclosure and integers p, q >= 1."""
-    if base.lo < 0:
-        raise DomainError("rational powers need a nonnegative enclosure")
-    powered = base ** p
-    lo_root = nth_root_enclosure(powered.lo, q, err)
-    hi_root = nth_root_enclosure(powered.hi, q, err)
-    return Enclosure(lo_root.lo, hi_root.hi)

@@ -13,7 +13,6 @@ from dioph.enclosure import (
     iroot,
     log_enclosure,
     nth_root_enclosure,
-    pow_enclosure,
     sqrt_enclosure,
 )
 from dioph.exceptions import DomainError
@@ -104,12 +103,6 @@ def test_pow_and_abs():
     assert cube.lo <= -8 and cube.hi >= 1  # sound if wider than the true range
     assert (Enclosure(2, 3) ** 2) == Enclosure(4, 9)
     assert abs(Enclosure(-3, 1)) == Enclosure(0, 3)
-
-
-def test_pow_enclosure_rational_exponent():
-    base = Enclosure(Fraction(2), Fraction(2))
-    enc = pow_enclosure(base, 1, 3, Fraction(1, 10 ** 12))
-    assert enc.lo ** 3 <= 2 <= enc.hi ** 3
 
 
 def test_round_out_is_outward():
