@@ -1,6 +1,6 @@
 """Exact stdout of fixed command sets: `cf`, `liouville` and `exponents`
-(the `approximation` set) and `index`, `auxpoly` and `roth-verify` (the
-`index` set).
+(the `approximation` set), `index`, `auxpoly` and `roth-verify` (the
+`index` set), and `minima` and `minkowski` (the `lattice` set).
 
 The expected bytes of a set live in `tests/data/<set>_stdout.json`; they
 were written by an earlier version of dioph, so any change to these
@@ -46,6 +46,22 @@ _SQRT2_SQUARE = json.dumps({"arity": 2, "terms": [
     {"coeff": {"rep": ["0", "2"]}, "exps": [1, 0]}, {"coeff": {"rep": ["0", "-2"]}, "exps": [1, 1]},
     {"coeff": "-1", "exps": [2, 0]}, {"coeff": "1", "exps": [2, 1]}]}, separators=(",", ":"))
 
+
+def _body(forms, bounds) -> str:
+    return json.dumps({"forms": [[str(a) for a in row] for row in forms],
+                       "bounds": [str(b) for b in bounds]})
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+# the two 5-dim bodies of the `lattices` benchmark workload
+_FIXED_MINIMA = _body([[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, -1],
+                       [0, 0, 0, 0, 1]], ["1/2", 1, "3/2", 1, "1/2"])
+_FIXED_MINKOWSKI = _body([[1, 0, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 2, 0, 0], [0, 0, 0, 1, 0],
+                          [1, 0, 0, 0, 1]], [1, "1/2", 1, "3/2", 1])
+
 COMMANDS = {
     # degree 2-4, the largest real root and (--root-interval) another one
     "approximation": [
@@ -84,6 +100,26 @@ COMMANDS = {
         ["roth-verify", "--", _roth("(x-2)**2", "x", [2 ** 60], [2], "1/2")],
         ["roth-verify", "--", _roth("1+3*x", "x y", [2 ** 150, -(2 ** 300) + 5], [8, 2], "1/2")],
         ["roth-verify", "--", _roth("(x-3)*(y-5)**2", "x y", [3, 5], [4, 2], "1/4")],
+    ],
+    # dimension 2-5; identity forms with equal bounds and unit shears give
+    # many points of equal gauge, so the witnesses show the tie-break
+    "lattice": [
+        ["minima", "--", _body(_identity(2), [1, 1])],
+        ["minima", "--", _body(_identity(3), ["2/3"] * 3)],
+        ["minkowski", "--", _body(_identity(4), ["1/2"] * 4)],
+        ["minima", "--", _body(_identity(5), [2] * 5)],
+        ["minima", "--", _body(_identity(5), [1, 1, 1, 1, 5])],
+        ["minima", "--", _FIXED_MINIMA],
+        ["minkowski", "--", _FIXED_MINKOWSKI],
+        ["minima", "--", _body([[1, 1], [0, 1]], [1, 2])],
+        ["minkowski", "--", _body([[3, 1], [1, 2]], ["1/2", "5/3"])],
+        ["minima", "--", _body([[2, 1, 0], [0, 1, 1], [1, 0, 3]], [1, 1, 1])],
+        ["minkowski", "--", _body([[1, 2, 0], [0, 1, 0], ["3/2", 0, 1]], ["1/3", 2, "3/2"])],
+        ["minima", "--", _body([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]], [1] * 4)],
+        ["minkowski", "--", _body([[1, 0, -1, 0], [0, 2, 0, 1], [1, 1, 1, 0], [0, 0, 1, 1]],
+                                  ["1/2", 3, 1, "2/3"])],
+        ["minima", "--", _body([[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0],
+                                [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]], [1] * 5)],
     ],
 }
 
