@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm
+from math import floor, gcd, lcm
 from typing import List, Sequence, Tuple
 
 from .exceptions import DomainError, InternalError, UnsupportedError
@@ -21,8 +21,9 @@ from .linalg import det, inverse, lll_reduce_with_transform, rank as _rank_int
 
 DIMENSION_CAP = 5
 _ENUM_NODE_BUDGET = 30_000_000
-# a point kept costs about 430 bytes through successive_minima, so one
-# enumeration stays under about 430 MB; random 5-dim bodies keep at most
+# a point kept costs about 360 bytes through successive_minima (tracemalloc
+# peak over points enumerated, 5-dim boxes of 43,000 to 292,000 points), so
+# one enumeration stays under about 360 MB; random 5-dim bodies keep at most
 # about 400,000 points
 _ENUM_POINT_BUDGET = 1_000_000
 
@@ -160,34 +161,71 @@ def _enumerate_reduced(
     return out
 
 
+def _complement_after(complement, x):
+    """The integer basis of the orthogonal complement once x joins the
+    witnesses, or None when x is orthogonal to all of `complement`, that
+    is, when x depends on the witnesses whose complement it spans.
+
+    With the pivot c_p.x != 0, each other c_j becomes
+    (c_p.x) c_j - (c_j.x) c_p over its content: orthogonal to x and to
+    every earlier witness, and still independent, so the basis shrinks
+    by one and spans the new complement.
+    """
+    dots = [sum([a * b for a, b in zip(c, x)]) for c in complement]
+    p = next((j for j, d in enumerate(dots) if d), None)
+    if p is None:
+        return None
+    cp, dp = complement[p], dots[p]
+    out = []
+    for j, (c, d) in enumerate(zip(complement, dots)):
+        if j != p:
+            v = [dp * a - d * b for a, b in zip(c, cp)]
+            g = gcd(*v)
+            out.append(tuple(a // g for a in v))
+    return out
+
+
 def successive_minima(body: ConvexBody) -> MinimaResult:
     """Exact successive minima with linearly independent integer witnesses.
 
     The gauge is den times a sup norm on an LLL-reduced integer lattice.
     The n reduced rows are independent lattice points, so lambda_n is at
     most their largest sup norm over den, and one enumeration at that cap
-    holds every candidate.  Sorted by exact gauge, the points yield the
+    holds every candidate.  In the order (gauge, x) the points yield the
     witnesses greedily: each is the first point independent of those
-    before it.
+    before it.  The points are grouped by exact gauge, and x = V^T z is
+    formed and sorted only within the groups that are scanned.
+
+    A candidate is independent of the witnesses so far exactly when it is
+    not orthogonal to their orthogonal complement, whose integer basis
+    starts as the unit vectors and shrinks by one per witness
+    (`_complement_after`): at most n dot products per candidate and no
+    elimination.  One rank of the final witnesses certifies them.
     """
     n = body.dimension
     if n > DIMENSION_CAP:
         raise UnsupportedError(f"dimension above cap {DIMENSION_CAP}")
     rows, V, den = _reduced_lattice(body)
     cap = max(abs(v) for row in rows for v in row)
-    scored: List[Tuple[int, Tuple[int, ...]]] = []  # (den * gauge, x)
+    groups: dict = {}  # den * gauge -> every z of that gauge
     for z, y in _enumerate_reduced(rows, cap):
-        x = tuple(sum(V[i][j] * z[i] for i in range(n)) for j in range(n))
-        scored.append((max(abs(v) for v in y), x))
-    scored.sort()
+        groups.setdefault(max(map(abs, y)), []).append(z)
+    complement = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     lambdas: List[Fraction] = []
     witnesses: List[Tuple[int, ...]] = []
-    for t, x in scored:
-        if len(witnesses) == n:
+    columns = list(zip(*V))  # x = V^T z
+    for t in sorted(groups):
+        for x in sorted(tuple([sum([a * b for a, b in zip(col, z)]) for col in columns])
+                        for z in groups[t]):
+            after = _complement_after(complement, x)
+            if after is not None:
+                complement = after
+                witnesses.append(x)
+                lambdas.append(Fraction(t, den))
+        if not complement:
             break
-        if _rank_int(witnesses + [x]) > len(witnesses):
-            witnesses.append(x)
-            lambdas.append(Fraction(t, den))
+    if _rank_int(witnesses) != n:
+        raise InternalError("successive minima witnesses are not independent")
     for lam, w in zip(lambdas, witnesses):
         if body.gauge(w) != lam:
             raise InternalError("gauge mismatch after basis reduction")

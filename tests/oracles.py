@@ -9,7 +9,10 @@ numerators over one denominator.  The embedding oracles compute c1 and h(B)
 with Enclosure arithmetic on rational complex boxes, where production
 works on integer mantissas of the dyadic boxes.  The index oracle builds
 and evaluates one normalized derivative per multi-index, where
-production reads every derivative off one Taylor shift.
+production reads every derivative off one Taylor shift.  The minima
+oracle picks witnesses by one rank per candidate, where production
+tests each candidate against an integer basis of the witnesses'
+orthogonal complement.
 """
 
 from fractions import Fraction
@@ -20,6 +23,7 @@ import sympy
 
 from dioph.enclosure import Enclosure, log_enclosure, sqrt_enclosure
 from dioph.exceptions import PrecisionError
+from dioph.lattice import MinimaResult, _enumerate_reduced, _reduced_lattice
 from dioph.multipoly import IndexValue, MultiPoly, normalized_derivative
 from dioph.numberfield import AlgebraicNumber
 from dioph.roots import ordered_root_boxes
@@ -123,6 +127,28 @@ def brute_force_minima(body, max_points: int = 20_000) -> Optional[Tuple[Fractio
         return None
     points = (x for x in iter_product(range(-box, box + 1), repeat=n) if any(x))
     return tuple(_greedy_minima(body, points))
+
+
+def successive_minima_by_rank(body) -> MinimaResult:
+    """Successive minima by the greedy over ranks: the points of the same
+    enumeration as production, sorted by (den * gauge, x), each witness
+    the first point that raises the rank of those picked before it."""
+    n = body.dimension
+    rows, V, den = _reduced_lattice(body)
+    cap = max(abs(v) for row in rows for v in row)
+    scored = []
+    for z, y in _enumerate_reduced(rows, cap):
+        x = tuple(sum(V[i][j] * z[i] for i in range(n)) for j in range(n))
+        scored.append((max(abs(v) for v in y), x))
+    scored.sort()
+    lambdas, witnesses = [], []
+    for t, x in scored:
+        if len(witnesses) == n:
+            break
+        if exact_rank(witnesses + [x]) > len(witnesses):
+            witnesses.append(x)
+            lambdas.append(Fraction(t, den))
+    return MinimaResult(lambdas=tuple(lambdas), witnesses=tuple(witnesses))
 
 
 def index_by_enumeration(P: MultiPoly, point, weights) -> IndexValue:

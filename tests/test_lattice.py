@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dioph.lattice as lattice
 from dioph.exceptions import DomainError, UnsupportedError
@@ -11,10 +13,16 @@ from dioph.lattice import (
     body_volume,
     minkowski_check,
     successive_minima,
+    _complement_after,
     _enumerate_reduced,
     _rank_int,
 )
-from oracles import brute_force_minima, exact_rank, lattice_points_in_cube
+from oracles import (
+    brute_force_minima,
+    exact_rank,
+    lattice_points_in_cube,
+    successive_minima_by_rank,
+)
 
 
 def unimodular(rng, n, shears=3):
@@ -205,3 +213,65 @@ def test_enumeration_point_budget_names_budget_and_points(monkeypatch):
     monkeypatch.setattr(lattice, "_ENUM_POINT_BUDGET", 20)
     with pytest.raises(UnsupportedError, match=r"cap 10 kept \d+ points, past its budget of 20"):
         _enumerate_reduced([[1, 0], [0, 1]], 10)
+
+
+@st.composite
+def bodies(draw):
+    """Unit shears of the identity, perhaps one scaled row, and bounds that
+    are often all equal, so that many points share a gauge."""
+    n = draw(st.integers(1, 5))
+    forms = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    if n > 1:
+        for _ in range(draw(st.integers(0, 2 if n >= 4 else 4))):
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(st.sampled_from([-1, 1, 2]))
+            forms[i] = [a + c * b for a, b in zip(forms[i], forms[j])]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        s = draw(st.sampled_from([2, Fraction(1, 2), Fraction(3, 2)]))
+        forms[i] = [s * a for a in forms[i]]
+    bound = st.sampled_from([Fraction(1, 2), Fraction(2, 3), 1, Fraction(3, 2), 2])
+    if draw(st.booleans()):
+        bounds = [draw(bound)] * n
+    else:
+        bounds = [draw(bound) for _ in range(n)]
+    return ConvexBody(forms, bounds)
+
+
+@settings(max_examples=120)
+@given(bodies())
+def test_successive_minima_match_the_rank_greedy(body):
+    res = successive_minima(body)
+    assert res == successive_minima_by_rank(body)
+
+
+def test_successive_minima_make_one_rank_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lattice, "_rank_int", lambda vs: calls.append(vs) or _rank_int(vs))
+    rng = random.Random(108)
+    for k in range(1, 21):
+        res = successive_minima(rand_body(rng, 1 + k % 4))
+        assert len(calls) == k and calls[-1] == list(res.witnesses)
+
+
+def test_complement_stays_primitive_and_orthogonal():
+    rng = random.Random(109)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        complement = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        picked = []
+        while complement:
+            x = tuple(rng.randint(-4, 4) for _ in range(n))
+            if rng.random() < 0.3 and picked:  # a combination of the picks
+                x = tuple(sum(rng.randint(-2, 2) * w[j] for w in picked) for j in range(n))
+            after = _complement_after(complement, x)
+            assert (after is None) == (exact_rank(picked + [x]) == len(picked))
+            if after is None:
+                continue
+            complement = after
+            picked.append(x)
+            assert len(complement) == n - len(picked)
+            assert exact_rank(picked + complement) == n
+            for c in complement:
+                assert gcd(*c) == 1
+                assert all(sum(a * b for a, b in zip(c, w)) == 0 for w in picked)
