@@ -73,8 +73,10 @@ class Enclosure:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: Rat, hi: Rat):
-        lo = Fraction(lo)
-        hi = Fraction(hi)
+        if not isinstance(lo, Fraction):
+            lo = Fraction(lo)
+        if not isinstance(hi, Fraction):
+            hi = Fraction(hi)
         if lo > hi:
             raise DomainError(f"enclosure endpoints out of order: {lo} > {hi}")
         self.lo = lo
