@@ -5,7 +5,8 @@ from itertools import product as iter_product
 
 import pytest
 
-from dioph.exceptions import DomainError
+import dioph.heights as heights
+from dioph.exceptions import DomainError, UnsupportedError
 from dioph.heights import (
     Place,
     height_affine_point,
@@ -129,6 +130,15 @@ def test_mahler_examples():
     assert enc.lo ** 2 - enc.lo - 1 <= 0 <= enc.hi ** 2 - enc.hi - 1
     assert mahler_measure(IntPolynomial([-2, 0, 0, 1])).contains(2)
     assert mahler_measure(IntPolynomial([5, -6, 5])).contains(5)
+
+
+def test_mahler_degree_above_the_cap_is_refused(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("root moduli computed for a refused degree")
+
+    monkeypatch.setattr(heights, "root_moduli", no_work)
+    with pytest.raises(UnsupportedError, match="degree 121; the cap is 120"):
+        mahler_measure(IntPolynomial([1, 1] + [0] * 119 + [1]))
 
 
 def test_mahler_content_scales():
