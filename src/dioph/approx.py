@@ -279,13 +279,11 @@ def liouville_scan(
         raise DomainError("q_max must be >= 1")
     candidates = _fatou_candidates(alpha, q_max)
     lo, hi = alpha.interval()
-    width = hi - lo
-    w_num, w_den = width.numerator, width.denominator
+    w_num, w_den = (hi - lo).as_integer_ratio()
     for q in range(1, min(sweep_limit, q_max) + 1):
         if 4 * q * w_num > w_den:  # refine(1/(4q)) would narrow the interval
             lo, hi = alpha.refine(Fraction(1, 4 * q))
-            width = hi - lo
-            w_num, w_den = width.numerator, width.denominator
+            w_num, w_den = (hi - lo).as_integer_ratio()
         base = lo.numerator * q // lo.denominator
         candidates.update((p, q) for p in range(base - 1, base + 3))
     if coarse is None or coarse.width > Fraction(1, 10 ** 12):

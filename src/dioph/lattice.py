@@ -207,7 +207,7 @@ def successive_minima(body: ConvexBody) -> MinimaResult:
         raise UnsupportedError(f"dimension above cap {DIMENSION_CAP}")
     rows, V, den = _reduced_lattice(body)
     cap = max(abs(v) for row in rows for v in row)
-    groups: dict = {}  # den * gauge -> every z of that gauge
+    groups = {}  # den * gauge -> the z of every point of that gauge
     for z, y in _enumerate_reduced(rows, cap):
         groups.setdefault(max(map(abs, y)), []).append(z)
     complement = [tuple(int(i == j) for j in range(n)) for i in range(n)]
