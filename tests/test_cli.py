@@ -282,12 +282,12 @@ def test_cf_terms_above_the_cap_exit_2_at_once(capsys):
     [
         (["height", "--", "1e99999999"], "99999999", "the cap is 1000"),
         (["mahler", "--", "x^" + "9" * 30], "x^" + "9" * 30, "the degree cap is 1000"),
-        (["mahler", "--", "x^121+x+1"], "degree 121", "the cap is 120"),
-        (["mahler", "--precision", "1e-1000", "--", "x^1000-2"], "degree 1000", "the cap is 120"),
         (["northcott", "--degree", "12", "--height", "1"],
          "29426343959418943113115032504", "the cap is 10000"),
         (["auxpoly", "--alpha", "x^2-2", "--m", "3", "--epsilon", "1/4", "--r", "6,6,6"],
          "343 unknowns", "the cap is 128"),
+        (["mahler", "--", "x^121+x+1"], "degree 121", "the cap is 120"),
+        (["mahler", "--precision", "1e-1000", "--", "x^1000-2"], "degree 1000", "the cap is 120"),
     ],
 )
 def test_inputs_above_a_cap_exit_2_at_once(capsys, argv, value, cap):
