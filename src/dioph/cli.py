@@ -10,6 +10,7 @@ invariant violation (a bug, e.g. a missed size bound).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -27,6 +28,8 @@ from .exceptions import (
     UnsupportedError,
 )
 from .heights import (
+    NORTHCOTT_DEGREE_CAP,
+    check_mahler_cost,
     height_affine_point,
     height_polynomial,
     height_projective,
@@ -133,16 +136,13 @@ def _cmd_northcott(args):
     degree = args.degree
     height = parse_rational(args.height)
     precision = parse_rational(args.precision)
-    cache_path = None
+    # before the scan; a degree above the scan's own cap is refused by it
+    check_mahler_cost(min(degree, NORTHCOTT_DEGREE_CAP), precision)
     if args.cache:
         os.makedirs(args.cache, exist_ok=True)
-        # every parameter that changes the output; hashed, since a fine
-        # precision has more digits than a file name may hold
-        key = f"{degree}:{height}:{precision}".encode()
-        cache_path = os.path.join(
-            args.cache, f"northcott_{hashlib.sha256(key).hexdigest()[:32]}.json"
-        )
-        cached = _read_northcott_cache(cache_path)
+        # every parameter that changes the output
+        key = f"{degree}:{height}:{precision}"
+        cached, stale = _read_northcott_cache(args.cache, key)
         if cached is not None:
             return cached
     polys = northcott_enumerate(degree, height)
@@ -153,37 +153,56 @@ def _cmd_northcott(args):
         }
         for f in polys
     ]
-    if cache_path:
-        _write_northcott_cache(cache_path, result)
+    if args.cache:
+        _write_northcott_cache(args.cache, key, result, stale)
     return result
 
 
-def _read_northcott_cache(path: str):
-    """The scan stored at `path`, or None (a miss) when the file is absent,
-    does not parse, or is not a list of {"coeffs": [int, ...], "mahler":
-    {"lo": "p/q", "hi": "p/q"}} with lo <= hi, as `northcott` writes it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        for entry in _json_list(data, "cached scan"):
-            _json_object(entry, "cached entry", "coeffs", "mahler")
-            coeffs = [_json_int(c, "coefficient") for c in _json_list(entry["coeffs"], "coeffs")]
-            mahler = _json_object(entry["mahler"], '"mahler"', "lo", "hi")
-            lo, hi = (_json_rational(mahler[k], '"mahler" endpoint') for k in ("lo", "hi"))
-            canonical = {"lo": format_rational(lo), "hi": format_rational(hi)}
-            if not coeffs or lo > hi or entry != {"coeffs": coeffs, "mahler": canonical}:
-                return None
-    except (OSError, ValueError):  # ValueError covers JSON, decoding and ParseError
-        return None
-    return data
+def _cache_prefix(key: str) -> str:
+    """The file-name prefix of a cache key, hashed, since a fine precision
+    has more digits than a file name may hold."""
+    return f"northcott_{hashlib.sha256(key.encode()).hexdigest()[:32]}_"
 
 
-def _write_northcott_cache(path: str, result) -> None:
+def _cache_digest(key: str, scan) -> str:
+    """SHA-256 of the cache key, the dioph version and the scan's
+    canonical JSON; it ends the name of the file that stores the scan."""
+    from . import __version__
+
+    text = json.dumps(scan, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(f"{key}\n{__version__}\n{text}".encode()).hexdigest()
+
+
+def _read_northcott_cache(directory: str, key: str):
+    """(scan, stale files): the scan of the first file of `key` in
+    `directory` whose name ends in the digest of its contents, or None (a
+    miss) with the files of `key` that failed the check, such as a file
+    that does not parse, was edited, or was written by another version."""
+    prefix = _cache_prefix(key)
+    stale = []
+    for name in sorted(os.listdir(directory)):
+        if not (name.startswith(prefix) and name.endswith(".json")):
+            continue
+        path = os.path.join(directory, name)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                scan = json.load(fh)
+            if name == f"{prefix}{_cache_digest(key, scan)}.json":
+                return scan, []
+        except (OSError, ValueError):  # ValueError covers JSON and decoding
+            pass
+        stale.append(path)
+    return None, stale
+
+
+def _write_northcott_cache(directory: str, key: str, result, stale) -> None:
     """Write to a temporary file in the cache directory, then move it into
-    place, so a reader never sees a half-written file."""
+    place, so a reader never sees a half-written file; remove the stale
+    files of the key."""
     import tempfile
 
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    path = os.path.join(directory, f"{_cache_prefix(key)}{_cache_digest(key, result)}.json")
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=2, sort_keys=True)
@@ -191,6 +210,10 @@ def _write_northcott_cache(path: str, result) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+    for old in stale:
+        if old != path:
+            with contextlib.suppress(OSError):
+                os.unlink(old)
 
 
 def _cmd_kronecker(args):

@@ -37,7 +37,15 @@ NORTHCOTT_BOX_CAP = 10 ** 4
 # coefficients in [-9, 9] take about 2 s at degree 120 and precision 1e-40
 # (0.9-1.0 s at 1e-12), 4-5.4 s at degree 160, process start-up included
 MAHLER_DEGREE_CAP = 120
+# degree^3 * bits^2 of degree 120 at 1e-40 (132 bits), where the degree
+# cap was set.  On a loaded 2-core machine, where degree 120 at 1e-40
+# took 2.2-3.1 s, the measured shapes near the limit of other degrees took
+# as long (24 at 1e-400/1e-450: 1.5-1.9/2.7-3.1 s, 40 at 1e-200: 2.1-2.5 s,
+# 60 at 1e-100: 1.8-2.9 s, 100 at 1e-50: 2.7-3.3 s); 40 at 1e-300 took 4-5 s
+MAHLER_COST_CAP = 120 ** 3 * 132 ** 2
 DEFAULT_PRECISION = Fraction(1, 10 ** 12)
+# enclosure widths tried, each 1/64 of the last, before a PrecisionError
+_REFINEMENTS = 60
 
 
 @dataclass(frozen=True)
@@ -263,24 +271,50 @@ def height_polynomial(poly) -> HeightValue:
 # Mahler measure and Weil heights of algebraic numbers
 
 
+def _log2_inverse(q: Fraction) -> int:
+    """log2(1/q) within one, for q > 0."""
+    return q.denominator.bit_length() - q.numerator.bit_length()
+
+
 def _clip_at_one(enc: Enclosure) -> Enclosure:
     return Enclosure(max(enc.lo, Fraction(1)), max(enc.hi, Fraction(1)))
+
+
+def _check_mahler_degree(degree: int) -> None:
+    if degree > MAHLER_DEGREE_CAP:
+        raise UnsupportedError(
+            f"Mahler measure of degree {degree}; the cap is {MAHLER_DEGREE_CAP}"
+        )
+
+
+def check_mahler_cost(degree: int, precision) -> None:
+    """Refuse, with UnsupportedError and before any root is computed, a
+    Mahler measure of degree above MAHLER_DEGREE_CAP, or one whose degree
+    d and requested bits b = log2(1/precision) give d**3 * b**2 above
+    MAHLER_COST_CAP.  The user-facing routes (mahler_measure,
+    weil_height_algebraic, the northcott scan) call this; the internal
+    ladders of mahler_leq do not."""
+    _check_mahler_degree(degree)
+    precision = Fraction(precision)
+    bits = max(0, _log2_inverse(precision))
+    if degree ** 3 * bits ** 2 > MAHLER_COST_CAP:
+        raise UnsupportedError(
+            f"Mahler measure of degree {degree} at about {bits} bits: degree^3 * bits^2 "
+            f"= {degree ** 3 * bits ** 2}; the cap is {MAHLER_COST_CAP}"
+        )
 
 
 def mahler_enclosure(f: IntPolynomial, precision: Fraction) -> Enclosure:
     """Enclosure of M(f) of width <= precision, for f of degree at most
     MAHLER_DEGREE_CAP."""
-    if f.degree > MAHLER_DEGREE_CAP:
-        raise UnsupportedError(
-            f"Mahler measure of degree {f.degree}; the cap is {MAHLER_DEGREE_CAP}"
-        )
+    _check_mahler_degree(f.degree)
     precision = Fraction(precision)
     if f.is_zero() or f.degree < 1:
         raise DomainError("Mahler measure needs degree >= 1")
     content, prim = content_and_primitive(f)
     n = prim.degree
     w = precision / (4 * n * max(1, abs(prim.leading)))
-    for _ in range(60):
+    for _ in range(_REFINEMENTS):
         acc = Enclosure.exact(abs(prim.leading))
         for m in root_moduli(prim, w):
             acc = acc * _clip_at_one(m)
@@ -288,10 +322,16 @@ def mahler_enclosure(f: IntPolynomial, precision: Fraction) -> Enclosure:
         if acc.width <= precision:
             return acc
         w /= 64
-    raise PrecisionError(f"Mahler enclosure did not reach width {precision}")
+    raise PrecisionError(
+        f"Mahler enclosure did not reach width {float(precision):.3g}: used "
+        f"{_REFINEMENTS} root-modulus widths down to 2^-{_log2_inverse(w * 64)}; "
+        f"the cap is {_REFINEMENTS} refinements"
+    )
 
 
 def mahler_measure(f: IntPolynomial, precision: Fraction = DEFAULT_PRECISION) -> Enclosure:
+    """mahler_enclosure within the limits of check_mahler_cost."""
+    check_mahler_cost(f.degree, precision)
     return mahler_enclosure(f, precision)
 
 
@@ -411,7 +451,8 @@ def mahler_leq(f: IntPolynomial, c: Fraction) -> bool:
         if enc.lo > target:
             return False
     raise PrecisionError(
-        f"cannot decide M({f}) <= {c} (suspected exact boundary tie)"
+        f"cannot decide M({f}) <= {c} (suspected exact boundary tie): used 12 "
+        "enclosures, the finest of width 1e-320; the cap is that width"
     )
 
 
@@ -419,7 +460,7 @@ def _mahler_root_height(f: IntPolynomial, n: int, precision: Fraction) -> Height
     """M(f)^(1/n) as a certified enclosure of width <= precision."""
     precision = Fraction(precision)
     w = precision
-    for _ in range(60):
+    for _ in range(_REFINEMENTS):
         m_enc = mahler_enclosure(f, w)
         lo = nth_root_enclosure(m_enc.lo, n, precision / 4).lo
         hi = nth_root_enclosure(m_enc.hi, n, precision / 4).hi
@@ -427,15 +468,21 @@ def _mahler_root_height(f: IntPolynomial, n: int, precision: Fraction) -> Height
         if enc.width <= precision:
             return HeightValue.from_enclosure(enc)
         w /= 64
-    raise PrecisionError("height enclosure did not converge")
+    raise PrecisionError(
+        f"height enclosure did not reach width {float(precision):.3g}: used "
+        f"{_REFINEMENTS} Mahler widths down to 2^-{_log2_inverse(w * 64)}; "
+        f"the cap is {_REFINEMENTS} refinements"
+    )
 
 
 def weil_height_algebraic(
     a: AlgebraicNumber, precision: Fraction = DEFAULT_PRECISION
 ) -> HeightValue:
-    """Weil height H(a) = M(min poly)^(1/deg) as a certified enclosure."""
+    """Weil height H(a) = M(min poly)^(1/deg) as a certified enclosure,
+    within the limits of check_mahler_cost."""
     if a.is_rational():
         return height_rational(a.rational_value())
+    check_mahler_cost(a.degree, precision)
     return _mahler_root_height(a.min_poly, a.degree, precision)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dioph import approx, cli
+from dioph import approx, cli, heights
 from dioph.cli import build_parser, main
 from dioph.exceptions import ParseError
 from dioph.serialization import (
@@ -288,6 +288,15 @@ def test_cf_terms_above_the_cap_exit_2_at_once(capsys):
          "343 unknowns", "the cap is 128"),
         (["mahler", "--", "x^121+x+1"], "degree 121", "the cap is 120"),
         (["mahler", "--precision", "1e-1000", "--", "x^1000-2"], "degree 1000", "the cap is 120"),
+        (["mahler", "--precision", "1e-300", "--", "x^40+x+1"], "degree 40 at about 996 bits",
+         "the cap is 30108672000"),
+        (["mahler", "--precision", "1e-41", "--", "x^120+x+1"], "degree 120 at about 136 bits",
+         "the cap is 30108672000"),
+        (["northcott", "--degree", "12", "--height", "1", "--precision", "1/1" + "0" * 1300],
+         "degree 12 at about 4318 bits", "the cap is 30108672000"),
+        (["kronecker", "--with-height", "--precision", "1/1" + "0" * 2000, "--",
+          "x^10+x^9-x^7-x^6-x^5-x^4-x^3+x+1"], "degree 10 at about 6643 bits",
+         "the cap is 30108672000"),
     ],
 )
 def test_inputs_above_a_cap_exit_2_at_once(capsys, argv, value, cap):
@@ -297,6 +306,14 @@ def test_inputs_above_a_cap_exit_2_at_once(capsys, argv, value, cap):
     assert code == 2
     err = capsys.readouterr().err
     assert value in err and cap in err
+
+
+def test_northcott_checks_the_mahler_cost_before_the_scan(capsys, monkeypatch):
+    monkeypatch.setattr(heights, "MAHLER_COST_CAP", 10 ** 6)
+    monkeypatch.setattr(cli, "northcott_enumerate", None)  # never reached
+    code = main(["northcott", "--degree", "2", "--height", "1", "--precision", "1e-300"])
+    assert code == 2
+    assert "degree 2 at about 996 bits" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["liouville", "exponents"])
@@ -364,6 +381,42 @@ def test_northcott_recomputes_a_bad_cache_file(capsys, tmp_path, damage):
     assert path.read_text() == json.dumps(json.loads(fresh), indent=2, sort_keys=True)
     assert run(capsys, *argv) == (0, fresh)
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        # a well-formed scan with wrong numbers, which used to be printed back
+        lambda scan: [{"coeffs": [-1, 1], "mahler": {"lo": "2/1", "hi": "2/1"}}],
+        # one edited endpoint, the digest in the file name left as it was
+        lambda scan: [dict(scan[0], mahler={"lo": scan[0]["mahler"]["lo"], "hi": "3/1"})]
+        + scan[1:],
+    ],
+    ids=["wrong-scan", "edited-hi"],
+)
+def test_northcott_cache_recomputes_a_tampered_scan(capsys, tmp_path, tamper):
+    argv = ["northcott", "--degree", "1", "--height", "1", "--cache", str(tmp_path)]
+    code, fresh = run(capsys, *argv)
+    assert code == 0 and len(json.loads(fresh)) == 3
+    (path,) = tmp_path.glob("northcott_*.json")
+    path.write_text(json.dumps(tamper(json.loads(path.read_text())), indent=2, sort_keys=True))
+    assert run(capsys, *argv) == (0, fresh)
+    assert json.loads(path.read_text()) == json.loads(fresh)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_northcott_cache_of_another_version_is_replaced(capsys, tmp_path, monkeypatch):
+    import dioph
+
+    argv = ["northcott", "--degree", "1", "--height", "1", "--cache", str(tmp_path)]
+    code, fresh = run(capsys, *argv)
+    (old,) = tmp_path.glob("northcott_*.json")
+    text = old.read_text()
+    monkeypatch.setattr(dioph, "__version__", "0.0.0")
+    assert run(capsys, *argv) == (0, fresh)
+    # the file of the other version is gone, the new one holds the same scan
+    (new,) = tmp_path.glob("northcott_*.json")
+    assert new != old and new.read_text() == text
 
 
 def test_northcott_cache_is_keyed_by_precision(capsys, tmp_path):

@@ -6,7 +6,8 @@ from itertools import product as iter_product
 import pytest
 
 import dioph.heights as heights
-from dioph.exceptions import DomainError, UnsupportedError
+from dioph.enclosure import Enclosure
+from dioph.exceptions import DomainError, PrecisionError, UnsupportedError
 from dioph.heights import (
     Place,
     height_affine_point,
@@ -139,6 +140,66 @@ def test_mahler_degree_above_the_cap_is_refused(monkeypatch):
     monkeypatch.setattr(heights, "root_moduli", no_work)
     with pytest.raises(UnsupportedError, match="degree 121; the cap is 120"):
         mahler_measure(IntPolynomial([1, 1] + [0] * 119 + [1]))
+
+
+def test_mahler_precision_above_the_cost_cap_is_refused(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("root moduli computed for a refused precision")
+
+    monkeypatch.setattr(heights, "root_moduli", no_work)
+    f = IntPolynomial([1, 1] + [0] * 38 + [1])  # x^40 + x + 1
+    with pytest.raises(UnsupportedError, match=r"degree 40 at about 996 bits: .* the cap is"):
+        mahler_measure(f, Fraction(1, 10 ** 300))
+    lehmer = AlgebraicNumber(IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]),
+                             conjugate_index=0)
+    with pytest.raises(UnsupportedError, match=r"degree 10 at about 6643 bits: .* the cap is"):
+        weil_height_algebraic(lehmer, Fraction(1, 10 ** 2000))
+
+
+def test_mahler_cost_cap_admits_its_anchor_and_degree_12_at_1e_1000():
+    heights.check_mahler_cost(120, Fraction(1, 10 ** 40))
+    heights.check_mahler_cost(12, Fraction(1, 10 ** 1000))
+    with pytest.raises(UnsupportedError):
+        heights.check_mahler_cost(120, Fraction(1, 10 ** 41))
+
+
+def test_mahler_leq_tie_breaks_stay_uncapped():
+    # the ladder reaches 1e-320 at degree 12, above the user-facing cap
+    # (12^3 * 1063^2 is under it, so the cap never bites there)
+    assert 12 ** 3 * 1063 ** 2 <= heights.MAHLER_COST_CAP
+    assert mahler_leq(IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]), Fraction(118, 100))
+
+
+def _wide_moduli(f, w):
+    return [Enclosure(Fraction(1), Fraction(3))] * f.degree
+
+
+def test_mahler_budget_is_named(monkeypatch):
+    monkeypatch.setattr(heights, "root_moduli", _wide_moduli)
+    with pytest.raises(
+        PrecisionError,
+        match=r"used 60 root-modulus widths down to 2\^-\d+; the cap is 60 refinements",
+    ):
+        mahler_measure(IntPolynomial([-1, -1, 0, 1]))
+
+
+def test_mahler_leq_budget_is_named(monkeypatch):
+    # x^3 - x - 1 has one root outside the unit circle and two inside, so
+    # no structural rule applies and every enclosure straddles 2
+    monkeypatch.setattr(heights, "mahler_enclosure", lambda f, w: Enclosure(Fraction(1), Fraction(3)))
+    with pytest.raises(
+        PrecisionError, match="used 12 enclosures, the finest of width 1e-320; the cap is that width"
+    ):
+        mahler_leq(IntPolynomial([-1, -1, 0, 1]), Fraction(2))
+
+
+def test_height_budget_is_named(monkeypatch):
+    monkeypatch.setattr(heights, "mahler_enclosure", lambda f, w: Enclosure(Fraction(1), Fraction(3)))
+    alpha = AlgebraicNumber(IntPolynomial([-1, -1, 0, 1]), interval=(1, 2))
+    with pytest.raises(
+        PrecisionError, match=r"used 60 Mahler widths down to 2\^-\d+; the cap is 60 refinements"
+    ):
+        weil_height_algebraic(alpha)
 
 
 def test_mahler_content_scales():

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from dioph import roots
+from dioph.exceptions import PrecisionError
 from dioph.intpoly import IntPolynomial, content_and_primitive, isolate_real_roots
-from dioph.roots import max_root_modulus, ordered_root_boxes, root_moduli
+from dioph.roots import max_root_modulus, ordered_root_boxes, root_disks, root_moduli
 
 PREC = Fraction(1, 10 ** 12)
 
@@ -84,3 +88,13 @@ def test_ordered_boxes_deterministic():
 def test_max_root_modulus():
     enc = max_root_modulus(IntPolynomial([-1, -1, 1]), PREC)
     assert enc.lo ** 2 - enc.lo - 1 <= 0 <= enc.hi ** 2 - enc.hi - 1
+
+
+def test_root_disk_budget_is_named(monkeypatch):
+    # roots 0 and 1e-60 are closer than the first attempt's 2^-197 grid
+    monkeypatch.setattr(roots, "_CERTIFY_ATTEMPTS", 1)
+    g = IntPolynomial([0, 1]) * IntPolynomial([-1, 10 ** 60]) * IntPolynomial([1, 0, 1])
+    with pytest.raises(
+        PrecisionError, match=r"used 1 attempts of 40 Newton steps, up to \d+ bits; the cap is 1 attempts"
+    ):
+        root_disks(g, Fraction(1, 10 ** 48))
