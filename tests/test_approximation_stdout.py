@@ -1,6 +1,7 @@
 """Exact stdout of fixed command sets: `cf`, `liouville` and `exponents`
 (the `approximation` set), `index`, `auxpoly` and `roth-verify` (the
-`index` set), and `minima` and `minkowski` (the `lattice` set).
+`index` set), `minima` and `minkowski` (the `lattice` set), and `siegel`,
+`siegel-nf` and `index` over a non-monic generator (the `siegel` set).
 
 The expected bytes of a set live in `tests/data/<set>_stdout.json`; they
 were written by an earlier version of dioph, so any change to these
@@ -45,6 +46,14 @@ _SQRT2_SQUARE = json.dumps({"arity": 2, "terms": [
     {"coeff": "-2", "exps": [0, 0]}, {"coeff": "2", "exps": [0, 1]},
     {"coeff": {"rep": ["0", "2"]}, "exps": [1, 0]}, {"coeff": {"rep": ["0", "-2"]}, "exps": [1, 1]},
     {"coeff": "-1", "exps": [2, 0]}, {"coeff": "1", "exps": [2, 1]}]}, separators=(",", ":"))
+
+
+def _nf(base: str, entries) -> list:
+    return ["siegel-nf", "--", json.dumps({"base": base, "entries": entries})]
+
+
+def _rep(*coords) -> dict:
+    return {"rep": list(coords)}
 
 
 def _body(forms, bounds) -> str:
@@ -120,6 +129,30 @@ COMMANDS = {
                                   ["1/2", 3, 1, "2/3"])],
         ["minima", "--", _body([[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0],
                                 [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]], [1] * 5)],
+    ],
+    # Q(alpha) systems of degree 2-5 whose cells carry denominators, two
+    # integer systems, and the index at a root of a non-monic 2x^2-3 and
+    # 3x^3-2x-2, where reducing powers of alpha divides by the leading
+    # coefficient (options reordered so that the test ids stay distinct)
+    "siegel": [
+        _nf("x^2-2", [[_rep("1/2", "1"), _rep("0", "-1/3"), "3", ["2", "1"], _rep("-1", "1/4"), "1"]]),
+        _nf("x^2-2", [[_rep("1/2", "1"), "1", _rep("0", "1/3"), "-2", "1", "0", ["1", "1"]],
+                      ["1", _rep("1/3", "-1"), "0", "2", _rep("1/2", "1/2"), "-1", "1"]]),
+        _nf("x^3-x-1", [[_rep("1/2", "1", "0"), _rep("1", "0", "-2/3"), "2", ["0", "1"],
+                         _rep("-1", "1/5", "1"), "-3", _rep("0", "0", "1/2")]]),
+        _nf("x^4-x-1", [[_rep("1/2", "0", "1", "-1"), _rep("1", "-1/3", "0", "0"), "1",
+                         ["0", "0", "1"], _rep("3", "1", "1/7", "0"), "-2"]]),
+        _nf("x^5-x-1", [[_rep("1", "1/2", "0", "0", "-1"), _rep("0", "0", "2/3", "1", "0"), "1",
+                         ["1", "-1"], _rep("-1/4", "0", "0", "0", "1"), "2", ["0", "0", "0", "1"]]]),
+        ["siegel", "--", json.dumps({"entries": [[3, -1, 4, 1, -5], [2, 6, -5, 3, 5]]})],
+        ["siegel", "--", json.dumps({"entries": [[7, -3, 0, 2, 1, -8, 4], [1, 5, -9, 2, 6, 3, -2],
+                                                 [-4, 0, 3, 8, -1, 2, 5]]})],
+        ["index", "--base", "2x^2-3", "--point=alpha,1", "--weights", "2,1", "--poly",
+         _poly("(2*x**2-3)*(y-1) + x**3*y", "x y")],
+        ["index", "--weights", "2,1", "--base", "2x^2-3", "--point=alpha,1", "--poly",
+         _poly("(2*x**2-3)**2*(y-1) + (2*x**2-3)*(y-1)**2*x", "x y")],
+        ["index", "--base", "3x^3-2x-2", "--point=alpha,alpha", "--weights", "1,2", "--poly",
+         _poly("(3*x**3-2*x-2)*(3*y**3-2*y-2) + (x-y)**2*(3*y**3-2*y-2)", "x y")],
     ],
 }
 
