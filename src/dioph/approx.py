@@ -30,6 +30,8 @@ from .numberfield import AlgebraicNumber
 from .roots import max_root_modulus
 
 _REFINE_ROUNDS = 320
+# root-modulus widths liouville_constant tries, each 1/64 of the last
+_CONSTANT_ROUNDS = 40
 # error_enclosure's grid: 2**-_ERROR_BITS relative to the error
 _ERROR_BITS = 40
 # continued_fraction computes at most this many partial quotients
@@ -82,7 +84,8 @@ def error_enclosure(alpha: AlgebraicNumber, p: int, q: int) -> Enclosure:
             if -((-n2 << bits) // d2) == k + 1:
                 return Enclosure(Fraction(k, 1 << bits), Fraction(k + 1, 1 << bits))
         lo, hi = alpha.refine((hi - lo) / 16)
-    raise PrecisionError("error enclosure refinement stalled")
+    raise PrecisionError(f"|alpha - {p}/{q}| did not settle in one grid cell: used "
+                         f"{_REFINE_ROUNDS} refinements; the cap is {_REFINE_ROUNDS}")
 
 
 def _common_prefix(lo: Fraction, hi: Fraction) -> Tuple[List[int], bool]:
@@ -211,7 +214,7 @@ def liouville_constant(
     precision = Fraction(precision)
     w = precision
     lead = abs(alpha.min_poly.leading)
-    for _ in range(40):
+    for _ in range(_CONSTANT_ROUNDS):
         M = max_root_modulus(alpha.min_poly, w)
         denom = (M * 3) ** (n - 1) * lead
         second = denom.reciprocal()
@@ -219,7 +222,10 @@ def liouville_constant(
         if c.width <= precision:
             return c
         w /= 64
-    raise PrecisionError("Liouville constant enclosure did not converge")
+    raise PrecisionError(
+        f"Liouville constant enclosure did not reach width {float(precision):.3g}: used "
+        f"{_CONSTANT_ROUNDS} root-modulus widths down to {float(w * 64):.3g}; the cap is "
+        f"{_CONSTANT_ROUNDS}")
 
 
 @dataclass
@@ -296,7 +302,8 @@ def liouville_scan(
             fine = fine or liouville_constant(alpha, Fraction(1, 10 ** 30))
             c, verdict = fine, _violates(alpha, p, q, fine)
         if verdict is None:
-            raise PrecisionError(f"could not decide the bound at {p}/{q}")
+            raise PrecisionError(f"could not decide the bound at {p}/{q}: used c(alpha) to "
+                                 "1e-12 and 1e-30; the cap is those two widths")
         if verdict:
             threshold = c * Fraction(1, q ** n)
             violations.append(LiouvilleViolation(p, q, error_enclosure(alpha, p, q), threshold))

@@ -370,9 +370,10 @@ def squarefree_part(f: IntPolynomial) -> IntPolynomial:
 
 def squarefree_decomposition(f: IntPolynomial) -> List[Tuple[IntPolynomial, int]]:
     """List of (g_i, i) with f ~ prod g_i^i, g_i primitive, squarefree and
-    with positive leading coefficient.  [(f, 1)] for the primitive part f
-    when _squarefree_mod_p proves it squarefree, else Yun's algorithm with
-    gcds over Q."""
+    with positive leading coefficient, in increasing order of i.  A power
+    x^k of x is split off first and x joins the factor of multiplicity k.
+    Then [(f, 1)] for the primitive part f when _squarefree_mod_p proves
+    it squarefree, else Yun's algorithm with gcds over Q."""
     if f.is_zero():
         raise DomainError("squarefree decomposition of zero polynomial")
     _, fp = content_and_primitive(f)
@@ -380,6 +381,11 @@ def squarefree_decomposition(f: IntPolynomial) -> List[Tuple[IntPolynomial, int]
         fp = -fp
     if fp.degree < 1:
         return []
+    k = next(i for i, c in enumerate(fp.coeffs) if c)
+    if k:
+        parts = {i: g for g, i in squarefree_decomposition(IntPolynomial(fp.coeffs[k:]))}
+        parts[k] = IntPolynomial((0,) + (parts[k].coeffs if k in parts else (1,)))
+        return [(parts[i], i) for i in sorted(parts)]
     if _squarefree_mod_p(fp):
         return [(fp, 1)]
     a0 = poly_gcd(fp, fp.derivative())

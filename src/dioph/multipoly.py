@@ -22,12 +22,6 @@ from .numberfield import NumberFieldElement
 Scalar = Union[Fraction, NumberFieldElement]
 
 
-def _is_zero_scalar(c) -> bool:
-    if isinstance(c, NumberFieldElement):
-        return c.is_zero()
-    return c == 0
-
-
 def _coerce_scalar(c) -> Scalar:
     if isinstance(c, NumberFieldElement):
         return c
@@ -51,7 +45,7 @@ class MultiPoly:
             if any(e < 0 for e in exps):
                 raise DomainError("negative exponent")
             c = _coerce_scalar(c)
-            if not _is_zero_scalar(c):
+            if c != 0:
                 clean[exps] = c
         self.terms = clean
 
@@ -121,7 +115,7 @@ class MultiPoly:
         out = dict(self.terms)
         for exps, c in other.terms.items():
             acc = out.get(exps, 0) + c
-            if _is_zero_scalar(acc):
+            if acc == 0:
                 out.pop(exps, None)
             else:
                 out[exps] = acc
@@ -143,7 +137,7 @@ class MultiPoly:
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             c = _coerce_scalar(other)
-            if _is_zero_scalar(c):
+            if c == 0:
                 return MultiPoly.zero(self.arity)
             return MultiPoly(
                 self.arity, {e: v * c for e, v in self.terms.items()}
@@ -154,7 +148,7 @@ class MultiPoly:
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 acc = out.get(key, 0) + c1 * c2
-                if _is_zero_scalar(acc):
+                if acc == 0:
                     out.pop(key, None)
                 else:
                     out[key] = acc
@@ -267,7 +261,7 @@ def taylor_shift(P: MultiPoly, point: Sequence) -> MultiPoly:
     shifted = P
     for h, a in enumerate(point):
         a = _coerce_scalar(a)
-        if _is_zero_scalar(a):
+        if a == 0:
             continue
         powers = [Fraction(1)]
         for _ in range(max((exps[h] for exps in shifted.terms), default=0)):
@@ -278,7 +272,7 @@ def taylor_shift(P: MultiPoly, point: Sequence) -> MultiPoly:
             head, tail = exps[:h], exps[h + 1 :]
             for j in range(k + 1):
                 key = head + (j,) + tail
-                term = c if j == k else c * math.comb(k, j) * powers[k - j]
+                term = c if j == k else powers[k - j] * math.comb(k, j) * c
                 out[key] = out[key] + term if key in out else term
         shifted = MultiPoly(P.arity, out)
     return shifted
@@ -328,7 +322,7 @@ def kronecker_substitution(P: MultiPoly, d: int) -> MultiPoly:
             power *= d
         key = (e,)
         acc = out.get(key, 0) + c
-        if _is_zero_scalar(acc):
+        if acc == 0:
             out.pop(key, None)
         else:
             out[key] = acc

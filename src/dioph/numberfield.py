@@ -6,8 +6,13 @@ rational isolating interval (real roots) or a conjugate index under the
 canonical ordering of ordered_root_boxes.  A real root is compared with
 a rational by one exact sign of the minimal polynomial, and with another
 real root by a Sturm count over the hull of the two intervals.
-NumberFieldElement represents residue classes modulo the minimal
-polynomial in the power basis 1, alpha, ..., alpha^(d-1).
+A NumberFieldElement is a residue class modulo the minimal polynomial f
+in the power basis 1, alpha, ..., alpha^(d-1), held as an integer vector
+over one positive denominator in lowest terms, a canonical form (Cohen,
+GTM 138, 4.2).  Reduction cancels the top coefficient c of x^k by
+(c / lc) x^(k-d) f; when lc does not divide c, the vector and the
+denominator are first scaled by lc / gcd(c, lc), so a non-monic f is
+reduced in Z as well, and only the final gcd touches the denominator.
 
 The complex embeddings are the root boxes of ordered_root_boxes, whose
 endpoints are dyadic.  They are carried as integer mantissas at one
@@ -21,6 +26,7 @@ rounding.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .enclosure import Enclosure, sqrt_enclosure
@@ -32,11 +38,15 @@ from .intpoly import (
     is_irreducible,
     isolate_real_roots,
     refine_root_interval,
-    _qdivmod,
+    squarefree_part,
+    _q_to_primitive,
 )
+from .linalg import inverse as matrix_inverse
 from .roots import ordered_root_boxes
 
 EMBEDDING_PRECISION = Fraction(1, 10 ** 15)
+# generator widths real_enclosure tries, each 1/16 of the last
+_ENCLOSURE_ROUNDS = 60
 
 
 def _normalize_min_poly(poly: IntPolynomial) -> IntPolynomial:
@@ -227,65 +237,99 @@ class AlgebraicNumber:
 
 
 class NumberFieldElement:
-    """Element of Q(alpha) in the power basis, reduced mod the min poly."""
+    """Element of Q(alpha) in the power basis, reduced mod the min poly:
+    the integer vector num over the positive integer den, in lowest terms."""
 
-    __slots__ = ("base", "rep")
+    __slots__ = ("base", "num", "den")
 
-    def __init__(self, base: AlgebraicNumber, rep: Sequence[Fraction]):
+    def __init__(self, base: AlgebraicNumber, rep: Sequence):
+        """The class of sum rep[k] x^k, for rationals rep of any length."""
+        rep = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in rep]
+        den = lcm(*(c.denominator for c in rep))
+        self._set(base, [c.numerator * (den // c.denominator) for c in rep], den)
+
+    def _set(self, base: AlgebraicNumber, num: List[int], den: int) -> "NumberFieldElement":
+        """Store num / den reduced mod f and in lowest terms; num is consumed."""
         self.base = base
-        d = base.degree
-        rep = [Fraction(c) for c in rep]
-        if len(rep) >= d + 1 or any(c != 0 for c in rep[d:]):
-            rep = _reduce_mod(rep, base.min_poly)
-        rep = rep[:d] + [Fraction(0)] * (d - len(rep))
-        self.rep = tuple(rep[:d])
+        f = base.min_poly.coeffs
+        d = len(f) - 1
+        lc = f[d]
+        for k in range(len(num) - 1, d - 1, -1):
+            c = num.pop()
+            if not c:
+                continue
+            if lc != 1 and c % lc:
+                s = lc // gcd(c, lc)
+                num = [s * x for x in num]
+                den *= s
+                c *= s
+            c //= lc
+            for i in range(d):
+                num[k - d + i] -= c * f[i]
+        num += [0] * (d - len(num))
+        g = gcd(den, *num)
+        self.num = tuple(x // g for x in num)
+        self.den = den // g
+        return self
+
+    def _new(self, num: List[int], den: int) -> "NumberFieldElement":
+        """num / den over the same base, reduced and in lowest terms."""
+        return NumberFieldElement.__new__(NumberFieldElement)._set(self.base, num, den)
+
+    @property
+    def rep(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     @classmethod
     def from_rational(cls, base: AlgebraicNumber, q) -> "NumberFieldElement":
-        return cls(base, [Fraction(q)])
+        return cls(base, [q])
 
     @classmethod
     def generator(cls, base: AlgebraicNumber) -> "NumberFieldElement":
         if base.degree == 1:
             return cls(base, [base.rational_value()])
-        return cls(base, [Fraction(0), Fraction(1)])
+        return cls(base, [0, 1])
 
     def _check_same_base(self, other: "NumberFieldElement"):
         if self.base.min_poly != other.base.min_poly:
             raise DomainError("number field elements over different generators")
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.rep)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.rep[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise DomainError("element is not rational")
-        return self.rep[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
         if isinstance(other, NumberFieldElement):
-            return self.base.min_poly == other.base.min_poly and self.rep == other.rep
+            return (self.base.min_poly == other.base.min_poly
+                    and self.num == other.num and self.den == other.den)
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.rep[0] == Fraction(other)
+            return (self.is_rational() and self.num[0] == other.numerator
+                    and self.den == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.base.min_poly, self.rep))
+        # a rational element equals its int or Fraction, so it hashes as one
+        if self.is_rational():
+            return hash(self.rational_value())
+        return hash((self.base.min_poly, self.num, self.den))
 
     def __add__(self, other):
         other = self._coerce(other)
         self._check_same_base(other)
-        return NumberFieldElement(
-            self.base, [a + b for a, b in zip(self.rep, other.rep)]
-        )
+        a, b = self.den, other.den
+        return self._new([x * b + y * a for x, y in zip(self.num, other.num)], a * b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NumberFieldElement(self.base, [-c for c in self.rep])
+        return self._new([-x for x in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -296,16 +340,17 @@ class NumberFieldElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             # a rational scalar scales the coordinates; nothing to reduce
-            return NumberFieldElement(self.base, [c * other for c in self.rep])
+            p, q = other.numerator, other.denominator
+            return self._new([x * p for x in self.num], self.den * q)
         other = self._coerce(other)
         self._check_same_base(other)
-        prod = [Fraction(0)] * (2 * len(self.rep) - 1)
-        for i, a in enumerate(self.rep):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.rep):
-                prod[i + j] += a * b
-        return NumberFieldElement(self.base, _reduce_mod(prod, self.base.min_poly))
+        b = other.num
+        prod = [0] * (2 * len(b) - 1)
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        return self._new(prod, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -329,22 +374,12 @@ class NumberFieldElement:
         raise DomainError(f"cannot coerce {other!r} into the number field")
 
     def inverse(self) -> "NumberFieldElement":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse: the coordinates x with M x = 1 for the
+        multiplication matrix M of self, the first column of M^-1."""
         if self.is_zero():
             raise DomainError("inverse of zero")
-        f = [Fraction(c) for c in self.base.min_poly.coeffs]
-        g = list(self.rep)
-        # xgcd over Q[x]: find u with u*g = gcd mod f; gcd is a nonzero constant
-        r0, r1 = f, _trim(g)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _qdivmod(r0, r1)
-            r0, r1 = r1, _trim(r)
-            s0, s1 = s1, _trim(_poly_sub(s0, _poly_mul(q, s1)))
-        if not r1:
-            raise DomainError("element is a zero divisor (reducible modulus?)")
-        c = r1[0]
-        return NumberFieldElement(self.base, [x / c for x in s1])
+        cols = matrix_inverse(self.multiplication_matrix())
+        return NumberFieldElement(self.base, [row[0] for row in cols])
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -359,37 +394,27 @@ class NumberFieldElement:
 
     def multiplication_matrix(self) -> List[List[Fraction]]:
         """Matrix of y -> self*y in the power basis (columns indexed by basis)."""
-        d = self.base.degree
-        cols = []
-        power = NumberFieldElement.from_rational(self.base, 1)
         gen = NumberFieldElement.generator(self.base)
-        for _ in range(d):
-            cols.append((self * power).rep)
-            power = power * gen
-        return [[cols[j][i] for j in range(d)] for i in range(d)]
+        cols = [(self * gen ** j).rep for j in range(self.base.degree)]
+        return [list(row) for row in zip(*cols)]
 
     def char_poly(self) -> IntPolynomial:
         """Primitive integer polynomial proportional to det(x*I - M_self)."""
         M = self.multiplication_matrix()
-        coeffs = _charpoly_faddeev(M)  # monic, rational, descending constant last
-        from .intpoly import _q_to_primitive
-
-        prim = _q_to_primitive(coeffs)
+        prim = _q_to_primitive(_charpoly_faddeev(M))
         if prim.leading < 0:
             prim = -prim
         return prim
 
     def min_poly_elem(self) -> IntPolynomial:
         """Minimal polynomial of this element (primitive, positive lc)."""
-        from .intpoly import squarefree_part
-
         return squarefree_part(self.char_poly())
 
     def real_enclosure(self, width: Fraction) -> Enclosure:
         """Enclosure of the real value, for a real base selector."""
         width = Fraction(width)
         guess = Fraction(1, 4)
-        for _ in range(60):
+        for _ in range(_ENCLOSURE_ROUNDS):
             box = self.base.enclosure(guess)
             acc = Enclosure.exact(0)
             for c in reversed(self.rep):
@@ -397,56 +422,23 @@ class NumberFieldElement:
             if acc.width <= width:
                 return acc
             guess /= 16
-        raise PrecisionError("number field element enclosure did not converge")
-
-
-def _trim(v: List[Fraction]) -> List[Fraction]:
-    v = list(v)
-    while v and v[-1] == 0:
-        v.pop()
-    return v
-
-
-def _poly_mul(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _reduce_mod(rep: Sequence[Fraction], modulus: IntPolynomial) -> List[Fraction]:
-    _, rem = _qdivmod([Fraction(c) for c in rep], modulus.to_fractions())
-    return rem
+        raise PrecisionError(
+            f"number field element enclosure did not reach width {float(width):.3g}: used "
+            f"{_ENCLOSURE_ROUNDS} generator widths down to {float(guess * 16):.3g}; the cap is "
+            f"{_ENCLOSURE_ROUNDS}")
 
 
 def _charpoly_faddeev(M: List[List[Fraction]]) -> List[Fraction]:
     """Characteristic polynomial coefficients, ascending, monic of degree d."""
     d = len(M)
-    coeffs = [Fraction(0)] * (d + 1)
-    coeffs[d] = Fraction(1)
-    N = [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
+    coeffs = [Fraction(1)]
+    N = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
     for k in range(1, d + 1):
-        MN = [
-            [sum(M[i][t] * N[t][j] for t in range(d)) for j in range(d)]
-            for i in range(d)
-        ]
-        trace = sum(MN[i][i] for i in range(d))
-        ck = -trace / k
-        coeffs[d - k] = ck
-        N = [
-            [MN[i][j] + (ck if i == j else 0) for j in range(d)] for i in range(d)
-        ]
-    return coeffs
+        MN = [[sum(M[i][t] * N[t][j] for t in range(d)) for j in range(d)] for i in range(d)]
+        ck = -sum(MN[i][i] for i in range(d)) / k
+        coeffs.append(ck)
+        N = [[MN[i][j] + (ck if i == j else 0) for j in range(d)] for i in range(d)]
+    return coeffs[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -176,13 +176,20 @@ def _aberth(a: List[float]):
     return None
 
 
-def _mpmath_seeds(g: IntPolynomial, digits: int) -> Seeds:
+def _mpmath_seeds(g: IntPolynomial, digits: int, attempts: int = 0) -> Seeds:
+    """Seeds from mpmath.polyroots at `digits` digits.  PrecisionError,
+    naming the `attempts` root_disks has spent, if it does not converge."""
     import mpmath
 
     with mpmath.workdps(digits + 10 * g.degree):
-        roots = mpmath.polyroots(
-            [mpmath.mpf(c) for c in reversed(g.coeffs)], maxsteps=200, extraprec=200
-        )
+        try:
+            roots = mpmath.polyroots(
+                [mpmath.mpf(c) for c in reversed(g.coeffs)], maxsteps=200, extraprec=200
+            )
+        except mpmath.mp.NoConvergence:
+            raise PrecisionError(f"could not seed the roots of {g!r}: mpmath.polyroots did not "
+                                 f"converge at {digits} digits; used {attempts} attempts, "
+                                 f"the cap is {_CERTIFY_ATTEMPTS} attempts") from None
         bits = int(digits * 3.4) + 16
         return bits, [
             (
@@ -242,6 +249,9 @@ def root_disks(g: IntPolynomial, radius_sq_target: Fraction) -> List[RootDisk]:
     # then below the target
     bits = max(128, (den.bit_length() - num.bit_length()) // 2 + 2 * n.bit_length() + 32)
     for attempt in range(_CERTIFY_ATTEMPTS):
+        if attempt:
+            bits *= 2
+            seed_bits, seeds = _mpmath_seeds(g, 40 * attempt, attempt)
         scale = max(bits, seed_bits)
         centers = [(x << (scale - seed_bits), y << (scale - seed_bits)) for x, y in seeds]
         # 41 evaluations: at the seeds, then at 40 Newton iterates, each
@@ -282,11 +292,9 @@ def root_disks(g: IntPolynomial, radius_sq_target: Fraction) -> List[RootDisk]:
                 for (x, y), ((vr, vi), dr, di, d2) in zip(centers, vals)
             ]
             scale = bits
-        bits *= 2
-        seed_bits, seeds = _mpmath_seeds(g, 40 * (attempt + 1))
     raise PrecisionError(
         f"could not certify root disks of {g!r} at target {float(radius_sq_target)}: "
-        f"used {_CERTIFY_ATTEMPTS} attempts of 40 Newton steps, up to {bits // 2} bits; "
+        f"used {_CERTIFY_ATTEMPTS} attempts of 40 Newton steps, up to {bits} bits; "
         f"the cap is {_CERTIFY_ATTEMPTS} attempts"
     )
 

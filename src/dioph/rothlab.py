@@ -44,6 +44,8 @@ from .siegel import (
 # build_aux_poly refuses systems with more unknowns prod(r_h + 1) than this;
 # at 121-128 unknowns a build takes 0.5-2.2 s, at 196 up to 18 s
 AUX_UNKNOWNS_CAP = 128
+# enclosure widths the two height comparisons try, each 10^-4 / 10^-6 of the last
+_DERIVATIVE_ROUNDS, _HYPOTHESIS_ROUNDS = 6, 12
 
 
 @dataclass(frozen=True)
@@ -305,18 +307,8 @@ def derivative_height_bound_check(
             coords.append(b.rational_value() if b.is_rational() else b)
         else:
             coords.append(Fraction(b))
-    all_rational = all(isinstance(c, Fraction) for c in coords)
 
-    if all_rational:
-        val = deriv.evaluate(coords)
-        lhs = height_rational(val).exact
-        rhs = Fraction(4) ** r_sum * h_poly
-        for b, r in zip(coords, weights):
-            rhs *= height_rational(b).exact ** r
-        return DerivativeHeightReport(
-            lhs=Enclosure.exact(lhs), rhs=Enclosure.exact(rhs), holds=lhs <= rhs
-        )
-
+    # rational heights are exact, so an all-rational point is decided at once
     bases = {
         c.base.min_poly
         for c in coords
@@ -330,7 +322,7 @@ def derivative_height_bound_check(
     else:
         lhs_enc = nf_element_height(val, precision).enclosure
     prec = precision
-    for _ in range(6):
+    for _ in range(_DERIVATIVE_ROUNDS):
         rhs_enc = Enclosure.exact(Fraction(4) ** r_sum * h_poly)
         for b, r in zip(coords, weights):
             if isinstance(b, NumberFieldElement):
@@ -345,7 +337,9 @@ def derivative_height_bound_check(
         if lhs_enc.lo > rhs_enc.hi:
             return DerivativeHeightReport(lhs=lhs_enc, rhs=rhs_enc, holds=False)
         prec /= 10 ** 4
-    raise PrecisionError("derivative height comparison stayed undecided")
+    raise PrecisionError(
+        f"derivative height comparison stayed undecided: used {_DERIVATIVE_ROUNDS} widths "
+        f"down to {float(prec * 10 ** 4):.3g}; the cap is {_DERIVATIVE_ROUNDS}")
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +431,7 @@ def _height_hypothesis_holds(
     if h_star == 1:
         return False  # left side is zero, right side is positive
     err = Fraction(1, 10 ** 6)
-    for _ in range(12):
+    for _ in range(_HYPOTHESIS_ROUNDS):
         lhs = log_enclosure(h_star, err) * (omega * r_star)
         rhs = log_enclosure(h_poly, err) + additive
         if lhs.lo >= rhs.hi:
@@ -445,4 +439,6 @@ def _height_hypothesis_holds(
         if lhs.hi < rhs.lo:
             return False
         err /= 10 ** 6
-    raise PrecisionError("height hypothesis comparison stayed undecided")
+    raise PrecisionError(
+        f"height hypothesis comparison stayed undecided: used {_HYPOTHESIS_ROUNDS} widths "
+        f"down to {float(err * 10 ** 6):.3g}; the cap is {_HYPOTHESIS_ROUNDS}")

@@ -220,17 +220,14 @@ class NFMatrix:
 def integer_coordinates(matrix: NFMatrix) -> List[List[Tuple[int, ...]]]:
     """Power-basis coordinates of every entry, as integer tuples.
 
-    Each row is scaled by the lcm of its denominators first (the kernel
-    is unchanged), making every entry integral in Z[alpha], so the
+    Each row is scaled by the lcm of its entries' denominators first (the
+    kernel is unchanged), making every entry integral in Z[alpha], so the
     coordinates are honest integers.
     """
     rows = []
     for row in matrix.entries:
-        den = 1
-        for e in row:
-            for c in e.rep:
-                den = lcm(den, c.denominator)
-        rows.append([tuple(c.numerator * (den // c.denominator) for c in e.rep) for e in row])
+        den = lcm(*(e.den for e in row))
+        rows.append([tuple(x * (den // e.den) for x in e.num) for e in row])
     return rows
 
 

@@ -382,6 +382,23 @@ def test_liouville_scan_retries_an_undecided_candidate_once(monkeypatch):
     assert calls == [Fraction(1, 10 ** 12), Fraction(1, 10 ** 30)]
 
 
+def test_precision_errors_name_the_budget(monkeypatch):
+    # a fresh sqrt(2) in [1, 2]: two refinements leave |sqrt2 - 1| in many grid cells
+    monkeypatch.setattr(approx, "_REFINE_ROUNDS", 2)
+    fresh = AlgebraicNumber(IntPolynomial([-2, 0, 1]), interval=(1, 2))
+    with pytest.raises(PrecisionError, match=r"\|alpha - 1/1\|.* used 2 refinements; the cap is 2"):
+        error_enclosure(fresh, 1, 1)
+    # a root-modulus enclosure that never narrows
+    monkeypatch.setattr(approx, "max_root_modulus", lambda f, w: Enclosure(Fraction(1), Fraction(2)))
+    with pytest.raises(PrecisionError, match=r"used 40 root-modulus widths down to 3\.6\de-80; "
+                                             r"the cap is 40"):
+        liouville_constant(SQRT2, Fraction(1, 10 ** 9))
+    monkeypatch.setattr(approx, "liouville_constant",
+                        lambda alpha, precision=None: Enclosure(Fraction(1, 10), Fraction(10)))
+    with pytest.raises(PrecisionError, match=r"0/1: used c\(alpha\) to 1e-12 and 1e-30; the cap"):
+        liouville_scan(_fresh(SQRT2), 100, sweep_limit=10)
+
+
 def test_convergents_up_to():
     conv = convergents_up_to(SQRT2, 100)
     assert conv[-1][1] <= 100

@@ -105,6 +105,14 @@ def test_exit_codes(capsys):
     assert code == 3
 
 
+def test_unseedable_mahler_input_exits_3(capsys):
+    # x (10^100 x - 1) (x^2 + 1): mpmath.polyroots does not converge on it;
+    # that was an uncaught NoConvergence traceback with exit 1
+    poly = f"{10 ** 100}x^4-x^3+{10 ** 100}x^2-x"
+    assert main(["mahler", "--precision", "1e-20", "--", poly]) == 3
+    assert "mpmath.polyroots did not converge" in capsys.readouterr().err
+
+
 def test_northcott_subcommand(capsys, tmp_path):
     code, out = run(capsys, "northcott", "--degree", "1", "--height", "1")
     assert code == 0

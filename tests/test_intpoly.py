@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -355,6 +356,30 @@ def test_squarefree_structure_matches_sympy(a, b, c, content):
     expected = _sympy_sqf(f)
     assert dict((k, g) for g, k in squarefree_decomposition(f)) == expected
     assert squarefree_part(f) == math.prod(expected.values(), start=IntPolynomial([1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_polys, small_polys, st.integers(2, 5), st.integers(-6, 6).filter(bool))
+def test_squarefree_structure_with_a_power_of_x_matches_sympy(a, b, k, content):
+    # a_0 = a_1 = 0: x^k is split off before Yun's algorithm and merged back
+    f = IntPolynomial([0] * k + [content]) * a * b * b
+    assume(not f.is_zero())
+    expected = _sympy_sqf(f)
+    decomposition = squarefree_decomposition(f)
+    assert [k for _, k in decomposition] == sorted(expected)
+    assert dict((k, g) for g, k in decomposition) == expected
+
+
+def test_squarefree_decomposition_of_a_power_of_x_times_a_degree_58_factor_is_fast():
+    # Yun's gcds over Q took about 1.1 s on this input
+    rng = random.Random(54)
+    q = [rng.randint(-9, 9) for _ in range(59)]
+    q[0], q[-1] = q[0] or 1, q[-1] or 1
+    f = IntPolynomial([0, 0] + q)
+    start = time.perf_counter()
+    decomposition = squarefree_decomposition(f)
+    assert time.perf_counter() - start < 0.3
+    assert dict((k, g) for g, k in decomposition) == _sympy_sqf(f)
 
 
 _FILTER_PRODUCT = math.prod(_FILTER_PRIMES)

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import math
 import random
 import time
 from fractions import Fraction
@@ -8,7 +11,8 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dioph.exceptions import DomainError
+from dioph import cli, numberfield
+from dioph.exceptions import DomainError, PrecisionError
 from dioph.intpoly import IntPolynomial, _q_to_primitive, is_irreducible, squarefree_part
 from dioph.linalg import det
 from dioph.numberfield import (
@@ -346,3 +350,123 @@ def test_element_enclosure():
     assert (v * v - 2).numerator ** 2 < (Fraction(1, 10 ** 10)).numerator or abs(
         float(v) ** 2 - 2
     ) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# integer coordinates: arithmetic against sympy over QQ
+
+X = sympy.Symbol("x")
+
+
+@st.composite
+def _field_and_vectors(draw):
+    """An irreducible primitive f of degree 1-6 with positive leading
+    coefficient (monic or not) and three rational vectors of length up to
+    2d, so that construction reduces too."""
+    d = draw(st.integers(1, 6))
+    lead = draw(st.sampled_from([1, 1, 2, 3, 4, 6]))
+    coeffs = [draw(st.integers(-9, 9)) for _ in range(d)] + [lead]
+    assume(coeffs[0] != 0 and math.gcd(*coeffs) == 1)
+    assume(sympy.Poly(list(reversed(coeffs)), X, domain="QQ").is_irreducible)
+    q = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    vectors = [draw(st.lists(q, min_size=0, max_size=2 * d)) for _ in range(3)]
+    return coeffs, vectors
+
+
+def _sympy_residue(rep, f):
+    """rep mod f over QQ, as d Fractions (ascending)."""
+    poly = sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator) for c in rep]))
+                      or [0], X, domain="QQ")
+    r = sympy.rem(poly, f).all_coeffs()[::-1]
+    d = f.degree()
+    return tuple(Fraction(int(c.p), int(c.q)) for c in r + [sympy.Integer(0)] * (d - len(r)))
+
+
+def _in_lowest_terms(e):
+    return (len(e.num) == e.base.degree and e.den > 0 and all(isinstance(x, int) for x in e.num)
+            and math.gcd(e.den, *e.num) == 1)
+
+
+@given(_field_and_vectors(), st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_matches_sympy_rem_over_qq(case, n):
+    coeffs, (u, v, w) = case
+    base = AlgebraicNumber(IntPolynomial(coeffs), conjugate_index=0)
+    f = sympy.Poly(list(reversed(coeffs)), X, domain="QQ")
+    a, b = NumberFieldElement(base, u), NumberFieldElement(base, v)
+    assert a.rep == _sympy_residue(u, f) and b.rep == _sympy_residue(v, f)
+    pu = sympy.Poly(list(reversed(a.rep)) or [0], X, domain="QQ")
+    pv = sympy.Poly(list(reversed(b.rep)) or [0], X, domain="QQ")
+
+    def residue(poly):
+        return _sympy_residue([Fraction(int(c.p), int(c.q)) for c in poly.all_coeffs()[::-1]], f)
+
+    for got, want in [(a + b, pu + pv), (a - b, pu - pv), (a * b, pu * pv), (a ** n, pu ** n)]:
+        assert _in_lowest_terms(got)
+        assert got.rep == residue(want)
+    for k in w:
+        assert (a * k).rep == residue(pu * sympy.Rational(k.numerator, k.denominator))
+        assert _in_lowest_terms(a * k)
+    if not a.is_zero():
+        inv = a.inverse()
+        assert _in_lowest_terms(inv)
+        assert inv.rep == residue(sympy.invert(pu, f))
+        assert (a ** -2).rep == residue(sympy.invert(pu, f) ** 2)
+
+
+def test_rational_element_hashes_as_its_value():
+    # equal objects must hash alike: 3 in Q(sqrt 2) equals the int 3
+    three = NumberFieldElement.from_rational(SQRT2, 3)
+    half = NumberFieldElement.from_rational(CBRT2, Fraction(1, 2))
+    assert three == 3 and hash(three) == hash(3)
+    assert {3: "three"}.get(three) == "three"
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert {Fraction(1, 2): "half"}.get(half) == "half"
+    a = NumberFieldElement.generator(SQRT2)
+    assert hash(a * a) == hash(2) and {a * a, 2} == {2}
+    assert len({a, a + 0, 1 + a - 1}) == 1
+
+
+def test_real_enclosure_names_its_budget(monkeypatch):
+    monkeypatch.setattr(numberfield, "_ENCLOSURE_ROUNDS", 2)
+    a = NumberFieldElement.generator(AlgebraicNumber(IntPolynomial([-2, 0, 1]), interval=(1, 2)))
+    with pytest.raises(PrecisionError, match=r"used 2 generator widths down to 0\.0156; the cap is 2"):
+        (1 + a).real_enclosure(Fraction(1, 10 ** 30))
+
+
+class _FractionCount:
+    """Counts Fraction constructions while active."""
+
+    def __enter__(self):
+        self.calls, self._new = 0, Fraction.__dict__["__new__"]
+
+        def counting(cls, *args, **kwargs):
+            self.calls += 1
+            return self._new(cls, *args, **kwargs)
+
+        Fraction.__new__ = counting
+        return self
+
+    def __exit__(self, *exc):
+        Fraction.__new__ = self._new
+
+
+def test_integral_construction_and_products_build_no_fraction():
+    a, q = NumberFieldElement(CBRT2, [1, -2, 3]), Fraction(3, 4)
+    with _FractionCount() as count:
+        b = NumberFieldElement(CBRT2, [4, 0, -1, 7, 2])
+        c = a * b * 5 * a - b
+        d = a * q
+    assert count.calls == 0
+    assert c.den == 1 and d.den == 4
+
+
+def test_auxpoly_builds_few_fractions():
+    # auxpoly --alpha x^3-2 --m 3 --r 3,3,3: 17,397 Fraction constructions
+    # per warm run with Fraction coordinates, about 1,900 on integers
+    argv = ["auxpoly", "--alpha", "x^3-2", "--m", "3", "--epsilon", "1/2", "--r", "3,3,3"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+        with _FractionCount() as count:
+            assert cli.main(argv) == 0
+    assert count.calls <= 8000

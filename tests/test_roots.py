@@ -90,6 +90,24 @@ def test_max_root_modulus():
     assert enc.lo ** 2 - enc.lo - 1 <= 0 <= enc.hi ** 2 - enc.hi - 1
 
 
+def test_root_disks_ask_no_seeds_after_the_last_attempt(monkeypatch):
+    calls = []
+    seeds = roots._mpmath_seeds
+    monkeypatch.setattr(roots, "_mpmath_seeds", lambda *a: calls.append(a) or seeds(*a))
+    monkeypatch.setattr(roots, "_CERTIFY_ATTEMPTS", 2)
+    g = IntPolynomial([0, 1]) * IntPolynomial([-1, 10 ** 60]) * IntPolynomial([1, 0, 1])
+    with pytest.raises(PrecisionError, match="used 2 attempts"):
+        root_disks(g, Fraction(1, 10 ** 48))
+    assert [a[1:] for a in calls] == [(40, 1)]
+
+
+def test_unconverged_mpmath_seeds_are_a_precision_error():
+    # mpmath.polyroots stops at maxsteps on x (10^100 x - 1) (x^2 + 1)
+    g = IntPolynomial([0, -1, 10 ** 100, -1, 10 ** 100])
+    with pytest.raises(PrecisionError, match="at 40 digits; used 1 attempts, the cap is 8"):
+        root_disks(g, Fraction(1, 10 ** 40))
+
+
 def test_root_disk_budget_is_named(monkeypatch):
     # roots 0 and 1e-60 are closer than the first attempt's 2^-197 grid
     monkeypatch.setattr(roots, "_CERTIFY_ATTEMPTS", 1)

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dioph import rothlab
-from dioph.exceptions import DomainError, InfeasibleError, UnsupportedError
-from dioph.heights import height_polynomial, height_rational
+from dioph.enclosure import Enclosure
+from dioph.exceptions import DomainError, InfeasibleError, PrecisionError, UnsupportedError
+from dioph.heights import HeightValue, height_polynomial, height_rational
 from dioph.intpoly import IntPolynomial
 from dioph.multipoly import MultiPoly, normalized_derivative
 from dioph.numberfield import AlgebraicNumber, NumberFieldElement
@@ -209,6 +210,16 @@ def test_derivative_height_algebraic_point():
     P = X + Y
     rep = derivative_height_bound_check(P, [SQRT2, SQRT2], (0, 0), (1, 1))
     assert rep.holds
+
+
+def test_undecided_height_comparisons_name_the_budget(monkeypatch):
+    wide = Enclosure(Fraction(1), Fraction(10 ** 6))
+    monkeypatch.setattr(rothlab, "nf_element_height", lambda gamma, precision: HeightValue(None, wide))
+    with pytest.raises(PrecisionError, match=r"used 6 widths down to 1e-29; the cap is 6"):
+        derivative_height_bound_check(X + Y, [SQRT2, SQRT2], (0, 0), (1, 1))
+    monkeypatch.setattr(rothlab, "log_enclosure", lambda q, err: Enclosure(Fraction(0), Fraction(100)))
+    with pytest.raises(PrecisionError, match=r"used 12 widths down to 1e-72; the cap is 12"):
+        rothlab._height_hypothesis_holds(Fraction(1), 1, Fraction(2), Fraction(2), 1)
 
 
 def test_roth_verify_example_holds():
