@@ -12,7 +12,7 @@ over one positive denominator in lowest terms, a canonical form (Cohen,
 GTM 138, 4.2).  Reduction cancels the top coefficient c of x^k by
 (c / lc) x^(k-d) f; when lc does not divide c, the vector and the
 denominator are first scaled by lc / gcd(c, lc), so a non-monic f is
-reduced in Z as well, and only the final gcd touches the denominator.
+reduced in Z as well; one gcd at the end restores lowest terms.
 
 The complex embeddings are the root boxes of ordered_root_boxes, whose
 endpoints are dyadic.  They are carried as integer mantissas at one
