@@ -1,7 +1,8 @@
 """Exact stdout of fixed command sets: `cf`, `liouville` and `exponents`
 (the `approximation` set), `index`, `auxpoly` and `roth-verify` (the
 `index` set), `minima` and `minkowski` (the `lattice` set), and `siegel`,
-`siegel-nf` and `index` over a non-monic generator (the `siegel` set).
+`siegel-nf` and `index` over a non-monic generator (the `siegel` set), and
+`mahler`, `northcott` and `kronecker` (the `heights` set).
 
 The expected bytes of a set live in `tests/data/<set>_stdout.json`; they
 were written by an earlier version of dioph, so any change to these
@@ -54,6 +55,24 @@ def _nf(base: str, entries) -> list:
 
 def _rep(*coords) -> dict:
     return {"rep": list(coords)}
+
+
+def _text(expr) -> str:
+    """dioph's text form of a univariate integer polynomial in x, expanded
+    by sympy, terms in decreasing degree."""
+    coeffs = sympy.Poly(sympy.expand(expr), _X).all_coeffs()
+    parts = []
+    for k, c in zip(range(len(coeffs) - 1, -1, -1), coeffs):
+        if c:
+            var = "" if k == 0 else "x" if k == 1 else f"x^{k}"
+            mag = "" if abs(c) == 1 and k else str(abs(c))
+            parts.append(("-" if c < 0 else "+" if parts else "") + mag + var)
+    return "".join(parts)
+
+
+_X = sympy.Symbol("x")
+# squarefree over Q, but no filter prime of intpoly proves it
+_FILTER_PRODUCT = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43
 
 
 def _body(forms, bounds) -> str:
@@ -153,6 +172,28 @@ COMMANDS = {
          _poly("(2*x**2-3)**2*(y-1) + (2*x**2-3)*(y-1)**2*x", "x y")],
         ["index", "--base", "3x^3-2x-2", "--point=alpha,alpha", "--weights", "1,2", "--poly",
          _poly("(3*x**3-2*x-2)*(3*y**3-2*y-2) + (x-y)**2*(3*y**3-2*y-2)", "x y")],
+    ],
+    # repeated factors, which take Yun's route (a power of x times a square,
+    # a square no filter prime sees); cyclotomic products times rational
+    # linear factors; the Northcott scan, whose Mahler filter strips
+    # rational and cyclotomic factors by exact division; the Kronecker test
+    # (polynomials lead with a positive term, so the ids stay distinct)
+    "heights": [
+        ["mahler", "--precision=1e-12", _text(_X ** 3 * (_X ** 2 - _X - 1) ** 2)],
+        ["mahler", "--precision=1e-40", _text(_X ** 3 * (_X ** 2 - _X - 1) ** 2)],
+        ["mahler", "--precision=1e-40", _text(_X ** 2 * (2 * _X ** 3 - _X - 3) ** 3)],
+        ["mahler", "--precision=1e-12", _text((1 + _FILTER_PRODUCT * _X) ** 2 * (_X - 2))],
+        ["mahler", "--precision=1e-40", _text((1 + _FILTER_PRODUCT * _X) ** 2 * (_X - 2))],
+        ["mahler", "--precision=1e-40", _text(_X ** 2 - _FILTER_PRODUCT)],
+        ["mahler", "--precision=1e-12", _text((3 * _X ** 2 + 1) ** 2 * (2 * _X - 1) ** 3 * (_X + 4))],
+        ["mahler", "--precision=1e-12", _text(sympy.cyclotomic_poly(3, _X) ** 2 * sympy.cyclotomic_poly(4, _X)
+                                              * (2 * _X - 3) * (_X + 5))],
+        ["mahler", "--precision=1e-40", _text(sympy.cyclotomic_poly(5, _X) * sympy.cyclotomic_poly(1, _X) ** 2
+                                              * sympy.cyclotomic_poly(12, _X) * (3 * _X + 1))],
+        ["northcott", "--degree", "2", "--height", "2"],
+        ["kronecker", "x^4-x^2+1", "--with-height"],
+        ["kronecker", "x^3-x-1", "--with-height", "--precision", "1e-40"],
+        ["kronecker", "2x^2-3", "--with-height"],
     ],
 }
 
