@@ -250,7 +250,7 @@ def height_polynomial(poly) -> HeightValue:
     from .multipoly import MultiPoly
 
     if isinstance(poly, IntPolynomial):
-        coeffs = poly.to_fractions()
+        coeffs = poly.coeffs
     elif isinstance(poly, MultiPoly):
         if poly.is_zero():
             raise DomainError("zero polynomial has no height")

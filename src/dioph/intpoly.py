@@ -1,7 +1,8 @@
 """Exact univariate polynomials over Z, with the root machinery the rest
 of the library is built on: content/primitive splitting, gcd and
-squarefree decomposition over Q, Sturm sequences, real root isolation,
-cyclotomic polynomials, and desk-scale irreducibility testing.
+squarefree decomposition over Z by pseudo-division, Sturm sequences,
+real root isolation, cyclotomic polynomials, and desk-scale
+irreducibility testing.
 
 Coefficients are stored ascending (coeffs[k] is the coefficient of x^k)
 with no trailing zeros.
@@ -16,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .exceptions import DomainError, UnsupportedError
+from .exceptions import DomainError, InternalError, UnsupportedError
 
 IRREDUCIBILITY_DEGREE_CAP = 12
 
@@ -133,9 +134,6 @@ class IntPolynomial:
     def reversed_poly(self) -> "IntPolynomial":
         """x^deg * f(1/x)."""
         return IntPolynomial(tuple(reversed(self.coeffs)))
-
-    def to_fractions(self) -> List[Fraction]:
-        return [Fraction(c) for c in self.coeffs]
 
     def is_monic(self) -> bool:
         return not self.is_zero() and self.leading == 1
@@ -270,30 +268,49 @@ def content_and_primitive(f: IntPolynomial) -> Tuple[int, IntPolynomial]:
     """Split f into (content, primitive part); content is positive."""
     if f.is_zero():
         raise DomainError("zero polynomial has no content")
-    c = 0
-    for a in f.coeffs:
-        c = math.gcd(c, abs(a))
+    c = math.gcd(*f.coeffs)
     return c, IntPolynomial(a // c for a in f.coeffs)
 
 
-def _qdivmod(a: List[Fraction], b: List[Fraction]):
-    """Quotient and remainder of rational coefficient lists (ascending)."""
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
+def pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int], int]:
+    """(q, r, s) with s * a = q * b + r and deg r < deg b, for ascending
+    integer coefficient lists a and b != 0; r has no trailing zeros.
+
+    The top coefficient c of the running remainder is cancelled by
+    (c / lc(b)) x^k b; when lc(b) does not divide c, everything is first
+    scaled by |lc(b)| / gcd(c, lc(b)) (Cohen, GTM 138, 3.1).  So s > 0,
+    r is s times the remainder over Q, and s == 1 whenever b divides a
+    over Z."""
     db = len(b) - 1
     if db < 0:
         raise DomainError("division by zero polynomial")
-    q = [Fraction(0)] * max(0, len(a) - db)
-    while len(a) - 1 >= db:
-        k = len(a) - 1 - db
-        coef = a[-1] / b[-1]
-        q[k] = coef
-        for i in range(db + 1):
-            a[k + i] -= coef * b[i]
-        while a and a[-1] == 0:
-            a.pop()
-    return q, a
+    lc = b[-1]
+    r = list(a)
+    q = [0] * max(0, len(r) - db)
+    s = 1
+    for k in range(len(r) - 1 - db, -1, -1):
+        c = r.pop()
+        if not c:
+            continue
+        if c % lc:
+            t = abs(lc) // math.gcd(c, lc)
+            r = [t * x for x in r]
+            q = [t * x for x in q]
+            s *= t
+            c *= t
+        c //= lc
+        q[k] = c
+        for i in range(db):
+            r[k + i] -= c * b[i]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r, s
+
+
+def _primitive(cs: Sequence[int]) -> List[int]:
+    """cs over its positive content ([] for the zero list)."""
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g else []
 
 
 def _q_to_primitive(qs: Sequence[Fraction]) -> IntPolynomial:
@@ -306,36 +323,31 @@ def _q_to_primitive(qs: Sequence[Fraction]) -> IntPolynomial:
     den = 1
     for c in qs:
         den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in qs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    return IntPolynomial(c // g for c in ints)
+    return IntPolynomial(_primitive([int(c * den) for c in qs]))
 
 
 def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd over Q, normalized to positive leading coefficient."""
-    a = f.to_fractions()
-    b = g.to_fractions()
-    while any(c != 0 for c in b):
-        _, r = _qdivmod(a, b)
-        a, b = b, r
-    result = _q_to_primitive(a)
-    if not result.is_zero() and result.leading < 0:
-        result = -result
-    return result
+    """Primitive gcd, normalized to positive leading coefficient: Euclid on
+    the primitive parts of the pseudo-remainders."""
+    a, b = f.coeffs, g.coeffs
+    while b:
+        a, b = b, _primitive(pseudo_divmod(a, b)[1])
+    result = IntPolynomial(_primitive(a))
+    return -result if not result.is_zero() and result.leading < 0 else result
 
 
 def poly_divide_exact(f: IntPolynomial, g: IntPolynomial):
     """f / g as an IntPolynomial if g divides f over Z, else None."""
-    if g.is_zero():
-        raise DomainError("division by zero polynomial")
-    q, r = _qdivmod(f.to_fractions(), g.to_fractions())
-    if any(c != 0 for c in r):
-        return None
-    if any(c.denominator != 1 for c in q):
-        return None
-    return IntPolynomial(int(c) for c in q)
+    q, r, s = pseudo_divmod(f.coeffs, g.coeffs)
+    return IntPolynomial(q) if s == 1 and not r else None
+
+
+def _divide_exact(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
+    """f / g for a primitive g dividing f over Q, hence over Z (Gauss)."""
+    q = poly_divide_exact(f, g)
+    if q is None:
+        raise InternalError(f"{g} does not divide {f} over Z")
+    return q
 
 
 def _squarefree_mod_p(f: IntPolynomial) -> bool:
@@ -354,7 +366,7 @@ def squarefree_part(f: IntPolynomial) -> IntPolynomial:
     """Primitive squarefree polynomial with the same roots as f, positive
     leading coefficient.  The primitive part is returned as it stands when
     _squarefree_mod_p proves it squarefree; otherwise it is divided by
-    gcd(f, f') over Q."""
+    gcd(f, f') over Z."""
     if f.is_zero():
         raise DomainError("squarefree part of zero polynomial")
     _, fp = content_and_primitive(f)
@@ -364,8 +376,7 @@ def squarefree_part(f: IntPolynomial) -> IntPolynomial:
         fp = -fp
     if _squarefree_mod_p(fp):
         return fp
-    g = poly_gcd(fp, fp.derivative())
-    return _q_to_primitive(_qdivmod(fp.to_fractions(), g.to_fractions())[0])
+    return _divide_exact(fp, poly_gcd(fp, fp.derivative()))
 
 
 def squarefree_decomposition(f: IntPolynomial) -> List[Tuple[IntPolynomial, int]]:
@@ -373,7 +384,8 @@ def squarefree_decomposition(f: IntPolynomial) -> List[Tuple[IntPolynomial, int]
     with positive leading coefficient, in increasing order of i.  A power
     x^k of x is split off first and x joins the factor of multiplicity k.
     Then [(f, 1)] for the primitive part f when _squarefree_mod_p proves
-    it squarefree, else Yun's algorithm with gcds over Q."""
+    it squarefree, else Yun's algorithm.  Every gcd there is primitive, so
+    each of Yun's divisions is exact over Z (Gauss's lemma)."""
     if f.is_zero():
         raise DomainError("squarefree decomposition of zero polynomial")
     _, fp = content_and_primitive(f)
@@ -389,48 +401,34 @@ def squarefree_decomposition(f: IntPolynomial) -> List[Tuple[IntPolynomial, int]
     if _squarefree_mod_p(fp):
         return [(fp, 1)]
     a0 = poly_gcd(fp, fp.derivative())
-    b = _q_to_primitive(_qdivmod(fp.to_fractions(), a0.to_fractions())[0])
-    c = _qdivmod(fp.derivative().to_fractions(), a0.to_fractions())[0]
-    d = [ci - bi for ci, bi in _zip_pad(c, _derive_q(b.to_fractions()))]
+    b = _divide_exact(fp, a0)
+    d = _divide_exact(fp.derivative(), a0) - b.derivative()
     out = []
     i = 1
     while b.degree > 0:
-        ai = poly_gcd(b, _q_to_primitive(d))
+        ai = poly_gcd(b, d)
         if ai.degree > 0:
             out.append((ai, i))
-        b_next = _q_to_primitive(_qdivmod(b.to_fractions(), ai.to_fractions())[0])
-        c = _qdivmod(d, ai.to_fractions())[0]
-        d = [ci - bi for ci, bi in _zip_pad(c, _derive_q(b_next.to_fractions()))]
+        b_next = _divide_exact(b, ai)
+        d = _divide_exact(d, ai) - b_next.derivative()
         b = b_next
         i += 1
     return out
-
-
-def _derive_q(qs: Sequence[Fraction]) -> List[Fraction]:
-    return [k * c for k, c in enumerate(qs) if k > 0]
-
-
-def _zip_pad(a: Sequence[Fraction], b: Sequence[Fraction]):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
 
 
 # ---------------------------------------------------------------------------
 # Sturm sequences and real root isolation
 
 
-def sturm_sequence(f: IntPolynomial) -> List[IntPolynomial]:
-    """Sturm chain of the squarefree part of f, primitivized at each step."""
-    g = squarefree_part(f)
+def sturm_sequence(g: IntPolynomial) -> List[IntPolynomial]:
+    """Sturm chain of a squarefree g: g, g', then each negated
+    pseudo-remainder over its positive content, which keeps its sign."""
     seq = [g, g.derivative()]
     while not seq[-1].is_zero() and seq[-1].degree > 0:
-        _, rem = _qdivmod(seq[-2].to_fractions(), seq[-1].to_fractions())
-        nxt = _q_to_primitive([-c for c in rem])
-        if nxt.is_zero():
+        nxt = _primitive([-c for c in pseudo_divmod(seq[-2].coeffs, seq[-1].coeffs)[1]])
+        if not nxt:
             break
-        seq.append(nxt)
+        seq.append(IntPolynomial(nxt))
     return [s for s in seq if not s.is_zero()]
 
 
@@ -443,7 +441,7 @@ def count_real_roots(f: IntPolynomial, a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots of f in the half-open interval (a, b]."""
     if a > b:
         raise DomainError("interval endpoints out of order")
-    seq = sturm_sequence(f)
+    seq = sturm_sequence(squarefree_part(f))
     return sign_variations(seq, Fraction(a)) - sign_variations(seq, Fraction(b))
 
 
@@ -713,8 +711,8 @@ def is_irreducible(f: IntPolynomial) -> bool:
     coefficient, and every true integer factor is visible as a subset of
     the modular factors (checked by exact trial division).  A g that is
     squarefree modulo a prime not dividing its leading coefficient is
-    squarefree over Q; the rational gcd decides only when no filter prime
-    is usable.
+    squarefree over Q; the gcd decides only when no filter prime is
+    usable.
     """
     if f.is_zero() or f.degree < 1:
         raise DomainError("irreducibility is defined for degree >= 1")

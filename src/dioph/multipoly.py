@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exceptions import DomainError
 from .numberfield import NumberFieldElement
@@ -278,13 +278,19 @@ def taylor_shift(P: MultiPoly, point: Sequence) -> MultiPoly:
     return shifted
 
 
+def weight_steps(weights: Sequence[int]) -> Tuple[int, List[int]]:
+    """(D, [D // r_h]) for D = lcm(weights), so that
+    sum i_h/r_h = sum i_h * (D // r_h) / D compares on integers."""
+    D = math.lcm(*weights)
+    return D, [D // r for r in weights]
+
+
 def least_weighted_degree(P: MultiPoly, weights: Tuple[int, ...]) -> IndexValue:
     """min sum i_h/r_h over the monomials x^I of P: the index of P at the
     origin, +infinity for the zero polynomial."""
     if P.is_zero():
         return IndexValue(None)
-    D = math.lcm(*weights)
-    steps = [D // r for r in weights]
+    D, steps = weight_steps(weights)
     return IndexValue(
         Fraction(min(sum(i * s for i, s in zip(exps, steps)) for exps in P.terms), D)
     )

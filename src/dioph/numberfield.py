@@ -9,10 +9,10 @@ real root by a Sturm count over the hull of the two intervals.
 A NumberFieldElement is a residue class modulo the minimal polynomial f
 in the power basis 1, alpha, ..., alpha^(d-1), held as an integer vector
 over one positive denominator in lowest terms, a canonical form (Cohen,
-GTM 138, 4.2).  Reduction cancels the top coefficient c of x^k by
-(c / lc) x^(k-d) f; when lc does not divide c, the vector and the
-denominator are first scaled by lc / gcd(c, lc), so a non-monic f is
-reduced in Z as well; one gcd at the end restores lowest terms.
+GTM 138, 4.2).  Reduction is intpoly.pseudo_divmod by f: the remainder
+is s times the one over Q, for the scale s > 0 it returns, so a non-monic
+f is reduced in Z as well and the denominator is multiplied by s; one gcd
+at the end restores lowest terms.
 
 The complex embeddings are the root boxes of ordered_root_boxes, whose
 endpoints are dyadic.  They are carried as integer mantissas at one
@@ -37,6 +37,7 @@ from .intpoly import (
     count_real_roots,
     is_irreducible,
     isolate_real_roots,
+    pseudo_divmod,
     refine_root_interval,
     squarefree_part,
     _q_to_primitive,
@@ -249,24 +250,12 @@ class NumberFieldElement:
         self._set(base, [c.numerator * (den // c.denominator) for c in rep], den)
 
     def _set(self, base: AlgebraicNumber, num: List[int], den: int) -> "NumberFieldElement":
-        """Store num / den reduced mod f and in lowest terms; num is consumed."""
+        """Store num / den reduced mod f and in lowest terms."""
         self.base = base
         f = base.min_poly.coeffs
-        d = len(f) - 1
-        lc = f[d]
-        for k in range(len(num) - 1, d - 1, -1):
-            c = num.pop()
-            if not c:
-                continue
-            if lc != 1 and c % lc:
-                s = lc // gcd(c, lc)
-                num = [s * x for x in num]
-                den *= s
-                c *= s
-            c //= lc
-            for i in range(d):
-                num[k - d + i] -= c * f[i]
-        num += [0] * (d - len(num))
+        _, num, s = pseudo_divmod(num, f)
+        den *= s
+        num += [0] * (len(f) - 1 - len(num))
         g = gcd(den, *num)
         self.num = tuple(x // g for x in num)
         self.den = den // g

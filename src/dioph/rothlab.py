@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import comb, lcm, prod
+from math import ceil, comb, prod
 from typing import List, Optional, Sequence, Tuple
 
 from .enclosure import Enclosure, exp_enclosure, log_enclosure
@@ -30,6 +30,7 @@ from .multipoly import (
     least_weighted_degree,
     normalized_derivative,
     taylor_shift,
+    weight_steps,
 )
 from .numberfield import AlgebraicNumber, NumberFieldElement
 from .siegel import (
@@ -76,16 +77,14 @@ def count_index_set(spec: IndexSetSpec) -> Tuple[int, Enclosure]:
     (boundary inclusive), next to the enclosure of the analytic bound
     prod(r_h + 1) * exp(-eps^2 m / 16)."""
     weights = spec.weights
-    D = lcm(*weights) if len(weights) > 1 else weights[0]
-    cap_fraction = spec.threshold * D
-    cap = int(cap_fraction)  # floor; integer weighted sums compare exactly
+    D, steps = weight_steps(weights)
+    cap = int(spec.threshold * D)  # floor; integer weighted sums compare exactly
     if cap < 0:
         count = 0
     else:
         dp = [0] * (cap + 1)
         dp[0] = 1
-        for r in weights:
-            step = D // r
+        for r, step in zip(weights, steps):
             new = [0] * (cap + 1)
             for s in range(cap + 1):
                 if dp[s] == 0:
@@ -108,16 +107,13 @@ def count_index_set(spec: IndexSetSpec) -> Tuple[int, Enclosure]:
 def vanishing_tuples(spec: IndexSetSpec) -> List[Tuple[int, ...]]:
     """Multi-indices in the degree box with weighted sum strictly below
     the threshold: the derivative-vanishing constraints of the
-    construction."""
-    out = [
-        tup
-        for tup in iter_product(*(range(r + 1) for r in spec.weights))
-        if sum(Fraction(i, r) for i, r in zip(tup, spec.weights)) < spec.threshold
-    ]
-    out.sort(
-        key=lambda t: (sum(Fraction(i, r) for i, r in zip(t, spec.weights)), t)
-    )
-    return out
+    construction, ordered by weighted sum, then by tuple.  The sums are
+    compared as integers over D = lcm(weights)."""
+    D, steps = weight_steps(spec.weights)
+    cap = ceil(spec.threshold * D)  # an integer w < threshold * D iff w < cap
+    box = iter_product(*(range(r + 1) for r in spec.weights))
+    weighted = sorted((sum(i * s for i, s in zip(t, steps)), t) for t in box)
+    return [t for w, t in weighted if w < cap]
 
 
 @dataclass

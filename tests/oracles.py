@@ -12,10 +12,13 @@ and evaluates one normalized derivative per multi-index, where
 production reads every derivative off one Taylor shift.  The minima
 oracle picks witnesses by one rank per candidate, where production
 tests each candidate against an integer basis of the witnesses'
-orthogonal complement.
+orthogonal complement.  The polynomial oracles run Euclid and Yun's
+algorithm over Q on Fraction coefficient lists, where production
+pseudo-divides integer polynomials.
 """
 
 from fractions import Fraction
+from math import gcd
 from itertools import product as iter_product
 from typing import Optional, Tuple
 
@@ -23,6 +26,7 @@ import sympy
 
 from dioph.enclosure import Enclosure, log_enclosure, sqrt_enclosure
 from dioph.exceptions import PrecisionError
+from dioph.intpoly import IntPolynomial
 from dioph.lattice import MinimaResult, _enumerate_reduced, _reduced_lattice
 from dioph.multipoly import IndexValue, MultiPoly, normalized_derivative
 from dioph.numberfield import AlgebraicNumber
@@ -185,6 +189,97 @@ def refine_root_interval_by_fractions(f, interval, width):
         else:
             b = m
     return a, b
+
+
+def _qdivmod(a, b):
+    """Quotient and remainder of ascending Fraction coefficient lists."""
+    a = [Fraction(c) for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    db = len(b) - 1
+    q = [Fraction(0)] * max(0, len(a) - db)
+    while len(a) - 1 >= db:
+        k = len(a) - 1 - db
+        coef = a[-1] / b[-1]
+        q[k] = coef
+        for i in range(db + 1):
+            a[k + i] -= coef * b[i]
+        while a and a[-1] == 0:
+            a.pop()
+    return q, a
+
+
+def _to_primitive(qs) -> IntPolynomial:
+    """The primitive integer polynomial that is a positive multiple of qs."""
+    den = 1
+    for c in qs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in qs]
+    g = gcd(*ints)
+    return IntPolynomial(c // g for c in ints) if g else IntPolynomial.zero()
+
+
+def _with_positive_lead(f: IntPolynomial) -> IntPolynomial:
+    return -f if not f.is_zero() and f.leading < 0 else f
+
+
+def gcd_by_fractions(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
+    """Primitive gcd with positive leading coefficient, by Euclid over Q."""
+    a, b = list(f.coeffs), list(g.coeffs)
+    while b:
+        a, b = b, _qdivmod(a, b)[1]
+    return _with_positive_lead(_to_primitive([Fraction(c) for c in a]))
+
+
+def divide_exact_by_fractions(f: IntPolynomial, g: IntPolynomial):
+    """f / g if g divides f over Z, else None, by division over Q."""
+    q, r = _qdivmod(f.coeffs, [Fraction(c) for c in g.coeffs])
+    if r or any(c.denominator != 1 for c in q):
+        return None
+    return IntPolynomial(int(c) for c in q)
+
+
+def sturm_sequence_by_fractions(g: IntPolynomial):
+    """Sturm chain of a squarefree g: g, g', then the primitive positive
+    multiple of minus each remainder over Q."""
+    seq = [g, g.derivative()]
+    while not seq[-1].is_zero() and seq[-1].degree > 0:
+        rem = _qdivmod(seq[-2].coeffs, [Fraction(c) for c in seq[-1].coeffs])[1]
+        if not rem:
+            break
+        seq.append(_to_primitive([-c for c in rem]))
+    return [s for s in seq if not s.is_zero()]
+
+
+def _derive(qs):
+    return [k * c for k, c in enumerate(qs) if k]
+
+
+def _sub(a, b):
+    n = max(len(a), len(b))
+    return [x - y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))]
+
+
+def squarefree_decomposition_by_fractions(f: IntPolynomial):
+    """[(g_i, i)] with f ~ prod g_i^i, each g_i primitive, squarefree, of
+    positive leading coefficient and degree >= 1: Yun's algorithm over Q
+    on the whole of f, with no power of x split off and no modular test."""
+    if f.degree < 1:
+        return []
+    fq = [Fraction(c) for c in f.coeffs]
+    a0 = [Fraction(c) for c in gcd_by_fractions(f, f.derivative()).coeffs]
+    b = _qdivmod(fq, a0)[0]
+    d = _sub(_qdivmod(_derive(fq), a0)[0], _derive(b))
+    out, i = [], 1
+    while len(b) > 1:
+        ai = gcd_by_fractions(_to_primitive(b), _to_primitive(d))
+        if ai.degree > 0:
+            out.append((ai, i))
+        aq = [Fraction(c) for c in ai.coeffs]
+        b_next = _qdivmod(b, aq)[0]
+        d = _sub(_qdivmod(d, aq)[0], _derive(b_next))
+        b, i = b_next, i + 1
+    return out
 
 
 def liouville_verdict_by_enclosure(alpha, p: int, q: int, c) -> bool:

@@ -23,12 +23,21 @@ from dioph.intpoly import (
     isolate_real_roots,
     poly_divide_exact,
     poly_gcd,
+    pseudo_divmod,
     refine_root_interval,
     squarefree_decomposition,
     squarefree_part,
+    sturm_sequence,
 )
 
-from oracles import refine_root_interval_by_fractions
+from oracles import (
+    divide_exact_by_fractions,
+    gcd_by_fractions,
+    refine_root_interval_by_fractions,
+    squarefree_decomposition_by_fractions,
+    sturm_sequence_by_fractions,
+)
+from test_numberfield import _FractionCount
 
 
 def rand_poly(rng, max_deg=6, coeff=9, primitive=False):
@@ -430,3 +439,73 @@ def test_shift_and_reverse():
     shifted = f.shift_int(1)  # (x+1)^2 - 2 = x^2 + 2x - 1
     assert shifted == IntPolynomial([-1, 2, 1])
     assert f.reversed_poly() == IntPolynomial([1, 0, -2])
+
+
+# Integer pseudo-division against the Fraction Euclid of tests/oracles.py.
+# Leading coefficients of either sign and non-monic divisors are drawn
+# throughout; `blind` multiplies in a factor that no filter prime proves
+# squarefree, so _squarefree_mod_p is False and Yun's route runs.
+int_polys = st.lists(st.integers(-30, 30), min_size=1, max_size=6).map(IntPolynomial)
+nonzero_polys = int_polys.filter(lambda f: not f.is_zero())
+blind = st.sampled_from([
+    IntPolynomial([1]),
+    IntPolynomial([-_FILTER_PRODUCT, 0, 1]),
+    IntPolynomial([1, 0, -_FILTER_PRODUCT]),
+    IntPolynomial([1, _FILTER_PRODUCT]),
+])
+
+
+@settings(max_examples=200)
+@given(int_polys, nonzero_polys)
+def test_pseudo_divmod_is_a_scaled_division_over_q(a, b):
+    q, r, s = pseudo_divmod(a.coeffs, b.coeffs)
+    assert s > 0 and len(r) < len(b.coeffs) and (not r or r[-1])
+    assert IntPolynomial(a.coeffs) * s == IntPolynomial(q) * b + IntPolynomial(r)
+    q_oracle = divide_exact_by_fractions(a * b, b)
+    assert pseudo_divmod((a * b).coeffs, b.coeffs) == (list(q_oracle.coeffs), [], 1)
+
+
+@settings(max_examples=200)
+@given(int_polys, int_polys, int_polys, blind, st.integers(1, 2))
+def test_poly_gcd_matches_the_fraction_euclid(a, b, c, extra, k):
+    f, g = a * c ** k * extra, b * c * extra
+    assert poly_gcd(f, g) == gcd_by_fractions(f, g)
+    assert poly_gcd(g, f) == gcd_by_fractions(g, f)
+
+
+@settings(max_examples=200)
+@given(int_polys, nonzero_polys, st.integers(-3, 3).filter(bool), int_polys, st.booleans())
+def test_poly_divide_exact_matches_the_fraction_division(a, b, k, r, exact):
+    # k * b divides a * b over Q, and over Z only when k divides a
+    g = b * k
+    f = a * b + (IntPolynomial.zero() if exact else r)
+    assert poly_divide_exact(f, g) == divide_exact_by_fractions(f, g)
+    assert poly_divide_exact(f, b) == divide_exact_by_fractions(f, b)
+
+
+@settings(max_examples=200)
+@given(nonzero_polys, nonzero_polys, blind)
+def test_sturm_sequence_matches_the_fraction_chain_link_by_link(a, b, extra):
+    g = squarefree_part(a * b * extra)
+    assert sturm_sequence(g) == sturm_sequence_by_fractions(g)
+
+
+@settings(max_examples=200)
+@given(small_polys, small_polys, small_polys, blind, st.integers(-6, 6).filter(bool))
+def test_squarefree_decomposition_matches_the_fraction_yun(a, b, c, extra, content):
+    f = a * b * b * c * c * c * extra * IntPolynomial([content])
+    assume(not f.is_zero())
+    assert squarefree_decomposition(f) == squarefree_decomposition_by_fractions(f)
+
+
+def test_remainder_routines_build_no_fraction():
+    f = IntPolynomial([1, _FILTER_PRODUCT]) ** 2 * IntPolynomial([-2, 0, 3]) * IntPolynomial([5, -1, 0, -7])
+    g = IntPolynomial([1, _FILTER_PRODUCT]) * IntPolynomial([4, 0, 3])
+    assert not _squarefree_mod_p(f)
+    with _FractionCount() as count:
+        assert poly_gcd(f, g) == IntPolynomial([1, _FILTER_PRODUCT])
+        assert poly_divide_exact(f, g) is None
+        assert poly_divide_exact(f, IntPolynomial([-2, 0, 3])) is not None
+        assert [k for _, k in squarefree_decomposition(f)] == [1, 2]
+        assert len(sturm_sequence(squarefree_part(f))) >= 2
+    assert count.calls == 0

@@ -284,3 +284,20 @@ def test_roth_verify_constructed_instances():
         assert rep.conclusion_holds
         assert rep.index.value <= 2 * m * eta
         done += 1
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(1, 4).flatmap(lambda m: st.tuples(
+        st.just(m), st.lists(st.integers(1, 6), min_size=m, max_size=m))),
+    st.fractions(0, 1).filter(lambda e: 0 < e < 1),
+)
+def test_vanishing_tuples_match_the_fraction_definition(m_weights, epsilon):
+    m, weights = m_weights
+    spec = IndexSetSpec(m, epsilon, weights)
+    weight = lambda t: sum(Fraction(i, r) for i, r in zip(t, spec.weights))
+    expected = sorted(
+        (t for t in product(*(range(r + 1) for r in spec.weights)) if weight(t) < spec.threshold),
+        key=lambda t: (weight(t), t),
+    )
+    assert vanishing_tuples(spec) == expected
