@@ -163,6 +163,10 @@ COMMANDS = {
                          ["0", "0", "1"], _rep("3", "1", "1/7", "0"), "-2"]]),
         _nf("x^5-x-1", [[_rep("1", "1/2", "0", "0", "-1"), _rep("0", "0", "2/3", "1", "0"), "1",
                          ["1", "-1"], _rep("-1/4", "0", "0", "0", "1"), "2", ["0", "0", "0", "1"]]]),
+        # a sextic field with four non-real embeddings
+        _nf("x^6+x^5-3x+7", [[_rep("1", "0", "1/2", "0", "0", "-1"), _rep("0", "2/3", "0", "1", "0", "0"),
+                              "1", ["1", "0", "-1"], _rep("-1/4", "0", "0", "0", "1", "1"), "2",
+                              ["0", "0", "0", "0", "0", "1"], "-3"]]),
         ["siegel", "--", json.dumps({"entries": [[3, -1, 4, 1, -5], [2, 6, -5, 3, 5]]})],
         ["siegel", "--", json.dumps({"entries": [[7, -3, 0, 2, 1, -8, 4], [1, 5, -9, 2, 6, 3, -2],
                                                  [-4, 0, 3, 8, -1, 2, 5]]})],
@@ -190,7 +194,14 @@ COMMANDS = {
                                               * (2 * _X - 3) * (_X + 5))],
         ["mahler", "--precision=1e-40", _text(sympy.cyclotomic_poly(5, _X) * sympy.cyclotomic_poly(1, _X) ** 2
                                               * sympy.cyclotomic_poly(12, _X) * (3 * _X + 1))],
+        # a non-dyadic rational root, -1/3, at the coarsest root scale
+        # (precision 2, 4 bits) and at 1e-40; a triple root at 0 and a
+        # repeated cyclotomic factor at precision 1/3
+        ["mahler", "--precision=2", _text((3 * _X + 1) * (_X ** 2 - 2))],
+        ["mahler", "--precision=1e-40", _text((3 * _X + 1) * (_X ** 2 - 2))],
+        ["mahler", "--precision", "1/3", _text(_X ** 3 * (_X ** 2 + _X + 1) ** 2)],
         ["northcott", "--degree", "2", "--height", "2"],
+        ["northcott", "--degree", "3", "--height", "1"],
         ["kronecker", "x^4-x^2+1", "--with-height"],
         ["kronecker", "x^3-x-1", "--with-height", "--precision", "1e-40"],
         ["kronecker", "2x^2-3", "--with-height"],
