@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Tuple, Union
 
 from .exceptions import DomainError
@@ -186,11 +187,6 @@ class Enclosure:
         return Enclosure(_round_down(self.lo, bits), _round_up(self.hi, bits))
 
 
-def sqrt_enclosure(q: Rat, err: Rat) -> Enclosure:
-    """Enclosure of sqrt(q) of width <= err, q >= 0 rational."""
-    return nth_root_enclosure(q, 2, err)
-
-
 def nth_root_enclosure(q: Rat, k: int, err: Rat) -> Enclosure:
     """Enclosure of q**(1/k) of width <= err, for rational q >= 0."""
     q = Fraction(q)
@@ -199,14 +195,21 @@ def nth_root_enclosure(q: Rat, k: int, err: Rat) -> Enclosure:
         raise DomainError("nth_root_enclosure of a negative rational")
     if err <= 0:
         raise DomainError("error budget must be positive")
-    if q == 0:
-        return Enclosure.exact(0)
     bits = max(4, 1 - floor_log2(err))
-    num = (q.numerator << (k * bits)) // q.denominator
-    lo_int = iroot(num, k)
-    scale = 1 << bits
-    # q * 2**(k*bits) < num + 1 <= (lo_int + 1)**k, so hi is an upper bound
-    return Enclosure(Fraction(lo_int, scale), Fraction(lo_int + 1, scale))
+    lo, hi = root_mantissas(q.numerator, q.denominator, k, bits)
+    return Enclosure(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
+
+
+def root_mantissas(n: int, d: int, k: int, bits: int) -> Tuple[int, int]:
+    """(m, m + 1) for m = floor(2**bits * (n/d)**(1/k)), integers n >= 0
+    and d > 0, or (0, 0) for n = 0: the endpoints of nth_root_enclosure
+    at scale 2**-bits.  With N = floor(n * 2**(k*bits) / d),
+    n/d * 2**(k*bits) < N + 1 <= (m + 1)**k, so m + 1 is an upper bound."""
+    if n == 0:
+        return 0, 0
+    big = (n << (k * bits)) // d
+    m = isqrt(big) if k == 2 else iroot(big, k)
+    return m, m + 1
 
 
 def _working_bits(base: int) -> int:

@@ -276,10 +276,6 @@ def _log2_inverse(q: Fraction) -> int:
     return q.denominator.bit_length() - q.numerator.bit_length()
 
 
-def _clip_at_one(enc: Enclosure) -> Enclosure:
-    return Enclosure(max(enc.lo, Fraction(1)), max(enc.hi, Fraction(1)))
-
-
 def _check_mahler_degree(degree: int) -> None:
     if degree > MAHLER_DEGREE_CAP:
         raise UnsupportedError(
@@ -315,10 +311,13 @@ def mahler_enclosure(f: IntPolynomial, precision: Fraction) -> Enclosure:
     n = prim.degree
     w = precision / (4 * n * max(1, abs(prim.leading)))
     for _ in range(_REFINEMENTS):
-        acc = Enclosure.exact(abs(prim.leading))
-        for m in root_moduli(prim, w):
-            acc = acc * _clip_at_one(m)
-        acc = acc * content
+        # |lc| * prod max(1, |root|) on the mantissas at scale 2**-s
+        s, moduli = root_moduli(prim, w)
+        lo = hi = content * abs(prim.leading)
+        for m_lo, m_hi in moduli:
+            lo *= max(m_lo, 1 << s)
+            hi *= max(m_hi, 1 << s)
+        acc = Enclosure(Fraction(lo, 1 << (n * s)), Fraction(hi, 1 << (n * s)))
         if acc.width <= precision:
             return acc
         w /= 64
@@ -426,7 +425,6 @@ def mahler_leq(f: IntPolynomial, c: Fraction) -> bool:
     exact = _residual_mahler(rest)
     if exact is not None:
         return exact <= target
-    n = rest.degree
     w = Fraction(1, 10 ** 8)
     for _ in range(9):  # 1e-8 down to 1e-40 in 1e-4 steps, plus slack
         enc = mahler_enclosure(rest, w)
@@ -436,12 +434,10 @@ def mahler_leq(f: IntPolynomial, c: Fraction) -> bool:
             return False
         w /= 10 ** 4
     # structural tie-breaks at the finest precision
-    moduli = root_moduli(rest, Fraction(1, 10 ** 40))
-    outside = [m for m in moduli if m.lo > 1]
-    inside = [m for m in moduli if m.hi < 1]
-    if len(outside) == n:
+    s, moduli = root_moduli(rest, Fraction(1, 10 ** 40))
+    if all(lo > 1 << s for lo, _ in moduli):
         return Fraction(abs(rest.constant)) <= target  # M = |a_0|
-    if len(inside) == n:
+    if all(hi < 1 << s for _, hi in moduli):
         return Fraction(abs(rest.leading)) <= target
     for extra in range(3):
         w_deep = Fraction(1, 10 ** (80 * 2 ** extra))

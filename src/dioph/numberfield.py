@@ -14,13 +14,12 @@ is s times the one over Q, for the scale s > 0 it returns, so a non-monic
 f is reduced in Z as well and the denominator is multiplied by s; one gcd
 at the end restores lowest terms.
 
-The complex embeddings are the root boxes of ordered_root_boxes, whose
-endpoints are dyadic.  They are carried as integer mantissas at one
-binary scale (dyadic_boxes), and products and sums of boxes are exact
-integer operations, so the inverse-basis bound c1 and the coefficient
-heights of the Siegel lemma are the rationals exact interval arithmetic
-on the boxes would give, without Fraction arithmetic and without
-rounding.
+The complex embeddings are the root boxes of ordered_root_boxes: integer
+mantissas at one binary scale, as roots returns them.  Products and sums
+of boxes are exact integer operations, so the inverse-basis bound c1 and
+the coefficient heights of the Siegel lemma are the rationals exact
+interval arithmetic on the boxes would give, without Fraction arithmetic
+and without rounding.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .enclosure import Enclosure, sqrt_enclosure
-from .exceptions import DomainError, InternalError, PrecisionError
+from .enclosure import Enclosure, floor_log2, root_mantissas
+from .exceptions import DomainError, PrecisionError
 from .intpoly import (
     IntPolynomial,
     content_and_primitive,
@@ -43,7 +42,7 @@ from .intpoly import (
     _q_to_primitive,
 )
 from .linalg import inverse as matrix_inverse
-from .roots import ordered_root_boxes
+from .roots import Box, ordered_root_boxes
 
 EMBEDDING_PRECISION = Fraction(1, 10 ** 15)
 # generator widths real_enclosure tries, each 1/16 of the last
@@ -445,26 +444,11 @@ def power_min_poly(a: AlgebraicNumber, m: int) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 # certified complex embeddings and the inverse-basis operator bound
 #
-# A box is four integers (re_lo, re_hi, im_lo, im_hi) standing for
-# [re_lo, re_hi] / 2**s + i [im_lo, im_hi] / 2**s at a scale s that the
-# caller tracks.  Products add scales and sums are taken at one scale, so
-# every value is the same rational that Enclosure arithmetic on the
-# boxes would give, with no rounding.
-
-Box = Tuple[int, int, int, int]
-
-
-def dyadic_boxes(boxes: Sequence[Tuple[Enclosure, Enclosure]]) -> Tuple[int, List[Box]]:
-    """The scale s of the finest endpoint and every root box as
-    mantissas at that scale.  Root box endpoints are dyadic by
-    construction (a center x / 2**b plus or minus a radius from
-    nth_root_enclosure); any other denominator raises InternalError."""
-    ends = [q for re, im in boxes for q in (re.lo, re.hi, im.lo, im.hi)]
-    if any(q.denominator & (q.denominator - 1) for q in ends):
-        raise InternalError("root box endpoint is not dyadic")
-    s = max(q.denominator.bit_length() - 1 for q in ends)
-    m = [q.numerator << (s + 1 - q.denominator.bit_length()) for q in ends]
-    return s, [tuple(m[i : i + 4]) for i in range(0, len(m), 4)]
+# A box (roots.Box) is four integers (re_lo, re_hi, im_lo, im_hi)
+# standing for [re_lo, re_hi] / 2**s + i [im_lo, im_hi] / 2**s at a scale
+# s that the caller tracks.  Products add scales and sums are taken at one
+# scale, so every value is the same rational that Enclosure arithmetic on
+# the boxes would give, with no rounding.
 
 
 def _imul(alo: int, ahi: int, blo: int, bhi: int) -> Tuple[int, int]:
@@ -489,14 +473,13 @@ def box_abs2(a: Box) -> Tuple[int, int]:
     return r_lo + i_lo, r_hi + i_hi
 
 
-def _abs_bounds(a: Box, s: int, err: Fraction) -> Tuple[Fraction, Fraction]:
-    """Lower and upper bounds on |a| for a box at scale s."""
+def _abs_bounds(a: Box, s: int, bits: int) -> Tuple[int, int]:
+    """Lower and upper bounds on |a| for a box at scale s, as mantissas at
+    scale 2**-bits: the ends of nth_root_enclosure on the ends of |a|^2."""
     lo, hi = box_abs2(a)
     unit = 1 << (2 * s)
-    return (
-        sqrt_enclosure(Fraction(max(lo, 0), unit), err).lo,
-        sqrt_enclosure(Fraction(max(hi, 0), unit), err).hi,
-    )
+    return (root_mantissas(max(lo, 0), unit, 2, bits)[0],
+            root_mantissas(max(hi, 0), unit, 2, bits)[1])
 
 
 def inverse_embedding_bound(
@@ -510,10 +493,11 @@ def inverse_embedding_bound(
     Lagrange polynomial f(x) / ((x - sigma_r) f'(sigma_r)) of the minimal
     polynomial f, so with q_r = f / (x - sigma_r), one synthetic division,
     (W^{-1})[k][r] = [q_r]_k / q_r(sigma_r), as f'(sigma_r) = q_r(sigma_r).
-    That is O(d^2) box operations on the exact dyadic boxes.  Reported
-    with outward rounding; use the upper endpoint.  `boxes`, if given,
-    are the caller's ordered_root_boxes of the minimal polynomial at
-    `precision`.
+    That is O(d^2) box operations on the exact root boxes, and each
+    modulus is bounded at scale 2**-bits as nth_root_enclosure would at
+    err precision.  Reported with outward rounding; use the upper
+    endpoint.  `boxes`, if given, are the caller's ordered_root_boxes of
+    the minimal polynomial at `precision`.
     """
     precision = Fraction(precision)
     d = a.degree
@@ -523,9 +507,8 @@ def inverse_embedding_bound(
     for _ in range(6):
         row_hi = [Fraction(0)] * d
         row_lo = [Fraction(0)] * d
-        if boxes is None:
-            boxes = ordered_root_boxes(a.min_poly, precision)
-        s, zs = dyadic_boxes(boxes)
+        bits = max(4, 1 - floor_log2(precision))
+        s, zs = boxes or ordered_root_boxes(a.min_poly, precision)
         for z in zs:
             # q[j] is the coefficient of x^(d-1-j) in f / (x - z), at scale j*s
             q = [(coeffs[d], coeffs[d], 0, 0)]
@@ -538,13 +521,13 @@ def inverse_embedding_bound(
             for c in q[1:]:
                 t = box_mul(fprime, z)
                 fprime = (t[0] + c[0], t[1] + c[1], t[2] + c[2], t[3] + c[3])
-            f_lo, f_hi = _abs_bounds(fprime, (d - 1) * s, precision)
+            f_lo, f_hi = _abs_bounds(fprime, (d - 1) * s, bits)
             if f_lo == 0:
                 break
             for j, c in enumerate(q):
-                c_lo, c_hi = _abs_bounds(c, j * s, precision)
-                row_hi[d - 1 - j] += c_hi / f_lo
-                row_lo[d - 1 - j] += c_lo / f_hi
+                c_lo, c_hi = _abs_bounds(c, j * s, bits)
+                row_hi[d - 1 - j] += Fraction(c_hi, f_lo)
+                row_lo[d - 1 - j] += Fraction(c_lo, f_hi)
         else:
             hi = max(row_hi)
             return Enclosure(min(max(row_lo), hi), hi)

@@ -20,6 +20,15 @@ are further apart than the sum of integer upper bounds on the radii, a
 test on integers of about 2*bits bits; only disks that nearly touch go
 on to the exact cross-multiplied test.  All certificates are exact; the
 floats only ever choose starting points.
+
+Results stay integer mantissas.  root_disks returns (den, [(x, y, p, q)])
+with center (x + iy) / den and squared radius p / (q * den**2).
+root_moduli and ordered_root_boxes bound |center| and the radius by the
+integer square roots of enclosure.root_mantissas, the endpoints
+nth_root_enclosure would give, at one scale 2**-s: a modulus is a pair
+(lo, hi) and a box (Box) four integers, each standing for the same
+rational as Enclosure arithmetic on the disks would give.  Only
+max_root_modulus returns an Enclosure.
 """
 
 from __future__ import annotations
@@ -30,19 +39,17 @@ import sys
 from fractions import Fraction
 from typing import List, Tuple
 
-from .enclosure import Enclosure, sqrt_enclosure
-from .exceptions import DomainError, PrecisionError
-from .intpoly import IntPolynomial, iroot_ceil, squarefree_decomposition
+from .enclosure import Enclosure, floor_log2_ratio, root_mantissas
+from .exceptions import DomainError, InternalError, PrecisionError
+from .intpoly import IntPolynomial, iroot_ceil, squarefree_decomposition, squarefree_part
 
-CRat = Tuple[Fraction, Fraction]
 # seeds: a shared binary scale and one integer mantissa pair per root
 Seeds = Tuple[int, List[Tuple[int, int]]]
-# (x, y, p, q): center (x + iy) / 2**b and squared radius p / (q * 4**b)
+# (x, y, p, q): center (x + iy) / den and squared radius p / (q * den**2)
 Disk = Tuple[int, int, int, int]
-
-
-def _c_abs2(z: CRat) -> Fraction:
-    return z[0] * z[0] + z[1] * z[1]
+# (re_lo, re_hi, im_lo, im_hi): [re_lo, re_hi] / 2**s + i [im_lo, im_hi] / 2**s
+# at a scale s that travels with the box
+Box = Tuple[int, int, int, int]
 
 
 def _floor_scaled(q: Fraction, bits: int) -> int:
@@ -59,42 +66,6 @@ def _horner(coeffs, x: int, y: int, bits: int) -> Tuple[int, int]:
         shift += bits
         re, im = re * x - im * y + (c << shift), re * y + im * x
     return re, im
-
-
-class RootDisk:
-    """Disk certified to contain exactly one root of a squarefree polynomial.
-
-    radius_sq bounds the squared distance from center to that root.
-    """
-
-    __slots__ = ("center", "radius_sq")
-
-    def __init__(self, center: CRat, radius_sq: Fraction):
-        self.center = center
-        self.radius_sq = radius_sq
-
-    def radius_upper(self, err: Fraction) -> Fraction:
-        if self.radius_sq == 0:
-            return Fraction(0)
-        return sqrt_enclosure(self.radius_sq, err).hi
-
-    def modulus_enclosure(self, err: Fraction) -> Enclosure:
-        """Enclosure of |root| of width <= err (assuming radius small enough)."""
-        r_hi = self.radius_upper(err / 8)
-        middle = sqrt_enclosure(_c_abs2(self.center), err / 4)
-        lo = middle.lo - r_hi
-        return Enclosure(max(Fraction(0), lo), middle.hi + r_hi)
-
-    def real_enclosure(self, err: Fraction) -> Enclosure:
-        r_hi = self.radius_upper(err / 8)
-        return Enclosure(self.center[0] - r_hi, self.center[0] + r_hi)
-
-    def imag_enclosure(self, err: Fraction) -> Enclosure:
-        r_hi = self.radius_upper(err / 8)
-        return Enclosure(self.center[1] - r_hi, self.center[1] + r_hi)
-
-    def __repr__(self):
-        return f"RootDisk(({float(self.center[0])}, {float(self.center[1])}), rsq={float(self.radius_sq)})"
 
 
 # sweeps of the Aberth iteration before the mpmath seeds take over
@@ -228,21 +199,24 @@ def _apart(u: Disk, v: Disk) -> bool:
     return t > 0 and t * t > 4 * pi * pj * qi * qj
 
 
-def root_disks(g: IntPolynomial, radius_sq_target: Fraction) -> List[RootDisk]:
-    """Certified disks around all complex roots of a squarefree g.
+def root_disks(g: IntPolynomial, target: Tuple[int, int]) -> Tuple[int, List[Disk]]:
+    """Certified disks around all complex roots of a squarefree g, as
+    (den, [(x, y, p, q)]): center (x + iy) / den and squared radius at
+    most p / (q * den**2).  den = 2**bits, or |lead| at degree 1, where
+    the root is an exact rational and the radius 0.
 
-    Each returned disk contains exactly one root and has squared radius
-    at most radius_sq_target.  Raises PrecisionError if certification
-    fails within the iteration budget.
+    Each disk contains exactly one root and has squared radius at most
+    num / den for target = (num, den), integers.  Raises PrecisionError
+    if certification fails within the iteration budget.
     """
     n = g.degree
     if n < 1:
         raise DomainError("root_disks needs degree >= 1")
     if n == 1:
-        root = Fraction(-g.constant, g.leading)
-        return [RootDisk((root, Fraction(0)), Fraction(0))]
+        lead = g.leading
+        return abs(lead), [(-g.constant if lead > 0 else g.constant, 0, 0, 1)]
     coeffs, deriv = g.coeffs, g.derivative().coeffs
-    num, den = radius_sq_target.numerator, radius_sq_target.denominator
+    num, den = target
 
     seed_bits, seeds = _float_seeds(g)
     # n^2 * 2 * 4**-bits, the residual bound of a converged center, is
@@ -274,11 +248,7 @@ def root_disks(g: IntPolynomial, radius_sq_target: Fraction) -> List[RootDisk]:
                 # n^2 |V|^2 / (|D|^2 4**bits) <= num / den for every center
                 fits = all(p * den <= (num * q) << (2 * bits) for _, _, p, q in disks)
                 if fits and _pairwise_disjoint(disks):
-                    one = 1 << bits
-                    return [
-                        RootDisk((Fraction(x, one), Fraction(y, one)), Fraction(p, q * one * one))
-                        for x, y, p, q in disks
-                    ]
+                    return 1 << bits, disks
                 if rnd == 40:
                     break
             # Newton step: z - g(z)/g'(z) = (Z - V conj(D) / |D|^2) / 2**scale
@@ -293,76 +263,95 @@ def root_disks(g: IntPolynomial, radius_sq_target: Fraction) -> List[RootDisk]:
             ]
             scale = bits
     raise PrecisionError(
-        f"could not certify root disks of {g!r} at target {float(radius_sq_target)}: "
+        f"could not certify root disks of {g!r} at target {num / den}: "
         f"used {_CERTIFY_ATTEMPTS} attempts of 40 Newton steps, up to {bits} bits; "
         f"the cap is {_CERTIFY_ATTEMPTS} attempts"
     )
 
 
-def ordered_root_boxes(
-    f: IntPolynomial, precision: Fraction
-) -> List[Tuple[Enclosure, Enclosure]]:
-    """Complex boxes around the distinct roots of f, canonically ordered.
+def _precision_parts(precision: Fraction) -> Tuple[int, int, int]:
+    """(num, den, e) of a precision num/den > 0, with 2**e <= num/den <
+    2**(e + 1); DomainError for precision <= 0.  An int or a Fraction is
+    read as it stands; anything else goes through Fraction first."""
+    if not isinstance(precision, (int, Fraction)):
+        precision = Fraction(precision)
+    if precision <= 0:
+        raise DomainError("precision must be positive")
+    num, den = precision.numerator, precision.denominator
+    return num, den, floor_log2_ratio(num, den)
 
-    Order is by (real midpoint, imaginary midpoint) of the certified
-    boxes, refined at the requested precision, which fixes a
-    deterministic conjugate numbering.
+
+def ordered_root_boxes(f: IntPolynomial, precision: Fraction) -> Tuple[int, List[Box]]:
+    """Boxes around the distinct roots of f at one scale 2**-s, as
+    (s, [Box]), ordered by the real and then the imaginary part of their
+    centers, which fixes a deterministic conjugate numbering.
+
+    Each box is its disk's center plus or minus the radius bound of
+    nth_root_enclosure at err precision / 8 (scale 2**-b); the disks have
+    squared radii at most (precision / 4)**2.  s = max(b, bits) for
+    disks at den = 2**bits, so every endpoint is exact; a degree-1
+    squarefree part with a root that is not dyadic is rounded outward to
+    2**-s.  Raises DomainError for precision <= 0 before any root is
+    computed.
     """
-    precision = Fraction(precision)
-    target = (precision / 4) ** 2
-    g = _squarefree_of(f)
-    disks = root_disks(g, target)
-    boxes = [
-        (d.real_enclosure(precision), d.imag_enclosure(precision)) for d in disks
-    ]
-    boxes.sort(key=lambda b: (b[0].mid, b[1].mid))
-    return boxes
+    num, den, e = _precision_parts(precision)
+    b = max(4, 4 - e)
+    c, disks = root_disks(squarefree_part(f), (num * num, 16 * den * den))
+    s = max(b, c.bit_length() - 1)
+    boxes = []
+    for x, y, p, q in disks:
+        r = root_mantissas(p, q * c * c, 2, b)[1] << (s - b)
+        x_lo, y_lo = (x << s) // c, (y << s) // c
+        x_hi, y_hi = -((-x << s) // c), -((-y << s) // c)
+        boxes.append((x_lo - r, x_hi + r, y_lo - r, y_hi + r))
+    boxes.sort(key=lambda z: (z[0] + z[1], z[2] + z[3]))
+    return s, boxes
 
 
-def _squarefree_of(f: IntPolynomial) -> IntPolynomial:
-    from .intpoly import squarefree_part
+def root_moduli(f: IntPolynomial, precision: Fraction) -> Tuple[int, List[Tuple[int, int]]]:
+    """Enclosures [lo, hi] / 2**s of |root| for every root of f, counted
+    with multiplicity, as (s, [(lo, hi)]), ordered by midpoint and then
+    by the real part of the disk's center.
 
-    return squarefree_part(f)
-
-
-def root_moduli(f: IntPolynomial, precision: Fraction) -> List[Enclosure]:
-    """Enclosures of |root| for every root of f, counted with multiplicity.
-
-    Each enclosure has width <= precision.  The product of the
+    Each enclosure has width <= precision: the disks have squared radii
+    at most (precision / 8)**2, and |center| and the radius are bounded
+    as nth_root_enclosure would at err precision / 4 and precision / 8,
+    whose scales are 2**-(s - 1) or 2**-s and 2**-s.  The product of the
     enclosures times |leading| is checked against |constant| as an
     internal consistency test.
     """
-    precision = Fraction(precision)
-    if precision <= 0:
-        raise DomainError("precision must be positive")
+    num, den, e = _precision_parts(precision)
     if f.is_zero() or f.degree < 1:
         raise DomainError("root_moduli needs a nonzero polynomial of degree >= 1")
-    target = (precision / 8) ** 2
-    out: List[Tuple[Fraction, Enclosure]] = []
+    b, s = max(4, 3 - e), max(4, 4 - e)
+    out = []
     for factor, mult in squarefree_decomposition(f):
-        for disk in root_disks(factor, target):
-            enc = disk.modulus_enclosure(precision)
-            for _ in range(mult):
-                out.append((disk.center[0], enc))
-    out.sort(key=lambda pair: (pair[1].mid, pair[0]))
-    moduli = [enc for _, enc in out]
-    _check_product(f, moduli)
-    return moduli
+        c, disks = root_disks(factor, (num * num, 64 * den * den))
+        for x, y, p, q in disks:
+            m_lo, m_hi = root_mantissas(x * x + y * y, c * c, 2, b)
+            r = root_mantissas(p, q * c * c, 2, s)[1]
+            lo, hi = max(0, (m_lo << (s - b)) - r), (m_hi << (s - b)) + r
+            out += [(lo, hi, x, c)] * mult
+    # x / c compared on one common denominator
+    common = math.lcm(*(c for _, _, _, c in out))
+    out.sort(key=lambda m: (m[0] + m[1], m[2] * (common // m[3])))
+    moduli = [(lo, hi) for lo, hi, _, _ in out]
+    _check_product(f, s, moduli)
+    return s, moduli
 
 
-def _check_product(f: IntPolynomial, moduli: List[Enclosure]) -> None:
-    from .exceptions import InternalError
-
-    prod = Enclosure.exact(abs(f.leading))
-    for enc in moduli:
-        prod = prod * enc
-    if not prod.contains(abs(f.constant)):
-        raise InternalError(
-            "root moduli product does not enclose |constant coefficient|"
-        )
+def _check_product(f: IntPolynomial, s: int, moduli: List[Tuple[int, int]]) -> None:
+    """|lc| * prod lo <= |a_0| * 2**(n*s) <= |lc| * prod hi."""
+    lo = hi = abs(f.leading)
+    for m_lo, m_hi in moduli:
+        lo *= m_lo
+        hi *= m_hi
+    if not lo <= abs(f.constant) << (len(moduli) * s) <= hi:
+        raise InternalError("root moduli product does not enclose |constant coefficient|")
 
 
 def max_root_modulus(f: IntPolynomial, precision: Fraction) -> Enclosure:
     """Enclosure of the largest root modulus of f."""
-    moduli = root_moduli(f, precision)
-    return Enclosure(max(m.lo for m in moduli), max(m.hi for m in moduli))
+    s, moduli = root_moduli(f, precision)
+    return Enclosure(Fraction(max(lo for lo, _ in moduli), 1 << s),
+                     Fraction(max(hi for _, hi in moduli), 1 << s))

@@ -28,7 +28,6 @@ from .numberfield import (
     NumberFieldElement,
     box_abs2,
     box_mul,
-    dyadic_boxes,
     inverse_embedding_bound,
 )
 from .roots import ordered_root_boxes
@@ -291,7 +290,7 @@ def siegel_solve_NF(matrix: NFMatrix, err: Fraction = Fraction(1, 10 ** 9)) -> N
     height = Fraction(max(max(abs(v) for v in x), 1))
     log_height = log_enclosure(height, err)
     # one set of root boxes serves c1 and h(B); degree 1 needs none
-    boxes = ordered_root_boxes(base.min_poly, EMBEDDING_PRECISION) if d > 1 else []
+    boxes = ordered_root_boxes(base.min_poly, EMBEDDING_PRECISION) if d > 1 else None
     c1 = inverse_embedding_bound(base, boxes=boxes)
     cK = Enclosure(
         log_enclosure(c1.lo, err).lo, log_enclosure(c1.hi, err).hi
@@ -329,12 +328,12 @@ def _coefficient_log_height(entries, d: int, err: Fraction, boxes) -> Enclosure:
     h(B) = (1/d) * sum over embeddings of log max(1, max_ij |sigma(a_ij)|),
     each conjugate embedding counted once; `boxes` are the root boxes
     of the generator's minimal polynomial.  |sigma(a)|^2 is bounded on
-    the exact dyadic boxes (numberfield.dyadic_boxes) at one scale.
+    the exact root boxes at their one scale.
     """
     if d == 1:
         best = max([abs(rep[0]) for rep in entries] + [1])
         return log_enclosure(best, err)
-    s, zs = dyadic_boxes(boxes)
+    s, zs = boxes
     top = (d - 1) * s  # the scale of every sum
     unit = Fraction(1, 1 << (2 * top))
     total = Enclosure.exact(0)

@@ -5,9 +5,12 @@ and no pruning, so they share no code with the routes they check.  The
 Liouville oracle decides by enclosures of the error, not by the sign
 tests of the production scan.  The bisection oracle refines a root
 interval in Fraction arithmetic, where production bisects integer
-numerators over one denominator.  The embedding oracles compute c1 and h(B)
+numerators over one denominator.  The root oracles bound |root|, the
+root boxes and M(f) by nth_root_enclosure and Enclosure arithmetic on
+Fraction views of the certified disks, where production keeps every
+endpoint an integer mantissa.  The embedding oracles compute c1 and h(B)
 with Enclosure arithmetic on rational complex boxes, where production
-works on integer mantissas of the dyadic boxes.  The index oracle builds
+works on integer mantissas of the root boxes.  The index oracle builds
 and evaluates one normalized derivative per multi-index, where
 production reads every derivative off one Taylor shift.  The minima
 oracle picks witnesses by one rank per candidate, where production
@@ -24,13 +27,18 @@ from typing import Optional, Tuple
 
 import sympy
 
-from dioph.enclosure import Enclosure, log_enclosure, sqrt_enclosure
+from dioph.enclosure import Enclosure, log_enclosure, nth_root_enclosure
 from dioph.exceptions import PrecisionError
-from dioph.intpoly import IntPolynomial
+from dioph.intpoly import (
+    IntPolynomial,
+    content_and_primitive,
+    squarefree_decomposition,
+    squarefree_part,
+)
 from dioph.lattice import MinimaResult, _enumerate_reduced, _reduced_lattice
 from dioph.multipoly import IndexValue, MultiPoly, normalized_derivative
 from dioph.numberfield import AlgebraicNumber
-from dioph.roots import ordered_root_boxes
+from dioph.roots import root_disks
 from dioph.siegel import IntMatrix
 
 
@@ -300,6 +308,88 @@ def liouville_verdict_by_enclosure(alpha, p: int, q: int, c) -> bool:
     raise AssertionError(f"enclosures did not decide the bound at {p}/{q}")
 
 
+def disk_view(den: int, disks):
+    """root_disks's (den, [(x, y, p, q)]) as ((re, im), radius_sq) Fractions."""
+    return [((Fraction(x, den), Fraction(y, den)), Fraction(p, q * den * den))
+            for x, y, p, q in disks]
+
+
+def enclosure_view(s: int, items):
+    """root_moduli's (s, [(lo, hi)]) as Enclosures, or ordered_root_boxes's
+    (s, [Box]) as (re, im) Enclosure pairs, all at scale 2**-s."""
+
+    def enc(lo, hi):
+        return Enclosure(Fraction(lo, 1 << s), Fraction(hi, 1 << s))
+
+    return [enc(*m) if len(m) == 2 else (enc(*m[:2]), enc(*m[2:])) for m in items]
+
+
+def _radius_upper(radius_sq: Fraction, err: Fraction) -> Fraction:
+    return Fraction(0) if radius_sq == 0 else nth_root_enclosure(radius_sq, 2, err).hi
+
+
+def modulus_enclosure(disk, err: Fraction) -> Enclosure:
+    """Enclosure of |root| for a disk ((re, im), radius_sq) of disk_view,
+    of width <= err when the radius is at most err / 8."""
+    (re, im), radius_sq = disk
+    r_hi = _radius_upper(radius_sq, err / 8)
+    middle = nth_root_enclosure(re * re + im * im, 2, err / 4)
+    return Enclosure(max(Fraction(0), middle.lo - r_hi), middle.hi + r_hi)
+
+
+def real_enclosure(disk, err: Fraction) -> Enclosure:
+    (re, _), radius_sq = disk
+    r_hi = _radius_upper(radius_sq, err / 8)
+    return Enclosure(re - r_hi, re + r_hi)
+
+
+def imag_enclosure(disk, err: Fraction) -> Enclosure:
+    (_, im), radius_sq = disk
+    r_hi = _radius_upper(radius_sq, err / 8)
+    return Enclosure(im - r_hi, im + r_hi)
+
+
+def _target(q: Fraction):
+    return q.numerator, q.denominator
+
+
+def root_moduli_by_enclosures(f: IntPolynomial, precision: Fraction):
+    """roots.root_moduli as Enclosures, ordered by midpoint and then by
+    the real part of the disk's center."""
+    out = []
+    for factor, mult in squarefree_decomposition(f):
+        for disk in disk_view(*root_disks(factor, _target((precision / 8) ** 2))):
+            out += [(disk[0][0], modulus_enclosure(disk, precision))] * mult
+    out.sort(key=lambda pair: (pair[1].mid, pair[0]))
+    return [enc for _, enc in out]
+
+
+def ordered_root_boxes_by_enclosures(f: IntPolynomial, precision: Fraction):
+    """roots.ordered_root_boxes as (re, im) Enclosure pairs, ordered by
+    their midpoints."""
+    g = squarefree_part(f)
+    disks = disk_view(*root_disks(g, _target((precision / 4) ** 2)))
+    boxes = [(real_enclosure(d, precision), imag_enclosure(d, precision)) for d in disks]
+    boxes.sort(key=lambda b: (b[0].mid, b[1].mid))
+    return boxes
+
+
+def mahler_by_enclosures(f: IntPolynomial, precision: Fraction) -> Enclosure:
+    """heights.mahler_enclosure by Enclosure products of the oracle
+    moduli, each clipped at 1, with the same ladder of modulus widths."""
+    content, prim = content_and_primitive(f)
+    w = precision / (4 * prim.degree * max(1, abs(prim.leading)))
+    for _ in range(60):
+        acc = Enclosure.exact(abs(prim.leading))
+        for m in root_moduli_by_enclosures(prim, w):
+            acc = acc * Enclosure(max(m.lo, Fraction(1)), max(m.hi, Fraction(1)))
+        acc = acc * content
+        if acc.width <= precision:
+            return acc
+        w /= 64
+    raise PrecisionError("the oracle's Mahler ladder did not converge")
+
+
 class ComplexBox:
     """A complex rectangle re + i*im with enclosure parts.  Sums,
     products and negation are the exact interval operations."""
@@ -323,10 +413,10 @@ class ComplexBox:
         return self.re * self.re + self.im * self.im
 
     def abs_upper(self, err: Fraction) -> Fraction:
-        return sqrt_enclosure(max(self._abs2().hi, Fraction(0)), err).hi
+        return nth_root_enclosure(max(self._abs2().hi, Fraction(0)), 2, err).hi
 
     def abs_lower(self, err: Fraction) -> Fraction:
-        return sqrt_enclosure(max(self._abs2().lo, Fraction(0)), err).lo
+        return nth_root_enclosure(max(self._abs2().lo, Fraction(0)), 2, err).lo
 
 
 def embedding_matrix(boxes):
@@ -355,7 +445,7 @@ def inverse_embedding_bound_by_enclosures(a, precision, boxes) -> Enclosure:
         row_hi = [Fraction(0)] * d
         row_lo = [Fraction(0)] * d
         if boxes is None:
-            boxes = ordered_root_boxes(a.min_poly, precision)
+            boxes = ordered_root_boxes_by_enclosures(a.min_poly, precision)
         for re, im in boxes:
             z = ComplexBox(re, im)
             q = [ComplexBox(Enclosure.exact(coeffs[d]), Enclosure.exact(0))]

@@ -13,7 +13,6 @@ from dioph.enclosure import (
     iroot,
     log_enclosure,
     nth_root_enclosure,
-    sqrt_enclosure,
 )
 from dioph.exceptions import DomainError
 
@@ -40,7 +39,7 @@ def test_nth_root_enclosure_contains_and_width():
 
 
 def test_sqrt_zero():
-    assert sqrt_enclosure(0, Fraction(1, 10)) == Enclosure.exact(0)
+    assert nth_root_enclosure(0, 2, Fraction(1, 10)) == Enclosure.exact(0)
 
 
 def test_log_enclosure_consistency():

@@ -28,6 +28,7 @@ from dioph.roots import (
     root_disks,
     root_moduli,
 )
+from oracles import disk_view, enclosure_view
 
 
 @st.composite
@@ -205,26 +206,27 @@ def test_integer_disjointness_decides_as_the_fraction_test(case):
 @given(squarefree_polys(), radii)
 def test_disks_match_the_fraction_newton_oracle(g, radius):
     target = radius * radius
-    disks = root_disks(g, target)
+    disks = disk_view(*root_disks(g, (target.numerator, target.denominator)))
     expected = _fraction_root_disks(g, target, _starting_bits(g, target))
-    assert [(d.center, d.radius_sq) for d in disks] == expected
+    assert disks == expected
 
 
 @settings(max_examples=40)
 @given(squarefree_polys(), radii)
 def test_each_disk_holds_exactly_one_root(g, radius):
-    disks = root_disks(g, radius * radius)
+    target = radius * radius
+    disks = disk_view(*root_disks(g, (target.numerator, target.denominator)))
     assert len(disks) == g.degree
-    assert all(d.radius_sq <= radius * radius for d in disks)
-    bits = max(c.denominator.bit_length() - 1 for d in disks for c in d.center)
-    bits = max(bits, _starting_bits(g, radius * radius))
+    assert all(radius_sq <= target for _, radius_sq in disks)
+    bits = max(c.denominator.bit_length() - 1 for center, _ in disks for c in center)
+    bits = max(bits, _starting_bits(g, target))
     owners = []
     with mpmath.workprec(3 * bits):
         roots = _mp_roots(g)
         slack = mpmath.mpf(2) ** (-2 * bits)  # mpmath's error is about 2**(-3 * bits)
-        for d in disks:
-            center = mpmath.mpc(_mp(d.center[0]), _mp(d.center[1]))
-            reach = mpmath.sqrt(_mp(d.radius_sq)) + slack
+        for (re, im), radius_sq in disks:
+            center = mpmath.mpc(_mp(re), _mp(im))
+            reach = mpmath.sqrt(_mp(radius_sq)) + slack
             inside = [k for k, r in enumerate(roots) if abs(r - center) <= reach]
             assert len(inside) == 1
             owners += inside
@@ -248,7 +250,7 @@ def _matched(values, enclosures, slack) -> bool:
 @settings(max_examples=30)
 @given(squarefree_polys(), radii)
 def test_moduli_and_mahler_measure_hold_the_mpmath_values(g, precision):
-    moduli = root_moduli(g, precision)
+    moduli = enclosure_view(*root_moduli(g, precision))
     assert all(m.width <= precision for m in moduli)
     enc = mahler_measure(g, precision)
     assert enc.width <= precision
@@ -270,7 +272,7 @@ def test_separated_roots_never_reach_the_exact_disjointness_test(monkeypatch, co
     # every pair
     calls = []
     monkeypatch.setattr("dioph.roots._apart", lambda u, v: calls.append(1) or _apart(u, v))
-    moduli = root_moduli(IntPolynomial(coeffs), Fraction(1, 10 ** digits))
+    _, moduli = root_moduli(IntPolynomial(coeffs), Fraction(1, 10 ** digits))
     assert len(moduli) == len(coeffs) - 1
     assert calls == []
 
@@ -283,7 +285,7 @@ def test_failed_attempt_asks_for_finer_seeds(monkeypatch):
     N = 10 ** 20
     g = (IntPolynomial([0, N]) * IntPolynomial([-1, N]) * IntPolynomial([1, 0, 1])
          * IntPolynomial([-2, 1, 3]))
-    disks = root_disks(g, Fraction(1, 10 ** 48))
+    _, disks = root_disks(g, (1, 10 ** 48))
     assert len(disks) == 6
     # 1,008 evaluations when attempt 1 reused the float seeds, 516 now
     assert len(calls) <= 600

@@ -8,9 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dioph.siegel as siegel
-from dioph import cli
 from dioph.enclosure import Enclosure, iroot
-from dioph.exceptions import DomainError, InternalError, UnsupportedError
+from dioph.exceptions import DomainError, UnsupportedError
 from dioph.intpoly import IntPolynomial, is_irreducible
 from dioph.numberfield import (
     EMBEDDING_PRECISION,
@@ -18,7 +17,6 @@ from dioph.numberfield import (
     NumberFieldElement,
     box_abs2,
     box_mul,
-    dyadic_boxes,
     inverse_embedding_bound,
 )
 from dioph.roots import ordered_root_boxes
@@ -36,7 +34,9 @@ from dioph.siegel import (
 from oracles import (
     coefficient_log_height_by_enclosures,
     embedding_matrix,
+    enclosure_view,
     inverse_embedding_bound_by_enclosures,
+    ordered_root_boxes_by_enclosures,
     pigeonhole_solve,
 )
 
@@ -313,12 +313,18 @@ def test_dyadic_boxes_agree_with_enclosure_oracle(coeffs, rows):
     a = AlgebraicNumber(IntPolynomial(coeffs), conjugate_index=0)
     d = a.degree
     boxes = ordered_root_boxes(a.min_poly, EMBEDDING_PRECISION)
+    views = ordered_root_boxes_by_enclosures(a.min_poly, EMBEDDING_PRECISION)
+    assert enclosure_view(*boxes) == views
     assert inverse_embedding_bound(a, boxes=boxes) == inverse_embedding_bound_by_enclosures(
-        a, EMBEDDING_PRECISION, boxes
+        a, EMBEDDING_PRECISION, views
+    )
+    # the retry without boxes certifies its own, on both routes
+    assert inverse_embedding_bound(a) == inverse_embedding_bound_by_enclosures(
+        a, EMBEDDING_PRECISION, None
     )
     # every power z^k and its |z^k|^2 is the Enclosure route's rational
-    s, zs = dyadic_boxes(boxes)
-    for z, row in zip(zs, embedding_matrix(boxes)):
+    s, zs = boxes
+    for z, row in zip(zs, embedding_matrix(views)):
         power = (1, 1, 0, 0)
         for k, w in enumerate(row):
             unit = Fraction(1, 1 << (k * s))
@@ -330,7 +336,7 @@ def test_dyadic_boxes_agree_with_enclosure_oracle(coeffs, rows):
     entries = {tuple(row[:d]) for row in rows if any(row[:d])}
     err = Fraction(1, 10 ** 40)  # fine enough to see the box widths
     assert _coefficient_log_height(entries, d, err, boxes) == (
-        coefficient_log_height_by_enclosures(entries, d, err, boxes)
+        coefficient_log_height_by_enclosures(entries, d, err, views)
     )
 
 
@@ -393,24 +399,3 @@ def test_coefficient_height_against_mpmath(coeffs):
         nominal = mpmath.mpf(d * m) / (n - d * m) * (h + mpmath.log(n) + mpmath.log(c1))
         assert _contains(res.nominal_bound, nominal)
         assert res.nominal_bound.width < Fraction(1, 10 ** 12)
-
-
-NON_DYADIC_BOX = (Enclosure(Fraction(1, 3), Fraction(1, 2)), Enclosure(0, 0))
-
-
-def test_non_dyadic_box_is_an_internal_error():
-    boxes = [NON_DYADIC_BOX, (Enclosure(Fraction(-3, 2), Fraction(-5, 4)), Enclosure(0, 0))]
-    with pytest.raises(InternalError):
-        dyadic_boxes(boxes)
-    with pytest.raises(InternalError):
-        inverse_embedding_bound(SQRT2, boxes=boxes)
-    with pytest.raises(InternalError):
-        _coefficient_log_height({(1, 1)}, 2, Fraction(1, 10 ** 9), boxes)
-    assert dyadic_boxes(boxes[1:]) == (2, [(-6, -5, 0, 0)])
-
-
-def test_non_dyadic_root_box_exits_4(monkeypatch, capsys):
-    monkeypatch.setattr(siegel, "ordered_root_boxes", lambda f, p: [NON_DYADIC_BOX] * 2)
-    nf = '{"base": "x^2-2", "entries": [[["1", "1"], "1", "0", "0", "0"]]}'
-    assert cli.main(["siegel-nf", "--", nf]) == 4
-    assert capsys.readouterr().out == ""
