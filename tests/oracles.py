@@ -324,28 +324,24 @@ def enclosure_view(s: int, items):
     return [enc(*m) if len(m) == 2 else (enc(*m[:2]), enc(*m[2:])) for m in items]
 
 
-def _radius_upper(radius_sq: Fraction, err: Fraction) -> Fraction:
-    return Fraction(0) if radius_sq == 0 else nth_root_enclosure(radius_sq, 2, err).hi
-
-
 def modulus_enclosure(disk, err: Fraction) -> Enclosure:
     """Enclosure of |root| for a disk ((re, im), radius_sq) of disk_view,
     of width <= err when the radius is at most err / 8."""
     (re, im), radius_sq = disk
-    r_hi = _radius_upper(radius_sq, err / 8)
+    r_hi = nth_root_enclosure(radius_sq, 2, err / 8).hi
     middle = nth_root_enclosure(re * re + im * im, 2, err / 4)
     return Enclosure(max(Fraction(0), middle.lo - r_hi), middle.hi + r_hi)
 
 
 def real_enclosure(disk, err: Fraction) -> Enclosure:
     (re, _), radius_sq = disk
-    r_hi = _radius_upper(radius_sq, err / 8)
+    r_hi = nth_root_enclosure(radius_sq, 2, err / 8).hi
     return Enclosure(re - r_hi, re + r_hi)
 
 
 def imag_enclosure(disk, err: Fraction) -> Enclosure:
     (_, im), radius_sq = disk
-    r_hi = _radius_upper(radius_sq, err / 8)
+    r_hi = nth_root_enclosure(radius_sq, 2, err / 8).hi
     return Enclosure(im - r_hi, im + r_hi)
 
 
