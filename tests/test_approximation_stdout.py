@@ -202,7 +202,14 @@ COMMANDS = {
         ["mahler", "--precision", "1/3", _text(_X ** 3 * (_X ** 2 + _X + 1) ** 2)],
         ["northcott", "--degree", "2", "--height", "2"],
         ["northcott", "--degree", "3", "--height", "1"],
+        # wider scans, with many reducible and cyclotomic candidates
+        # (options reordered so that the test ids stay distinct)
+        ["northcott", "--height", "5/4", "--degree", "3"],
+        ["northcott", "--height", "1", "--degree", "4"],
         ["kronecker", "x^4-x^2+1", "--with-height"],
+        # Phi_16 and Phi_15
+        ["kronecker", "x^8+1", "--with-height"],
+        ["kronecker", "x^8-x^7+x^5-x^4+x^3-x+1", "--with-height"],
         ["kronecker", "x^3-x-1", "--with-height", "--precision", "1e-40"],
         ["kronecker", "2x^2-3", "--with-height"],
     ],
