@@ -21,6 +21,7 @@ from .intpoly import (
     IntPolynomial,
     content_and_primitive,
     cyclotomic,
+    cyclotomic_index,
     euler_phi,
     factor_integer,
     is_irreducible,
@@ -32,7 +33,12 @@ from .numberfield import AlgebraicNumber, NumberFieldElement
 from .roots import root_moduli
 
 NORTHCOTT_DEGREE_CAP = 12
-NORTHCOTT_BOX_CAP = 10 ** 4
+# the largest box it admits, 29,316 vectors at degree 2 and X in
+# [sqrt(31/2), 4), takes 3.6-3.8 s end to end on a 2-core machine, as
+# long as the 9,354 vectors at degree 3 and X = 37/24 took before the
+# Graeffe filter, under a cap of 10,000; degree 3 peaks at 26,357
+# vectors (X = 5/3), 1.4 s
+NORTHCOTT_BOX_CAP = 3 * 10 ** 4
 # x^d + x + 1, x^d - 2, 3x^d + x^(d/2) - 5, x^d - x^(d-1) - 1 and random
 # coefficients in [-9, 9] take about 2 s at degree 120 and precision 1e-40
 # (0.9-1.0 s at 1e-12), 4-5.4 s at degree 160, process start-up included
@@ -44,6 +50,9 @@ MAHLER_DEGREE_CAP = 120
 # 60 at 1e-100: 1.8-2.9 s, 100 at 1e-50: 2.7-3.3 s); 40 at 1e-300 took 4-5 s
 MAHLER_COST_CAP = 120 ** 3 * 132 ** 2
 DEFAULT_PRECISION = Fraction(1, 10 ** 12)
+# root squarings mahler_graeffe_verdict tries before it leaves M(f) <= c
+# open; each one squares the roots and the ratio M(f)/c
+GRAEFFE_STEPS = 5
 # enclosure widths tried, each 1/64 of the last, before a PrecisionError
 _REFINEMENTS = 60
 
@@ -400,28 +409,74 @@ def exact_mahler(prim: IntPolynomial) -> Optional[Fraction]:
     return None if rest is None else acc * rest
 
 
-def mahler_leq(f: IntPolynomial, c: Fraction) -> bool:
-    """Decide M(f) <= c exactly (boundary inclusive), c rational.
+def _graeffe_square(a: List[int]) -> List[int]:
+    """Coefficients of g with g(x^2) = (-1)^n a(x) a(-x), n = deg a: the
+    roots of g are the squares of the roots of a, and lc(g) = lc(a)^2, so
+    M(g) = M(a)^2.  With a(x) = e(x^2) + x o(x^2), g = (-1)^n (e^2 - x o^2)."""
+    out = [0] * len(a)
+    even, odd = a[0::2], a[1::2]
+    for i, x in enumerate(even):
+        for j, y in enumerate(even):
+            out[i + j] += x * y
+    for i, x in enumerate(odd):
+        for j, y in enumerate(odd):
+            out[i + j + 1] -= x * y
+    return out if len(a) % 2 else [-x for x in out]
 
-    Exact structural values (cyclotomic products, rational factors,
-    complex quadratic pairs, all roots certified outside or inside the
-    unit circle) settle boundary ties; everything else is decided by
-    enclosure tightening.  A residual undecidable tie raises
-    PrecisionError rather than guessing.
+
+def mahler_graeffe_verdict(f: IntPolynomial, c: Fraction) -> Optional[bool]:
+    """Decide M(f) <= c in integers when a coefficient bound settles it,
+    else None (Cerlienco, Mignotte & Piras, J. Symb. Comput. 4, 1987).
+
+    For the k-th Graeffe iterate g_k of f (k = 0 .. GRAEFFE_STEPS),
+    M(g_k) = M(f)^(2^k).  With c = u/v, compared as u^(2^k)/v^(2^k):
+    False when some |[g_k]_i| > C(n, i) * c^(2^k), since every
+    |a_i| <= C(n, i) * M; True when ||g_k||_2 <= c^(2^k), since
+    M <= ||.||_2 (Landau).  Both bounds are strict for every f that is
+    not a monomial, so an exact tie M(f) = c is never decided here.
     """
     c = Fraction(c)
     if f.is_zero() or f.degree < 1:
         raise DomainError("Mahler comparison needs degree >= 1")
+    n = f.degree
+    binom = [math.comb(n, i) for i in range(n + 1)]
+    a = list(f.coeffs)
+    u, v = c.numerator, c.denominator
+    for k in range(GRAEFFE_STEPS + 1):
+        if k:
+            a = _graeffe_square(a)
+            u, v = u * u, v * v
+        if any(abs(x) * v > b * u for x, b in zip(a, binom)):
+            return False
+        if sum(x * x for x in a) * v * v <= u * u:
+            return True
+    return None
+
+
+def mahler_leq(f: IntPolynomial, c: Fraction) -> bool:
+    """Decide M(f) <= c exactly (boundary inclusive), c rational.
+
+    mahler_graeffe_verdict decides first, in integers; its first
+    reject covers |lc(f)| > c and |f(0)| > c.  What it leaves open,
+    exact ties included, goes to the exact structural values
+    (cyclotomic products, rational factors, complex quadratic pairs,
+    all roots certified outside or inside the unit circle) and to
+    enclosure tightening.  A residual undecidable tie raises
+    PrecisionError rather than guessing.
+    """
+    verdict = mahler_graeffe_verdict(f, c)
+    if verdict is not None:
+        return verdict
+    return _mahler_leq_exact(f, Fraction(c))
+
+
+def _mahler_leq_exact(f: IntPolynomial, c: Fraction) -> bool:
+    """M(f) <= c by exact structure and enclosures, for the f and c that
+    mahler_graeffe_verdict leaves open."""
     content, prim = content_and_primitive(f)
-    target = c / content
-    lead = abs(prim.leading)
-    if lead > target:
-        return False
-    if prim.constant != 0 and abs(prim.constant) > target:
-        return False  # M >= |a_0| always
     # strip the exactly-known factors; the enclosure ladder decides the rest
     exact_part, rest = _strip_exact_factors(prim)
-    target = target / exact_part
+    target = c / content / exact_part
     exact = _residual_mahler(rest)
     if exact is not None:
         return exact <= target
@@ -505,13 +560,8 @@ def nf_element_height(
 
 def is_root_of_unity(a: AlgebraicNumber) -> Tuple[bool, Optional[int]]:
     """Kronecker test: is a a root of unity, and of which order."""
-    n = a.degree
-    for k in range(1, 2 * n * n + 3):
-        if euler_phi(k) != n:
-            continue
-        if a.min_poly == cyclotomic(k):
-            return True, k
-    return False, None
+    k = cyclotomic_index(a.min_poly)
+    return k is not None, k
 
 
 def northcott_enumerate(
@@ -523,9 +573,12 @@ def northcott_enumerate(
 
     The scan box is |a_n| <= X^n and |a_i| <= C(n,i) * X^n (a provable
     coefficient bound: |a_i| <= C(n,i) * M(f)); membership is then
-    decided exactly by the Mahler filter M(f) <= X^n.  A box of more
-    than NORTHCOTT_BOX_CAP coefficient vectors raises UnsupportedError
-    before the scan.
+    decided exactly by the Mahler filter M(f) <= X^n.  The filter's
+    integer Graeffe verdict runs first on every primitive vector: a
+    reject skips the irreducibility proof, and an accept skips the
+    structural and enclosure route of mahler_leq.  A box of more than
+    NORTHCOTT_BOX_CAP coefficient vectors raises UnsupportedError before
+    the scan.
     """
     if not 1 <= degree_max <= NORTHCOTT_DEGREE_CAP:
         raise UnsupportedError(
@@ -559,9 +612,10 @@ def northcott_enumerate(
                 g = math.gcd(g, an)
                 if g != 1:
                     continue
-                if not is_irreducible(f):
+                verdict = mahler_graeffe_verdict(f, xn)
+                if verdict is False or not is_irreducible(f):
                     continue
-                if mahler_leq(f, xn):
+                if verdict or _mahler_leq_exact(f, xn):
                     out.append(f)
     out.sort(key=lambda p: (p.degree, p.coeffs))
     return out

@@ -565,6 +565,16 @@ def cyclotomic(k: int) -> IntPolynomial:
     return poly
 
 
+def cyclotomic_index(g: IntPolynomial) -> Optional[int]:
+    """The k with g = cyclotomic(k), or None.  phi(k) >= sqrt(k/2), so
+    every k with phi(k) = deg g is at most 2 deg(g)^2."""
+    n = g.degree
+    for k in range(1, 2 * n * n + 1):
+        if euler_phi(k) == n and g == cyclotomic(k):
+            return k
+    return None
+
+
 # ---------------------------------------------------------------------------
 # irreducibility over Q (degree-capped exhaustive search)
 
@@ -703,7 +713,10 @@ def iroot_ceil(n: int) -> int:
 def is_irreducible(f: IntPolynomial) -> bool:
     """Exact irreducibility over Q, up to degree IRREDUCIBILITY_DEGREE_CAP.
 
-    One modular route for every degree >= 2.  The factor degrees of g
+    Two structural answers come first: for degree >= 2, g(0) = 0 means
+    x divides g (reducible), and a monic palindromic g with g(0) = 1 that
+    equals some cyclotomic polynomial is irreducible.  Every other g of
+    degree >= 2 takes one modular route.  The factor degrees of g
     modulo up to six small primes, read from the distinct-degree
     factorization, rule out factor degrees over Z (degree 1 included);
     if some degree survives, g is factored completely modulo one prime
@@ -725,6 +738,11 @@ def is_irreducible(f: IntPolynomial) -> bool:
         g = -g
     n = g.degree
     if n == 1:
+        return True
+    if g.constant == 0:
+        return False
+    cs = g.coeffs
+    if cs[0] == cs[-1] == 1 and cs == cs[::-1] and cyclotomic_index(g) is not None:
         return True
 
     feasible = set(range(1, n))  # degrees of a proper factor

@@ -17,11 +17,14 @@ oracle picks witnesses by one rank per candidate, where production
 tests each candidate against an integer basis of the witnesses'
 orthogonal complement.  The polynomial oracles run Euclid and Yun's
 algorithm over Q on Fraction coefficient lists, where production
-pseudo-divides integer polynomials.
+pseudo-divides integer polynomials.  The Mahler-filter oracle decides
+M(f) <= c by the structural and enclosure route alone, where production
+asks an integer Graeffe verdict first, and the Northcott oracle scans
+the box in the order irreducibility (by sympy), then that oracle.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from itertools import product as iter_product
 from typing import Optional, Tuple
 
@@ -29,6 +32,7 @@ import sympy
 
 from dioph.enclosure import Enclosure, log_enclosure, nth_root_enclosure
 from dioph.exceptions import PrecisionError
+from dioph.heights import _mahler_leq_exact
 from dioph.intpoly import (
     IntPolynomial,
     content_and_primitive,
@@ -384,6 +388,44 @@ def mahler_by_enclosures(f: IntPolynomial, precision: Fraction) -> Enclosure:
             return acc
         w /= 64
     raise PrecisionError("the oracle's Mahler ladder did not converge")
+
+
+def mahler_leq_by_enclosures(f: IntPolynomial, c) -> bool:
+    """heights.mahler_leq without its Graeffe verdict: the two early
+    rejects |lc| > c and |f(0)| > c on the primitive part, then the exact
+    structural values and the enclosure ladder."""
+    c = Fraction(c)
+    content, prim = content_and_primitive(f)
+    if abs(prim.leading) > c / content:
+        return False
+    if prim.constant != 0 and abs(prim.constant) > c / content:
+        return False
+    return _mahler_leq_exact(f, c)
+
+
+def northcott_by_scan(degree_max: int, height_max) -> list:
+    """heights.northcott_enumerate as a plain scan of the same box: each
+    primitive vector is tested for irreducibility by sympy, then by
+    mahler_leq_by_enclosures against X^n."""
+    x = sympy.Symbol("x")
+    height_max = Fraction(height_max)
+    out = []
+    for n in range(1, degree_max + 1):
+        xn = height_max ** n
+        ranges = [range(-int(comb(n, i) * xn), int(comb(n, i) * xn) + 1) for i in range(n)]
+        for an in range(1, int(xn) + 1):
+            for lower in iter_product(*ranges):
+                cs = list(lower) + [an]
+                g = 0
+                for v in cs:
+                    g = gcd(g, v)
+                if g != 1 or not sympy.Poly(cs[::-1], x).is_irreducible:
+                    continue
+                f = IntPolynomial(cs)
+                if mahler_leq_by_enclosures(f, xn):
+                    out.append(f)
+    out.sort(key=lambda p: (p.degree, p.coeffs))
+    return out
 
 
 class ComplexBox:

@@ -1,9 +1,12 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import dioph.heights as heights
 from dioph.enclosure import Enclosure
@@ -26,9 +29,11 @@ from dioph.heights import (
     sum_log_abs_over_S,
     weil_height_algebraic,
 )
-from dioph.intpoly import IntPolynomial, content_and_primitive, is_irreducible
+from dioph.intpoly import IntPolynomial, content_and_primitive, cyclotomic, euler_phi, is_irreducible
 from dioph.multipoly import MultiPoly, normalized_derivative
 from dioph.numberfield import AlgebraicNumber, NumberFieldElement, power_min_poly
+
+from oracles import mahler_leq_by_enclosures, northcott_by_scan
 
 SQRT2 = AlgebraicNumber(IntPolynomial([-2, 0, 1]), interval=(1, 2))
 PHI = AlgebraicNumber(IntPolynomial([-1, -1, 1]), interval=(1, 2))
@@ -184,13 +189,120 @@ def test_mahler_budget_is_named(monkeypatch):
 
 
 def test_mahler_leq_budget_is_named(monkeypatch):
-    # x^3 - x - 1 has one root outside the unit circle and two inside, so
-    # no structural rule applies and every enclosure straddles 2
+    # x^4 - x^3 - x^2 - 2x - 1 (M about 2.066) has one root outside the
+    # unit circle and three inside, so neither the Graeffe bounds nor a
+    # structural rule decide it, and every enclosure straddles 2
+    f = IntPolynomial([-1, -2, -1, -1, 1])
+    assert heights.mahler_graeffe_verdict(f, Fraction(2)) is None
     monkeypatch.setattr(heights, "mahler_enclosure", lambda f, w: Enclosure(Fraction(1), Fraction(3)))
     with pytest.raises(
         PrecisionError, match="used 12 enclosures, the finest of width 1e-320; the cap is that width"
     ):
-        mahler_leq(IntPolynomial([-1, -1, 0, 1]), Fraction(2))
+        mahler_leq(f, Fraction(2))
+
+
+_CYCLOTOMIC = [cyclotomic(k) for k in range(1, 31) if euler_phi(k) <= 6]
+# non-cyclotomic factors with roots on the unit circle: two Salem
+# polynomials and Lehmer's
+_SALEM = [IntPolynomial([1, -1, -1, -1, 1]), IntPolynomial([1, 0, -1, -1, -1, 0, 1]),
+          IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])]
+
+
+def _linear(p, q):
+    return IntPolynomial([-p, q]), Fraction(max(abs(p), q))
+
+
+# factors whose Mahler measure is a known rational: rational linear
+# factors (clustered when q is large), cyclotomic factors, x^2 - d and
+# quadratics with a complex pair
+_exact_factors = st.one_of(
+    st.tuples(st.integers(-6, 6), st.integers(1, 6)).map(lambda t: _linear(*t)),
+    st.tuples(st.integers(-40, 40), st.integers(30, 40)).map(
+        lambda t: (_linear(t[0], t[1])[0] * _linear(t[0] + 1, t[1])[0],
+                   _linear(t[0], t[1])[1] * _linear(t[0] + 1, t[1])[1])),
+    st.sampled_from(_CYCLOTOMIC).map(lambda f: (f, Fraction(1))),
+    st.integers(2, 30).map(lambda d: (IntPolynomial([-d, 0, 1]), Fraction(d))),
+    st.tuples(st.integers(1, 6), st.integers(-6, 6), st.integers(1, 6))
+    .filter(lambda t: t[1] ** 2 < 4 * t[0] * t[2])
+    .map(lambda t: (IntPolynomial([t[2], t[1], t[0]]), Fraction(max(t[0], t[2])))),
+)
+_other_factors = st.one_of(
+    st.sampled_from(_SALEM),
+    st.lists(st.integers(-9, 9), min_size=2, max_size=7).map(IntPolynomial)
+    .filter(lambda f: f.degree >= 1),
+)
+
+
+def _product(factors):
+    f = IntPolynomial([1])
+    for g, mult in factors:
+        f = f * g ** mult
+    return f
+
+
+@st.composite
+def _exact_ties(draw):
+    """(f, M(f)) for a product of factors of known measure, repeated ones
+    included, that is not a monomial."""
+    parts = draw(st.lists(st.tuples(_exact_factors, st.integers(1, 3)), min_size=1, max_size=3))
+    f = _product([(g, mult) for (g, _), mult in parts])
+    m = math.prod((mg ** mult for (_, mg), mult in parts), start=Fraction(1))
+    power = draw(st.integers(0, 2))
+    f = f * IntPolynomial([0] * power + [1])
+    assume(sum(1 for a in f.coeffs if a) >= 2 and f.degree <= 14)
+    return f, m
+
+
+@st.composite
+def _comparisons(draw):
+    """(f, c) with f built from exact, Salem and random factors, repeated
+    and clustered roots included, and c drawn near M(f) or at random."""
+    factors = draw(st.lists(
+        st.tuples(st.one_of(_exact_factors.map(lambda t: t[0]), _other_factors),
+                  st.integers(1, 2)),
+        min_size=1, max_size=3))
+    f = _product(factors)
+    assume(f.degree >= 1 and f.degree <= 14)
+    if draw(st.booleans()):
+        m = heights.mahler_enclosure(f, Fraction(1, 10 ** 6)).mid
+        num = draw(st.integers(-1000, 1000))
+        c = m * (1 + Fraction(num, draw(st.sampled_from([10 ** 3, 10 ** 5, 10 ** 7]))))
+    else:
+        c = Fraction(draw(st.integers(1, 10 ** 4)), draw(st.integers(1, 100)))
+    return f, c
+
+
+@settings(max_examples=200)
+@given(_comparisons())
+def test_graeffe_verdict_agrees_with_the_enclosure_oracle(case):
+    f, c = case
+    verdict = heights.mahler_graeffe_verdict(f, c)
+    if verdict is not None:
+        assert verdict == mahler_leq_by_enclosures(f, c), (f, c)
+
+
+@settings(max_examples=200)
+@given(_exact_ties(), st.integers(1, 4))
+def test_graeffe_verdict_leaves_exact_ties_open(tie, scale):
+    f, m = tie
+    assert heights.mahler_graeffe_verdict(f * IntPolynomial([scale]), m * scale) is None
+
+
+def test_graeffe_verdict_examples():
+    verdict = heights.mahler_graeffe_verdict
+    phi12_x3 = cyclotomic(12) * IntPolynomial([-3, 1])
+    # exact ties stay open, and mahler_leq settles them structurally
+    for f, c in [(IntPolynomial([-2, 0, 1]), 2), (phi12_x3, 3), (IntPolynomial([-4, 1, 1]), 4)]:
+        assert verdict(f, Fraction(c)) is None
+        assert mahler_leq(f, Fraction(c))
+    assert verdict(phi12_x3, Fraction(299, 100)) is False
+    assert verdict(IntPolynomial([-1, -1, 0, 1]), Fraction(2)) is True  # sqrt(3) <= 2
+    # the first reject is |lc| > c or |f(0)| > c
+    assert verdict(IntPolynomial([1, 0, 3]), Fraction(29, 10)) is False
+    assert verdict(IntPolynomial([3, 0, 1]), Fraction(29, 10)) is False
+    assert verdict(IntPolynomial([0, 1]), Fraction(1)) is True  # a monomial: ||x|| = M
+    with pytest.raises(DomainError):
+        verdict(IntPolynomial([5]), Fraction(5))
 
 
 def test_height_budget_is_named(monkeypatch):
@@ -393,26 +505,28 @@ def test_northcott_degree_two_height_one():
 
 
 def test_northcott_against_brute_force():
-    # independent scan with the coarser proven box |a_i| <= C(n,i) X^n
-    target = northcott_enumerate(2, Fraction(2))
-    xn = Fraction(4)
-    found = set()
-    for n in (1, 2):
-        xpow = Fraction(2) ** n
-        an_max = int(xpow)
-        bounds = [int(math.comb(n, i) * xpow) for i in range(n)]
-        for an in range(1, an_max + 1):
-            for lower in iter_product(*(range(-b, b + 1) for b in bounds)):
-                f = IntPolynomial(list(lower) + [an])
-                if f.degree != n:
-                    continue
-                if content_and_primitive(f)[0] != 1:
-                    continue
-                if not is_irreducible(f):
-                    continue
-                if mahler_leq(f, xpow):
-                    found.add(f.coeffs)
-    assert found == {p.coeffs for p in target}
+    # a scan of the same box by sympy's irreducibility and the Mahler
+    # filter without its Graeffe verdict
+    assert northcott_enumerate(2, Fraction(2)) == northcott_by_scan(2, Fraction(2))
+
+
+@pytest.mark.parametrize("degree,height", [(3, Fraction(5, 4)), (4, Fraction(1))])
+def test_northcott_matches_the_oracle_scan(degree, height):
+    assert northcott_enumerate(degree, height) == northcott_by_scan(degree, height)
+
+
+def test_largest_admitted_northcott_box_runs_in_seconds(capsys):
+    from dioph import cli
+
+    # 29,316 vectors for X in [sqrt(31/2), 4); at X = 4 the box holds 34,356
+    assert 29_316 <= heights.NORTHCOTT_BOX_CAP < 34_356
+    with pytest.raises(UnsupportedError, match="holds 34356 coefficient vectors"):
+        northcott_enumerate(2, Fraction(4))
+    start = time.perf_counter()
+    assert cli.main(["northcott", "--degree", "2", "--height", "79/20"]) == 0
+    # 3.6-3.8 s end to end on a 2-core machine
+    assert time.perf_counter() - start < 15
+    assert capsys.readouterr().out.startswith("[")
 
 
 def test_northcott_boundary_case_included():

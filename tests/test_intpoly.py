@@ -166,6 +166,56 @@ def test_irreducible_against_sympy_oracle():
         assert is_irreducible(prim) == _sympy_irreducible(prim), prim
 
 
+@settings(max_examples=150)
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=12), st.integers(1, 3))
+def test_irreducible_with_zero_constant_term_agrees_with_sympy(coeffs, power):
+    f = IntPolynomial([0] * power + coeffs)
+    assume(1 <= f.degree <= 12 and any(coeffs))
+    _, prim = content_and_primitive(f)
+    assert is_irreducible(prim) == _sympy_irreducible(prim), prim
+
+
+def test_irreducible_cyclotomic_and_palindromic_agree_with_sympy():
+    # phi(k) >= sqrt(k/2), so k <= 288 holds every k with phi(k) <= 12
+    ks = [k for k in range(1, 289) if euler_phi(k) <= 12]
+    assert len(ks) == 26 and max(ks) == 42
+    cases = [cyclotomic(k) for k in ks]
+    # Phi_k(-x), up to sign
+    cases += [IntPolynomial([c * (-1) ** i for i, c in enumerate(cyclotomic(k).coeffs)]) for k in ks]
+    # monic palindromes with constant term 1, cyclotomic products among them
+    rng = random.Random(23)
+    cyclotomics = set(cases)
+    palindromes = []
+    while len(palindromes) < 150:
+        n = rng.randint(2, 12)
+        half = [1] + [rng.randint(-3, 3) for _ in range(n // 2)]
+        mirror = half[::-1] if n % 2 else half[-2::-1]
+        f = IntPolynomial(half + mirror)
+        assert f.coeffs == f.coeffs[::-1] and f.degree == n
+        if f not in cyclotomics:
+            palindromes.append(f)
+    cases += palindromes
+    cases += [cyclotomic(3) * cyclotomic(4), cyclotomic(5) ** 2, cyclotomic(7) * cyclotomic(9)]
+    for f in cases:
+        _, prim = content_and_primitive(f)
+        assert is_irreducible(prim) == _sympy_irreducible(prim), prim
+    assert not all(is_irreducible(f) for f in palindromes)
+
+
+@pytest.mark.parametrize("f", [cyclotomic(15), cyclotomic(16), cyclotomic(24),
+                               IntPolynomial([0, 1]) * cyclotomic(15),
+                               IntPolynomial([0, 0, -2, 0, 1])],
+                         ids=["phi15", "phi16", "phi24", "x*phi15", "x^2*(x^2-2)"])
+def test_structural_answers_skip_the_modular_route(monkeypatch, f):
+    import dioph.intpoly as intpoly
+
+    calls = []
+    ddf = intpoly._pmod_ddf
+    monkeypatch.setattr(intpoly, "_pmod_ddf", lambda g, p: calls.append(p) or ddf(g, p))
+    assert is_irreducible(f) == (f.constant != 0)
+    assert calls == []
+
+
 def test_irreducible_high_degree_products():
     # products of two mid-degree polynomials: reducible without rational
     # roots, the hard case for recombination
