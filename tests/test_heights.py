@@ -2,7 +2,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import product as iter_product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,7 +28,7 @@ from dioph.heights import (
     sum_log_abs_over_S,
     weil_height_algebraic,
 )
-from dioph.intpoly import IntPolynomial, content_and_primitive, cyclotomic, euler_phi, is_irreducible
+from dioph.intpoly import IntPolynomial, cyclotomic, euler_phi
 from dioph.multipoly import MultiPoly, normalized_derivative
 from dioph.numberfield import AlgebraicNumber, NumberFieldElement, power_min_poly
 
