@@ -212,6 +212,11 @@ COMMANDS = {
         ["kronecker", "x^8-x^7+x^5-x^4+x^3-x+1", "--with-height"],
         ["kronecker", "x^3-x-1", "--with-height", "--precision", "1e-40"],
         ["kronecker", "2x^2-3", "--with-height"],
+        # M(x^3 - 100x - 1) is about 100 |lc|, so the first rung of the
+        # Mahler ladders has the least slack here; 24 entries at 1e-30
+        ["mahler", "--precision", "1e-40", "--", "x^3-100x-1"],
+        ["kronecker", "--with-height", "--precision", "1e-40", "--", "x^3-100x-1"],
+        ["northcott", "--height", "3/2", "--degree", "2", "--precision", "1e-30"],
     ],
 }
 
