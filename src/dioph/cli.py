@@ -10,11 +10,8 @@ invariant violation (a bug, e.g. a missed size bound).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
-import hashlib
 import json
-import os
 import re
 import sys
 
@@ -138,82 +135,10 @@ def _cmd_northcott(args):
     precision = parse_rational(args.precision)
     # before the scan; a degree above the scan's own cap is refused by it
     check_mahler_cost(min(degree, NORTHCOTT_DEGREE_CAP), precision)
-    if args.cache:
-        os.makedirs(args.cache, exist_ok=True)
-        # every parameter that changes the output
-        key = f"{degree}:{height}:{precision}"
-        cached, stale = _read_northcott_cache(args.cache, key)
-        if cached is not None:
-            return cached
-    polys = northcott_enumerate(degree, height)
-    result = [
-        {
-            "coeffs": list(f.coeffs),
-            "mahler": enclosure_to_json(mahler_measure(f, precision)),
-        }
-        for f in polys
+    return [
+        {"coeffs": list(f.coeffs), "mahler": enclosure_to_json(mahler_measure(f, precision))}
+        for f in northcott_enumerate(degree, height)
     ]
-    if args.cache:
-        _write_northcott_cache(args.cache, key, result, stale)
-    return result
-
-
-def _cache_prefix(key: str) -> str:
-    """The file-name prefix of a cache key, hashed, since a fine precision
-    has more digits than a file name may hold."""
-    return f"northcott_{hashlib.sha256(key.encode()).hexdigest()[:32]}_"
-
-
-def _cache_digest(key: str, scan) -> str:
-    """SHA-256 of the cache key, the dioph version and the scan's
-    canonical JSON; it ends the name of the file that stores the scan."""
-    from . import __version__
-
-    text = json.dumps(scan, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(f"{key}\n{__version__}\n{text}".encode()).hexdigest()
-
-
-def _read_northcott_cache(directory: str, key: str):
-    """(scan, stale files): the scan of the first file of `key` in
-    `directory` whose name ends in the digest of its contents, or None (a
-    miss) with the files of `key` that failed the check, such as a file
-    that does not parse, was edited, or was written by another version."""
-    prefix = _cache_prefix(key)
-    stale = []
-    for name in sorted(os.listdir(directory)):
-        if not (name.startswith(prefix) and name.endswith(".json")):
-            continue
-        path = os.path.join(directory, name)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                scan = json.load(fh)
-            if name == f"{prefix}{_cache_digest(key, scan)}.json":
-                return scan, []
-        except (OSError, ValueError):  # ValueError covers JSON and decoding
-            pass
-        stale.append(path)
-    return None, stale
-
-
-def _write_northcott_cache(directory: str, key: str, result, stale) -> None:
-    """Write to a temporary file in the cache directory, then move it into
-    place, so a reader never sees a half-written file; remove the stale
-    files of the key."""
-    import tempfile
-
-    path = os.path.join(directory, f"{_cache_prefix(key)}{_cache_digest(key, result)}.json")
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    for old in stale:
-        if old != path:
-            with contextlib.suppress(OSError):
-                os.unlink(old)
 
 
 def _cmd_kronecker(args):
@@ -486,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--height", required=True)
-    p.add_argument("--cache", default=None, help="cache directory")
     p.set_defaults(func=_cmd_northcott)
 
     p = sub.add_parser("kronecker", parents=[common], help="root-of-unity test")

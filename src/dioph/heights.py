@@ -55,6 +55,9 @@ DEFAULT_PRECISION = Fraction(1, 10 ** 12)
 GRAEFFE_STEPS = 5
 # enclosure widths tried, each 1/64 of the last, before a PrecisionError
 _REFINEMENTS = 60
+# the Mahler widths _mahler_leq_exact tries before a PrecisionError: 1e-8
+# to 1e-40 in 1e-4 steps, then 1e-80, 1e-160 and 1e-320
+_MAHLER_LEQ_WIDTHS = tuple(Fraction(1, 10 ** k) for k in (*range(8, 41, 4), 80, 160, 320))
 
 
 @dataclass(frozen=True)
@@ -298,7 +301,7 @@ def check_mahler_cost(degree: int, precision) -> None:
     d and requested bits b = log2(1/precision) give d**3 * b**2 above
     MAHLER_COST_CAP.  The user-facing routes (mahler_measure,
     weil_height_algebraic, the northcott scan) call this; the internal
-    ladders of mahler_leq do not."""
+    ladder of mahler_leq does not."""
     _check_mahler_degree(degree)
     precision = Fraction(precision)
     bits = max(0, _log2_inverse(precision))
@@ -309,6 +312,18 @@ def check_mahler_cost(degree: int, precision) -> None:
         )
 
 
+def _mahler_rung(prim: IntPolynomial, w: Fraction, content: int = 1):
+    """(s, moduli, enclosure): root_moduli(prim, w) at scale 2**-s, and
+    content * |lc| * prod max(1, |root|) formed on its integer mantissas."""
+    s, moduli = root_moduli(prim, w)
+    lo = hi = content * abs(prim.leading)
+    for m_lo, m_hi in moduli:
+        lo *= max(m_lo, 1 << s)
+        hi *= max(m_hi, 1 << s)
+    scale = 1 << (prim.degree * s)
+    return s, moduli, Enclosure(Fraction(lo, scale), Fraction(hi, scale))
+
+
 def mahler_enclosure(f: IntPolynomial, precision: Fraction) -> Enclosure:
     """Enclosure of M(f) of width <= precision, for f of degree at most
     MAHLER_DEGREE_CAP."""
@@ -317,16 +332,9 @@ def mahler_enclosure(f: IntPolynomial, precision: Fraction) -> Enclosure:
     if f.is_zero() or f.degree < 1:
         raise DomainError("Mahler measure needs degree >= 1")
     content, prim = content_and_primitive(f)
-    n = prim.degree
-    w = precision / (4 * n * max(1, abs(prim.leading)))
+    w = precision / (4 * prim.degree * max(1, abs(prim.leading)))
     for _ in range(_REFINEMENTS):
-        # |lc| * prod max(1, |root|) on the mantissas at scale 2**-s
-        s, moduli = root_moduli(prim, w)
-        lo = hi = content * abs(prim.leading)
-        for m_lo, m_hi in moduli:
-            lo *= max(m_lo, 1 << s)
-            hi *= max(m_hi, 1 << s)
-        acc = Enclosure(Fraction(lo, 1 << (n * s)), Fraction(hi, 1 << (n * s)))
+        acc = _mahler_rung(prim, w, content)[2]
         if acc.width <= precision:
             return acc
         w /= 64
@@ -472,58 +480,46 @@ def mahler_leq(f: IntPolynomial, c: Fraction) -> bool:
 
 def _mahler_leq_exact(f: IntPolynomial, c: Fraction) -> bool:
     """M(f) <= c by exact structure and enclosures, for the f and c that
-    mahler_graeffe_verdict leaves open."""
+    mahler_graeffe_verdict leaves open.  Exactly-known factors are
+    stripped; the rest goes down one ladder, _MAHLER_LEQ_WIDTHS, whose
+    rungs each take the root moduli once, at the first width
+    mahler_enclosure would, and decide by the enclosure of M formed from
+    them, or a tie by the same moduli: M = |a_0| when every root is
+    outside the unit circle, M = |lc| when every root is inside."""
     content, prim = content_and_primitive(f)
-    # strip the exactly-known factors; the enclosure ladder decides the rest
     exact_part, rest = _strip_exact_factors(prim)
     target = c / content / exact_part
     exact = _residual_mahler(rest)
     if exact is not None:
         return exact <= target
-    w = Fraction(1, 10 ** 8)
-    for _ in range(9):  # 1e-8 down to 1e-40 in 1e-4 steps, plus slack
-        enc = mahler_enclosure(rest, w)
+    _check_mahler_degree(rest.degree)
+    per_width = 4 * rest.degree * abs(rest.leading)
+    for w in _MAHLER_LEQ_WIDTHS:
+        s, moduli, enc = _mahler_rung(rest, w / per_width)
         if enc.hi <= target:
             return True
         if enc.lo > target:
             return False
-        w /= 10 ** 4
-    # structural tie-breaks at the finest precision
-    s, moduli = root_moduli(rest, Fraction(1, 10 ** 40))
-    if all(lo > 1 << s for lo, _ in moduli):
-        return Fraction(abs(rest.constant)) <= target  # M = |a_0|
-    if all(hi < 1 << s for _, hi in moduli):
-        return Fraction(abs(rest.leading)) <= target
-    for extra in range(3):
-        w_deep = Fraction(1, 10 ** (80 * 2 ** extra))
-        enc = mahler_enclosure(rest, w_deep)
-        if enc.hi <= target:
-            return True
-        if enc.lo > target:
-            return False
+        if all(lo > 1 << s for lo, _ in moduli):
+            return Fraction(abs(rest.constant)) <= target
+        if all(hi < 1 << s for _, hi in moduli):
+            return Fraction(abs(rest.leading)) <= target
     raise PrecisionError(
-        f"cannot decide M({f}) <= {c} (suspected exact boundary tie): used 12 "
-        "enclosures, the finest of width 1e-320; the cap is that width"
+        f"cannot decide M({f}) <= {c} (suspected exact boundary tie): used "
+        f"{len(_MAHLER_LEQ_WIDTHS)} enclosures, the finest of width 1e-320; the cap is that width"
     )
 
 
 def _mahler_root_height(f: IntPolynomial, n: int, precision: Fraction) -> HeightValue:
-    """M(f)^(1/n) as a certified enclosure of width <= precision."""
+    """M(f)^(1/n) as a certified enclosure of width <= precision, n >= 2,
+    from one Mahler enclosure of width <= precision: M(f) >= 1, so the
+    n-th root at most halves its width, and each end of the root, on a
+    grid of at most precision / 8, adds at most precision / 8."""
     precision = Fraction(precision)
-    w = precision
-    for _ in range(_REFINEMENTS):
-        m_enc = mahler_enclosure(f, w)
-        lo = nth_root_enclosure(m_enc.lo, n, precision / 4).lo
-        hi = nth_root_enclosure(m_enc.hi, n, precision / 4).hi
-        enc = Enclosure(lo, hi)
-        if enc.width <= precision:
-            return HeightValue.from_enclosure(enc)
-        w /= 64
-    raise PrecisionError(
-        f"height enclosure did not reach width {float(precision):.3g}: used "
-        f"{_REFINEMENTS} Mahler widths down to 2^-{_log2_inverse(w * 64)}; "
-        f"the cap is {_REFINEMENTS} refinements"
-    )
+    m_enc = mahler_enclosure(f, precision)
+    lo = nth_root_enclosure(m_enc.lo, n, precision / 4).lo
+    hi = nth_root_enclosure(m_enc.hi, n, precision / 4).hi
+    return HeightValue.from_enclosure(Enclosure(lo, hi))
 
 
 def weil_height_algebraic(
@@ -599,19 +595,13 @@ def northcott_enumerate(
             f"the cap is {NORTHCOTT_BOX_CAP}"
         )
     out: List[IntPolynomial] = []
-    for n, xn, an_max, bounds in boxes:
+    for _, xn, an_max, bounds in boxes:
         for an in range(1, an_max + 1):
             ranges = [range(-b, b + 1) for b in bounds]
             for lower in iter_product(*ranges):
+                if math.gcd(an, *lower) != 1:
+                    continue
                 f = IntPolynomial(list(lower) + [an])
-                if f.degree != n:
-                    continue
-                g = math.gcd(an, 0)
-                for cc in lower:
-                    g = math.gcd(g, abs(cc))
-                g = math.gcd(g, an)
-                if g != 1:
-                    continue
                 verdict = mahler_graeffe_verdict(f, xn)
                 if verdict is False or not is_irreducible(f):
                     continue

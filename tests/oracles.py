@@ -19,8 +19,10 @@ orthogonal complement.  The polynomial oracles run Euclid and Yun's
 algorithm over Q on Fraction coefficient lists, where production
 pseudo-divides integer polynomials.  The Mahler-filter oracle decides
 M(f) <= c by the structural and enclosure route alone, where production
-asks an integer Graeffe verdict first, and the Northcott oracle scans
-the box in the order irreducibility (by sympy), then that oracle.
+asks an integer Graeffe verdict first, and it runs whole mahler_enclosure
+ladders, where production takes the root moduli once per rung.  The
+Northcott oracle scans the box in the order irreducibility (by sympy),
+then that oracle.
 """
 
 from fractions import Fraction
@@ -32,7 +34,7 @@ import sympy
 
 from dioph.enclosure import Enclosure, log_enclosure, nth_root_enclosure
 from dioph.exceptions import PrecisionError
-from dioph.heights import _mahler_leq_exact
+from dioph.heights import _residual_mahler, _strip_exact_factors, mahler_enclosure
 from dioph.intpoly import (
     IntPolynomial,
     content_and_primitive,
@@ -42,7 +44,7 @@ from dioph.intpoly import (
 from dioph.lattice import MinimaResult, _enumerate_reduced, _reduced_lattice
 from dioph.multipoly import IndexValue, MultiPoly, normalized_derivative
 from dioph.numberfield import AlgebraicNumber
-from dioph.roots import root_disks
+from dioph.roots import root_disks, root_moduli
 from dioph.siegel import IntMatrix
 
 
@@ -390,17 +392,49 @@ def mahler_by_enclosures(f: IntPolynomial, precision: Fraction) -> Enclosure:
     raise PrecisionError("the oracle's Mahler ladder did not converge")
 
 
+def mahler_leq_by_ladders(f: IntPolynomial, c: Fraction) -> bool:
+    """heights._mahler_leq_exact as an earlier version wrote it: whole
+    mahler_enclosure ladders at widths 1e-8 to 1e-40, each run to its
+    width, then the tie rules on root moduli at 1e-40, then enclosures at
+    1e-80, 1e-160 and 1e-320; production takes the root moduli once per
+    rung of one ladder and asks the tie rules on every rung."""
+    content, prim = content_and_primitive(f)
+    exact_part, rest = _strip_exact_factors(prim)
+    target = c / content / exact_part
+    exact = _residual_mahler(rest)
+    if exact is not None:
+        return exact <= target
+    for k in range(8, 41, 4):
+        enc = mahler_enclosure(rest, Fraction(1, 10 ** k))
+        if enc.hi <= target:
+            return True
+        if enc.lo > target:
+            return False
+    s, moduli = root_moduli(rest, Fraction(1, 10 ** 40))
+    if all(lo > 1 << s for lo, _ in moduli):
+        return Fraction(abs(rest.constant)) <= target  # M = |a_0|
+    if all(hi < 1 << s for _, hi in moduli):
+        return Fraction(abs(rest.leading)) <= target
+    for k in (80, 160, 320):
+        enc = mahler_enclosure(rest, Fraction(1, 10 ** k))
+        if enc.hi <= target:
+            return True
+        if enc.lo > target:
+            return False
+    raise PrecisionError(f"the oracle's ladders did not decide M({f}) <= {c}")
+
+
 def mahler_leq_by_enclosures(f: IntPolynomial, c) -> bool:
     """heights.mahler_leq without its Graeffe verdict: the two early
-    rejects |lc| > c and |f(0)| > c on the primitive part, then the exact
-    structural values and the enclosure ladder."""
+    rejects |lc| > c and |f(0)| > c on the primitive part, then
+    mahler_leq_by_ladders."""
     c = Fraction(c)
     content, prim = content_and_primitive(f)
     if abs(prim.leading) > c / content:
         return False
     if prim.constant != 0 and abs(prim.constant) > c / content:
         return False
-    return _mahler_leq_exact(f, c)
+    return mahler_leq_by_ladders(f, c)
 
 
 def northcott_by_scan(degree_max: int, height_max) -> list:

@@ -113,21 +113,11 @@ def test_unseedable_mahler_input_exits_3(capsys):
     assert "mpmath.polyroots did not converge" in capsys.readouterr().err
 
 
-def test_northcott_subcommand(capsys, tmp_path):
+def test_northcott_subcommand(capsys):
     code, out = run(capsys, "northcott", "--degree", "1", "--height", "1")
     assert code == 0
     data = json.loads(out)
     assert len(data) == 3
-    # cached rerun is byte-identical
-    cache = str(tmp_path / "cache")
-    code, out1 = run(
-        capsys, "northcott", "--degree", "1", "--height", "2", "--cache", cache
-    )
-    code, out2 = run(
-        capsys, "northcott", "--degree", "1", "--height", "2", "--cache", cache
-    )
-    assert out1 == out2
-    assert len(json.loads(out1)) == 7
 
 
 def test_determinism(capsys):
@@ -365,70 +355,8 @@ def test_multipoly_json_roundtrip():
     assert multipoly_from_json(data) == P
 
 
-@pytest.mark.parametrize(
-    "damage",
-    [
-        lambda text: text[:20],  # truncated: was a JSONDecodeError traceback, exit 1
-        lambda text: '{"x": 1}',  # not a list: was printed back with exit 0
-        lambda text: '[{"coeffs": [1.5, 1], "mahler": {"lo": "1/1", "hi": "1/1"}}]',
-        lambda text: '[{"coeffs": [-1, 1], "mahler": {"lo": "one", "hi": "1/1"}}]',
-        lambda text: '[{"coeffs": [-1, 1], "mahler": {"lo": "2/1", "hi": "1/1"}}]',
-        lambda text: "\udcff",  # not UTF-8
-    ],
-    ids=["truncated", "not-a-list", "float-coeff", "bad-endpoint", "reversed-endpoints",
-         "not-utf8"],
-)
-def test_northcott_recomputes_a_bad_cache_file(capsys, tmp_path, damage):
-    argv = ["northcott", "--degree", "1", "--height", "1", "--cache", str(tmp_path)]
-    code, fresh = run(capsys, *argv)
-    assert code == 0
-    (path,) = tmp_path.glob("northcott_*.json")
-    path.write_text(damage(path.read_text()), encoding="utf-8", errors="surrogateescape")
-    assert run(capsys, *argv) == (0, fresh)
-    # the damaged file was rewritten, and no temporary file is left
-    assert path.read_text() == json.dumps(json.loads(fresh), indent=2, sort_keys=True)
-    assert run(capsys, *argv) == (0, fresh)
-    assert list(tmp_path.iterdir()) == [path]
-
-
-@pytest.mark.parametrize(
-    "tamper",
-    [
-        # a well-formed scan with wrong numbers, which used to be printed back
-        lambda scan: [{"coeffs": [-1, 1], "mahler": {"lo": "2/1", "hi": "2/1"}}],
-        # one edited endpoint, the digest in the file name left as it was
-        lambda scan: [dict(scan[0], mahler={"lo": scan[0]["mahler"]["lo"], "hi": "3/1"})]
-        + scan[1:],
-    ],
-    ids=["wrong-scan", "edited-hi"],
-)
-def test_northcott_cache_recomputes_a_tampered_scan(capsys, tmp_path, tamper):
-    argv = ["northcott", "--degree", "1", "--height", "1", "--cache", str(tmp_path)]
-    code, fresh = run(capsys, *argv)
-    assert code == 0 and len(json.loads(fresh)) == 3
-    (path,) = tmp_path.glob("northcott_*.json")
-    path.write_text(json.dumps(tamper(json.loads(path.read_text())), indent=2, sort_keys=True))
-    assert run(capsys, *argv) == (0, fresh)
-    assert json.loads(path.read_text()) == json.loads(fresh)
-    assert list(tmp_path.iterdir()) == [path]
-
-
-def test_northcott_cache_of_another_version_is_replaced(capsys, tmp_path, monkeypatch):
-    import dioph
-
-    argv = ["northcott", "--degree", "1", "--height", "1", "--cache", str(tmp_path)]
-    code, fresh = run(capsys, *argv)
-    (old,) = tmp_path.glob("northcott_*.json")
-    text = old.read_text()
-    monkeypatch.setattr(dioph, "__version__", "0.0.0")
-    assert run(capsys, *argv) == (0, fresh)
-    # the file of the other version is gone, the new one holds the same scan
-    (new,) = tmp_path.glob("northcott_*.json")
-    assert new != old and new.read_text() == text
-
-
-def test_northcott_cache_is_keyed_by_precision(capsys, tmp_path):
-    argv = ["northcott", "--degree", "2", "--height", "1", "--cache", str(tmp_path)]
+def test_northcott_enclosures_meet_the_requested_precision(capsys):
+    argv = ["northcott", "--degree", "2", "--height", "1"]
     code, coarse = run(capsys, *argv, "--precision", "1e-3")
     assert code == 0
     code, fine = run(capsys, *argv, "--precision", "1e-20")
@@ -461,12 +389,27 @@ def test_siegel_rejects_non_integer_matrix_json(capsys, matrix):
     [
         ["siegel", "--precision", "1e-3", "--", '{"entries": [[1, 2]]}'],
         ["minima", "--cache", "d", "--", '{"forms": [[1, 0], [0, 1]], "bounds": [1, 1]}'],
+        ["northcott", "--cache", "d", "--degree", "1", "--height", "1"],
     ],
 )
-def test_options_only_where_read(capsys, argv):
+def test_options_only_where_read(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
     code, out = run(capsys, *argv)
     assert code == 2
     assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_flag_in_the_formats_doc_is_an_option():
+    doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+    options = {
+        option
+        for action in build_parser()._subparsers._group_actions
+        for command in action.choices.values()
+        for option in command._option_string_actions
+    }
+    named = set(re.findall(r"--[a-z][a-z-]*", doc))
+    assert named and named <= options, sorted(named - options)
 
 
 @pytest.mark.parametrize(

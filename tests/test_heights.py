@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dioph.heights as heights
-from dioph.enclosure import Enclosure
 from dioph.exceptions import DomainError, PrecisionError, UnsupportedError
 from dioph.heights import (
     Place,
@@ -28,11 +27,11 @@ from dioph.heights import (
     sum_log_abs_over_S,
     weil_height_algebraic,
 )
-from dioph.intpoly import IntPolynomial, cyclotomic, euler_phi
+from dioph.intpoly import IntPolynomial, cyclotomic, euler_phi, is_irreducible
 from dioph.multipoly import MultiPoly, normalized_derivative
 from dioph.numberfield import AlgebraicNumber, NumberFieldElement, power_min_poly
 
-from oracles import mahler_leq_by_enclosures, northcott_by_scan
+from oracles import mahler_leq_by_enclosures, mahler_leq_by_ladders, northcott_by_scan
 
 SQRT2 = AlgebraicNumber(IntPolynomial([-2, 0, 1]), interval=(1, 2))
 PHI = AlgebraicNumber(IntPolynomial([-1, -1, 1]), interval=(1, 2))
@@ -193,11 +192,31 @@ def test_mahler_leq_budget_is_named(monkeypatch):
     # structural rule decide it, and every enclosure straddles 2
     f = IntPolynomial([-1, -2, -1, -1, 1])
     assert heights.mahler_graeffe_verdict(f, Fraction(2)) is None
-    monkeypatch.setattr(heights, "mahler_enclosure", lambda f, w: Enclosure(Fraction(1), Fraction(3)))
+    monkeypatch.setattr(heights, "root_moduli", _wide_moduli)
     with pytest.raises(
         PrecisionError, match="used 12 enclosures, the finest of width 1e-320; the cap is that width"
     ):
         mahler_leq(f, Fraction(2))
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    route = getattr(heights, name)
+    monkeypatch.setattr(heights, name, lambda *args: calls.append(args) or route(*args))
+    return calls
+
+
+def test_one_mahler_enclosure_per_root_height_and_none_per_comparison(monkeypatch):
+    enclosures = _counting(monkeypatch, "mahler_enclosure")
+    moduli = _counting(monkeypatch, "root_moduli")
+    weil_height_algebraic(AlgebraicNumber(IntPolynomial([-1, -100, 0, 1]), conjugate_index=0),
+                          Fraction(1, 10 ** 40))
+    assert len(enclosures) == 1
+    enclosures.clear()
+    moduli.clear()
+    # x^2 + x - 4 against 4: a tie that the first rung's moduli settle
+    assert heights._mahler_leq_exact(IntPolynomial([-4, 1, 1]), Fraction(4))
+    assert (len(enclosures), len(moduli)) == (0, 1)
 
 
 _CYCLOTOMIC = [cyclotomic(k) for k in range(1, 31) if euler_phi(k) <= 6]
@@ -304,13 +323,71 @@ def test_graeffe_verdict_examples():
         verdict(IntPolynomial([5]), Fraction(5))
 
 
-def test_height_budget_is_named(monkeypatch):
-    monkeypatch.setattr(heights, "mahler_enclosure", lambda f, w: Enclosure(Fraction(1), Fraction(3)))
-    alpha = AlgebraicNumber(IntPolynomial([-1, -1, 0, 1]), interval=(1, 2))
-    with pytest.raises(
-        PrecisionError, match=r"used 60 Mahler widths down to 2\^-\d+; the cap is 60 refinements"
-    ):
-        weil_height_algebraic(alpha)
+_LADDER_FACTORS = st.one_of(
+    st.tuples(st.integers(-6, 6), st.integers(1, 6)).map(lambda t: _linear(*t)[0]),
+    st.sampled_from([cyclotomic(k) for k in range(1, 13) if euler_phi(k) <= 4]),
+    st.sampled_from(_SALEM[:1]),
+    st.lists(st.integers(-9, 9), min_size=3, max_size=5).map(IntPolynomial)
+    .filter(lambda f: f.degree >= 2),
+)
+
+
+def _outcome(route, f, c):
+    try:
+        return route(f, c)
+    except PrecisionError:
+        return "undecided"
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(_LADDER_FACTORS, st.integers(1, 2)), min_size=1, max_size=3),
+       st.sampled_from(["mid", "above", "below", "integer"]))
+def test_mahler_leq_exact_agrees_with_the_ladders_oracle(factors, where):
+    # repeated, rational and cyclotomic factors; c at M(f), 0.1 % off it,
+    # or at the nearest integer, where exact ties live
+    f = _product(factors)
+    assume(1 <= f.degree <= 8)
+    m = heights.mahler_enclosure(f, Fraction(1, 10 ** 6)).mid
+    c = {"mid": m, "above": m * Fraction(1001, 1000), "below": m * Fraction(999, 1000),
+         "integer": Fraction(max(1, round(m)))}[where]
+    assert _outcome(heights._mahler_leq_exact, f, c) == _outcome(mahler_leq_by_ladders, f, c)
+
+
+@pytest.mark.parametrize("f,c", [
+    (cyclotomic(12) * IntPolynomial([-3, 1]), 3),
+    (IntPolynomial([-4, 1, 1]), 4),  # both roots outside: M = |a_0|
+    (IntPolynomial([-1, 1, 4]), 4),  # both roots inside: M = |lc|
+])
+def test_mahler_leq_exact_decides_exact_ties(f, c):
+    assert heights._mahler_leq_exact(f, Fraction(c)) is True
+    assert mahler_leq_by_ladders(f, Fraction(c)) is True
+    assert heights._mahler_leq_exact(f, Fraction(c) - Fraction(1, 10 ** 30)) is False
+
+
+@st.composite
+def _irreducible(draw):
+    """An irreducible integer polynomial of degree 2-6 with |lc| <= 30."""
+    n = draw(st.integers(2, 6))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    f = IntPolynomial(coeffs + [draw(st.integers(1, 30))])
+    assume(math.gcd(*f.coeffs) == 1 and f.constant != 0 and is_irreducible(f))
+    return f
+
+
+@settings(max_examples=40)
+@given(_irreducible(), st.sampled_from([Fraction(2), Fraction(1, 10 ** 3),
+                                        Fraction(1, 10 ** 12), Fraction(1, 10 ** 40)]))
+def test_heights_meet_the_requested_width(f, precision):
+    alpha = AlgebraicNumber(f, conjugate_index=0)
+    gen = NumberFieldElement.generator(alpha)
+    m = heights.mahler_enclosure(f, Fraction(1, 10 ** 50))
+    for h in (weil_height_algebraic(alpha, precision), nf_element_height(gen + 1, precision),
+              nf_element_height(gen, precision)):
+        enc = h.enclosure
+        assert h.exact is None and 1 <= enc.lo and enc.width <= precision
+    # H(alpha)^n = M(f)
+    enc = weil_height_algebraic(alpha, precision).enclosure
+    assert enc.lo ** f.degree <= m.hi and m.lo <= enc.hi ** f.degree
 
 
 def test_mahler_content_scales():
