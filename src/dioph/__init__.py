@@ -27,6 +27,7 @@ from .intpoly import (
     squarefree_part,
 )
 from .roots import root_moduli, max_root_modulus
+from .linalg import kernel_basis
 from .numberfield import (
     AlgebraicNumber,
     NumberFieldElement,
@@ -62,7 +63,6 @@ from .wronskian import are_linearly_independent, generalized_wronskian
 from .siegel import (
     IntMatrix,
     NFMatrix,
-    kernel_basis,
     satisfies_size_bound,
     siegel_solve_NF,
     siegel_solve_Z,

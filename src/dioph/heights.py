@@ -29,6 +29,7 @@ from .intpoly import (
     rational_root,
     _q_to_primitive,
 )
+from .linalg import primitive_vector
 from .numberfield import AlgebraicNumber, NumberFieldElement
 from .roots import root_moduli
 
@@ -194,20 +195,8 @@ def canonicalize_projective(coords: Sequence[Fraction]) -> Tuple[int, ...]:
     coords = [Fraction(c) for c in coords]
     if all(c == 0 for c in coords):
         raise DomainError("projective point must have a nonzero coordinate")
-    den = 1
-    for c in coords:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in coords]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    for c in ints:
-        if c != 0:
-            if c < 0:
-                ints = [-x for x in ints]
-            break
-    return tuple(ints)
+    den = math.lcm(*(c.denominator for c in coords))
+    return primitive_vector([int(c * den) for c in coords])
 
 
 class ProjectivePoint:
@@ -351,18 +340,6 @@ def mahler_measure(f: IntPolynomial, precision: Fraction = DEFAULT_PRECISION) ->
     return mahler_enclosure(f, precision)
 
 
-def is_product_of_cyclotomics(f: IntPolynomial) -> bool:
-    """True iff f is +-(power of x) times a product of cyclotomics,
-    equivalently M(primitive part) = 1 (Kronecker)."""
-    if f.is_zero():
-        raise DomainError("zero polynomial")
-    # exact_mahler strips x and each cyclotomic factor at measure 1 and any
-    # other rational root at measure >= 2.  Its complex-quadratic branch has
-    # a_0 a_2 > 0, so max(|a_2|, |a_0|) = 1 forces a_0 = a_2 = +-1 and
-    # |a_1| < 2: x^2 + 1 or x^2 +- x + 1, cyclotomic and stripped already.
-    return exact_mahler(content_and_primitive(f)[1]) == 1
-
-
 def _strip_exact_factors(prim: IntPolynomial) -> Tuple[Fraction, IntPolynomial]:
     """Split off factors with exact Mahler contribution: rational linear
     factors (M = max(|p|, |q|)) and cyclotomic factors (M = 1).  Returns
@@ -404,17 +381,6 @@ def _residual_mahler(work: IntPolynomial) -> Optional[Fraction]:
         if a1 * a1 - 4 * a0 * a2 < 0:
             return Fraction(max(abs(a2), abs(a0)))
     return None
-
-
-def exact_mahler(prim: IntPolynomial) -> Optional[Fraction]:
-    """Exact Mahler measure of a primitive polynomial when structurally
-    available: cyclotomic and rational linear factors are stripped
-    exactly, and a residual quadratic with a complex pair has
-    |root|^2 = |a_0/a_2| rational.  None when the value is irrational
-    (only enclosures apply)."""
-    acc, work = _strip_exact_factors(prim)
-    rest = _residual_mahler(work)
-    return None if rest is None else acc * rest
 
 
 def _graeffe_square(a: List[int]) -> List[int]:

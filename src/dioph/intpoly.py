@@ -138,11 +138,6 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return not self.is_zero() and self.leading == 1
 
-    def max_abs_coeff(self) -> int:
-        if self.is_zero():
-            return 0
-        return max(abs(c) for c in self.coeffs)
-
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)})"
 

@@ -1,7 +1,9 @@
 """Geometry of numbers over Z^N for convex symmetric bodies cut out by
 independent rational linear forms: exact volumes, successive minima by
 certified lattice-point enumeration, and the two-sided Minkowski check.
-The sup-norm enumerator here also serves siegel's small solutions.
+The sup-norm enumerator here also serves siegel's small solutions; the
+exact linear algebra (determinants, LLL, the integer kernel that tests
+the independence of witnesses) is linalg's.
 
 For a body {x : |L_i(x)| <= c_i} the gauge t(x) = max_i |L_i(x)|/c_i of
 an integer point is an exact rational, so every minimum is an exact
@@ -13,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import floor, lcm
 from typing import List, Sequence, Tuple
 
 from .exceptions import DomainError, InternalError, UnsupportedError
-from .linalg import det, inverse, lll_reduce_with_transform, rank as _rank_int
+from .linalg import det, inverse, kernel_basis, lll_reduce_with_transform, rank as _rank_int
 
 DIMENSION_CAP = 5
 _ENUM_NODE_BUDGET = 30_000_000
@@ -30,7 +32,8 @@ _ENUM_POINT_BUDGET = 1_000_000
 
 @dataclass(frozen=True)
 class ConvexBody:
-    """{x in R^N : |L_i(x)| <= c_i} for invertible rational forms L."""
+    """{x in R^N : |L_i(x)| <= c_i} for invertible rational forms L,
+    N at most DIMENSION_CAP (checked before the determinant)."""
 
     forms: Tuple[Tuple[Fraction, ...], ...]
     bounds: Tuple[Fraction, ...]
@@ -41,6 +44,8 @@ class ConvexBody:
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise DomainError("forms must be a square matrix")
+        if n > DIMENSION_CAP:
+            raise UnsupportedError(f"body of dimension {n}; the cap is {DIMENSION_CAP}")
         if len(cs) != n:
             raise DomainError("one bound per form is required")
         if any(c <= 0 for c in cs):
@@ -161,30 +166,6 @@ def _enumerate_reduced(
     return out
 
 
-def _complement_after(complement, x):
-    """The integer basis of the orthogonal complement once x joins the
-    witnesses, or None when x is orthogonal to all of `complement`, that
-    is, when x depends on the witnesses whose complement it spans.
-
-    With the pivot c_p.x != 0, each other c_j becomes
-    (c_p.x) c_j - (c_j.x) c_p over its content: orthogonal to x and to
-    every earlier witness, and still independent, so the basis shrinks
-    by one and spans the new complement.
-    """
-    dots = [sum([a * b for a, b in zip(c, x)]) for c in complement]
-    p = next((j for j, d in enumerate(dots) if d), None)
-    if p is None:
-        return None
-    cp, dp = complement[p], dots[p]
-    out = []
-    for j, (c, d) in enumerate(zip(complement, dots)):
-        if j != p:
-            v = [dp * a - d * b for a, b in zip(c, cp)]
-            g = gcd(*v)
-            out.append(tuple(a // g for a in v))
-    return out
-
-
 def successive_minima(body: ConvexBody) -> MinimaResult:
     """Exact successive minima with linearly independent integer witnesses.
 
@@ -193,37 +174,32 @@ def successive_minima(body: ConvexBody) -> MinimaResult:
     most their largest sup norm over den, and one enumeration at that cap
     holds every candidate.  In the order (gauge, x) the points yield the
     witnesses greedily: each is the first point independent of those
-    before it.  The points are grouped by exact gauge, and x = V^T z is
-    formed and sorted only within the groups that are scanned.
+    before it.
 
     A candidate is independent of the witnesses so far exactly when it is
     not orthogonal to their orthogonal complement, whose integer basis
-    starts as the unit vectors and shrinks by one per witness
-    (`_complement_after`): at most n dot products per candidate and no
-    elimination.  One rank of the final witnesses certifies them.
+    starts as the unit vectors and is the integer kernel of the witnesses
+    (linalg.kernel_basis) after each one: at most n dot products per
+    candidate.  One rank of the final witnesses certifies them.
     """
     n = body.dimension
-    if n > DIMENSION_CAP:
-        raise UnsupportedError(f"dimension above cap {DIMENSION_CAP}")
     rows, V, den = _reduced_lattice(body)
     cap = max(abs(v) for row in rows for v in row)
-    groups = {}  # den * gauge -> the z of every point of that gauge
-    for z, y in _enumerate_reduced(rows, cap):
-        groups.setdefault(max(map(abs, y)), []).append(z)
+    columns = list(zip(*V))  # x = V^T z
+    points = sorted(
+        (max(map(abs, y)), tuple([sum([a * b for a, b in zip(col, z)]) for col in columns]))
+        for z, y in _enumerate_reduced(rows, cap)
+    )  # (den * gauge, x)
     complement = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     lambdas: List[Fraction] = []
     witnesses: List[Tuple[int, ...]] = []
-    columns = list(zip(*V))  # x = V^T z
-    for t in sorted(groups):
-        for x in sorted(tuple([sum([a * b for a, b in zip(col, z)]) for col in columns])
-                        for z in groups[t]):
-            after = _complement_after(complement, x)
-            if after is not None:
-                complement = after
-                witnesses.append(x)
-                lambdas.append(Fraction(t, den))
-        if not complement:
-            break
+    for t, x in points:
+        if any(sum([a * b for a, b in zip(c, x)]) for c in complement):
+            witnesses.append(x)
+            lambdas.append(Fraction(t, den))
+            if len(witnesses) == n:
+                break
+            complement = kernel_basis(witnesses)
     if _rank_int(witnesses) != n:
         raise InternalError("successive minima witnesses are not independent")
     for lam, w in zip(lambdas, witnesses):

@@ -1,5 +1,4 @@
-"""Exact linear algebra: the one elimination and the one cofactor
-expansion in dioph.
+"""Exact linear algebra: every matrix routine of dioph.
 
 `det`, `rank` and `inverse` share one Gauss-Jordan core over an exact
 field: int and Fraction entries are reduced over Q, NumberFieldElement
@@ -8,15 +7,22 @@ entries over Q(alpha).  Entries need +, -, *, comparison with 0 and
 (H. Cohen, A Course in Computational Algebraic Number Theory, ch. 2).
 
 `laplace_det` serves rings without division: the polynomial matrices
-of `wronskian`.
+of `wronskian`.  `charpoly` is Faddeev-LeVerrier over Q, for the
+multiplication matrices of `numberfield`.
 
-`lll_reduce_with_transform` is the one lattice reduction: integral LLL
-with delta = 3/4 (Cohen, Alg. 2.6.7; Lenstra-Lenstra-Lovasz 1982).
+Over Z: `kernel_basis` is the one integer kernel, by unimodular column
+reduction; `siegel` solves its systems on it and `lattice` keeps the
+orthogonal complement of the successive-minima witnesses with it.
+`primitive_vector` is the one normal form of an integer vector up to
+sign and scale.  `lll_reduce_with_transform` is the one lattice
+reduction: integral LLL with delta = 3/4 (Cohen, Alg. 2.6.7;
+Lenstra-Lenstra-Lovasz 1982).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import List, Sequence, Tuple
 
 from .exceptions import DomainError
@@ -96,6 +102,61 @@ def laplace_det(matrix: Sequence[Sequence]):
         return memo[key]
 
     return minor(tuple(range(len(matrix))), 0)
+
+
+def charpoly(M: Sequence[Sequence[Fraction]]) -> List[Fraction]:
+    """Characteristic polynomial coefficients, ascending, monic of degree d."""
+    d = len(M)
+    coeffs = [Fraction(1)]
+    N = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for k in range(1, d + 1):
+        MN = [[sum(M[i][t] * N[t][j] for t in range(d)) for j in range(d)] for i in range(d)]
+        ck = -sum(MN[i][i] for i in range(d)) / k
+        coeffs.append(ck)
+        N = [[MN[i][j] + (ck if i == j else 0) for j in range(d)] for i in range(d)]
+    return coeffs[::-1]
+
+
+def kernel_basis(rows: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Basis of the integer kernel lattice {x in Z^N : Ax = 0} of the
+    nonempty integer rows A.
+
+    Unimodular column reduction: the transformation matrix columns over
+    the zeroed-out columns of A form a complete basis of the kernel.
+    """
+    A = [list(row) for row in rows]
+    m, n = len(A), len(A[0])
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    active = list(range(n))
+    for r in range(m):
+        while True:
+            nz = [c for c in active if A[r][c] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda c: abs(A[r][c]))
+            c0 = nz[0]
+            for c in nz[1:]:
+                q = A[r][c] // A[r][c0]
+                if q:
+                    for i in range(m):
+                        A[i][c] -= q * A[i][c0]
+                    for i in range(n):
+                        U[i][c] -= q * U[i][c0]
+        nz = [c for c in active if A[r][c] != 0]
+        if nz:
+            active.remove(nz[0])
+    return [[U[i][c] for i in range(n)] for c in active]
+
+
+def primitive_vector(x: Sequence[int]) -> Tuple[int, ...]:
+    """x over its content, with the first nonzero entry positive; the
+    zero vector is returned as it stands."""
+    g = gcd(*x)
+    if g == 0:
+        return tuple(x)
+    if next(v for v in x if v) < 0:
+        g = -g
+    return tuple(v // g for v in x)
 
 
 def lll_reduce_with_transform(basis: Sequence[Sequence[int]]):

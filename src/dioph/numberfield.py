@@ -13,6 +13,8 @@ GTM 138, 4.2).  Reduction is intpoly.pseudo_divmod by f: the remainder
 is s times the one over Q, for the scale s > 0 it returns, so a non-monic
 f is reduced in Z as well and the denominator is multiplied by s; one gcd
 at the end restores lowest terms.
+The characteristic polynomial of an element is linalg.charpoly of its
+multiplication matrix.
 
 The complex embeddings are the root boxes of ordered_root_boxes: integer
 mantissas at one binary scale, as roots returns them.  Products and sums
@@ -35,18 +37,15 @@ from .intpoly import (
     content_and_primitive,
     count_real_roots,
     is_irreducible,
-    isolate_real_roots,
     pseudo_divmod,
     refine_root_interval,
     squarefree_part,
     _q_to_primitive,
 )
-from .linalg import inverse as matrix_inverse
+from .linalg import charpoly, inverse as matrix_inverse
 from .roots import Box, ordered_root_boxes
 
 EMBEDDING_PRECISION = Fraction(1, 10 ** 15)
-# generator widths real_enclosure tries, each 1/16 of the last
-_ENCLOSURE_ROUNDS = 60
 
 
 def _normalize_min_poly(poly: IntPolynomial) -> IntPolynomial:
@@ -105,12 +104,6 @@ class AlgebraicNumber:
     def from_rational(cls, q) -> "AlgebraicNumber":
         q = Fraction(q)
         return cls(IntPolynomial([-q.numerator, q.denominator]))
-
-    @classmethod
-    def real_roots_of(cls, poly: IntPolynomial) -> List["AlgebraicNumber"]:
-        """All real roots of an irreducible poly, ascending."""
-        prim = _normalize_min_poly(poly)
-        return [cls(prim, interval=iv) for iv in isolate_real_roots(prim)]
 
     # ---- basic structure ----
 
@@ -389,7 +382,7 @@ class NumberFieldElement:
     def char_poly(self) -> IntPolynomial:
         """Primitive integer polynomial proportional to det(x*I - M_self)."""
         M = self.multiplication_matrix()
-        prim = _q_to_primitive(_charpoly_faddeev(M))
+        prim = _q_to_primitive(charpoly(M))
         if prim.leading < 0:
             prim = -prim
         return prim
@@ -397,36 +390,6 @@ class NumberFieldElement:
     def min_poly_elem(self) -> IntPolynomial:
         """Minimal polynomial of this element (primitive, positive lc)."""
         return squarefree_part(self.char_poly())
-
-    def real_enclosure(self, width: Fraction) -> Enclosure:
-        """Enclosure of the real value, for a real base selector."""
-        width = Fraction(width)
-        guess = Fraction(1, 4)
-        for _ in range(_ENCLOSURE_ROUNDS):
-            box = self.base.enclosure(guess)
-            acc = Enclosure.exact(0)
-            for c in reversed(self.rep):
-                acc = acc * box + c
-            if acc.width <= width:
-                return acc
-            guess /= 16
-        raise PrecisionError(
-            f"number field element enclosure did not reach width {float(width):.3g}: used "
-            f"{_ENCLOSURE_ROUNDS} generator widths down to {float(guess * 16):.3g}; the cap is "
-            f"{_ENCLOSURE_ROUNDS}")
-
-
-def _charpoly_faddeev(M: List[List[Fraction]]) -> List[Fraction]:
-    """Characteristic polynomial coefficients, ascending, monic of degree d."""
-    d = len(M)
-    coeffs = [Fraction(1)]
-    N = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    for k in range(1, d + 1):
-        MN = [[sum(M[i][t] * N[t][j] for t in range(d)) for j in range(d)] for i in range(d)]
-        ck = -sum(MN[i][i] for i in range(d)) / k
-        coeffs.append(ck)
-        N = [[MN[i][j] + (ck if i == j else 0) for j in range(d)] for i in range(d)]
-    return coeffs[::-1]
 
 
 # ---------------------------------------------------------------------------

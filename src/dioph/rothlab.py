@@ -22,6 +22,7 @@ from .exceptions import (
     UnsupportedError,
 )
 from .heights import HeightValue, height_polynomial, height_rational, nf_element_height
+from .linalg import kernel_basis, primitive_vector
 from .multipoly import (
     IndexValue,
     MultiPoly,
@@ -33,14 +34,7 @@ from .multipoly import (
     weight_steps,
 )
 from .numberfield import AlgebraicNumber, NumberFieldElement
-from .siegel import (
-    NFMatrix,
-    NFSiegelResult,
-    expand_nf_system,
-    kernel_basis,
-    siegel_solve_NF,
-    _normalize_vector,
-)
+from .siegel import NFMatrix, NFSiegelResult, expand_nf_system, siegel_solve_NF
 
 # build_aux_poly refuses systems with more unknowns prod(r_h + 1) than this;
 # at 121-128 unknowns a build takes 0.5-2.2 s, at 196 up to 18 s
@@ -192,8 +186,7 @@ def build_aux_poly(
         coeffs = siegel_result.x
     else:
         expanded = expand_nf_system(NFMatrix(alpha, rows))
-        basis = [_normalize_vector(b) for b in kernel_basis(expanded)]
-        basis = [b for b in basis if any(v != 0 for v in b)]
+        basis = [primitive_vector(b) for b in kernel_basis(expanded.entries)]
         if not basis:
             raise InfeasibleError(
                 f"vanishing system has trivial kernel "

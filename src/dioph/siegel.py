@@ -1,10 +1,12 @@
 """Constructive small integer solutions of underdetermined homogeneous
 linear systems, over Z and over Q(alpha) via power-basis expansion.
 
-The solver computes an exact integer kernel basis by unimodular column
-reduction and LLL-reduces it once (linalg.lll_reduce_with_transform).
-A reduced vector within the size bound max|x_i| < (N*A)^(M/(N-M))
-(compared exactly as max|x_i|^(N-M) < (N*A)^M) is the answer; else the
+The solver takes the exact integer kernel basis of linalg.kernel_basis
+(unimodular column reduction), each vector in the normal form of
+linalg.primitive_vector, and LLL-reduces it once
+(linalg.lll_reduce_with_transform).  A reduced vector within the size
+bound max|x_i| < (N*A)^(M/(N-M)) (compared exactly as
+max|x_i|^(N-M) < (N*A)^M) is the answer; else the
 kernel lattice is enumerated in the sup norm by the enumerator that
 also serves the successive minima (lattice._enumerate_reduced), at
 doubling caps up to the box the bound admits.  A returned vector is
@@ -15,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import List, Sequence, Tuple
 
 from .enclosure import Enclosure, iroot, log_enclosure
 from .exceptions import DomainError, InternalError, UnsupportedError
 from .lattice import _enumerate_reduced
-from .linalg import lll_reduce_with_transform
+from .linalg import kernel_basis, lll_reduce_with_transform, primitive_vector
 from .numberfield import (
     EMBEDDING_PRECISION,
     AlgebraicNumber,
@@ -73,51 +75,6 @@ class IntMatrix:
         return [sum(a * v for a, v in zip(row, x)) for row in self.entries]
 
 
-def kernel_basis(matrix: IntMatrix) -> List[List[int]]:
-    """Basis of the integer kernel lattice {x in Z^N : Ax = 0}.
-
-    Unimodular column reduction: the transformation matrix columns over
-    the zeroed-out columns of A form a complete basis of the kernel.
-    """
-    m, n = matrix.nrows, matrix.ncols
-    A = [list(row) for row in matrix.entries]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    active = list(range(n))
-    for r in range(m):
-        while True:
-            nz = [c for c in active if A[r][c] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda c: abs(A[r][c]))
-            c0 = nz[0]
-            for c in nz[1:]:
-                q = A[r][c] // A[r][c0]
-                if q:
-                    for i in range(m):
-                        A[i][c] -= q * A[i][c0]
-                    for i in range(n):
-                        U[i][c] -= q * U[i][c0]
-        nz = [c for c in active if A[r][c] != 0]
-        if nz:
-            active.remove(nz[0])
-    return [[U[i][c] for i in range(n)] for c in active]
-
-
-def _normalize_vector(x: Sequence[int]) -> Tuple[int, ...]:
-    g = 0
-    for v in x:
-        g = gcd(g, abs(v))
-    if g == 0:
-        return tuple(x)
-    x = [v // g for v in x]
-    for v in x:
-        if v != 0:
-            if v < 0:
-                x = [-w for w in x]
-            break
-    return tuple(x)
-
-
 def pairwise_reduce(basis, passes=8):
     """Retired size-reduction pass, kept only as a name: bench/tracing.py
     lists siegel.pairwise_reduce as a layer boundary and resolves it
@@ -151,17 +108,17 @@ def siegel_solve_Z(matrix: IntMatrix) -> Tuple[int, ...]:
         raise DomainError("coefficient matrix must not be all zero")
     amax = matrix.max_abs()
 
-    raw = [_normalize_vector(b) for b in kernel_basis(matrix)]
+    raw = [primitive_vector(b) for b in kernel_basis(matrix.entries)]
     if not raw:
         raise InternalError("underdetermined system with trivial kernel")
 
-    basis = [_normalize_vector(b) for b in lll_reduce_with_transform(raw)[0]]
+    basis = [primitive_vector(b) for b in lll_reduce_with_transform(raw)[0]]
     found = [b for b in basis if satisfies_size_bound(b, n, m, amax)]
     if not found:
         box = iroot((n * amax) ** m - 1, n - m)
         cap = 1
         while True:
-            found = [_normalize_vector(y) for _, y in _enumerate_reduced(basis, cap)]
+            found = [primitive_vector(y) for _, y in _enumerate_reduced(basis, cap)]
             if found or cap == box:
                 break
             cap = min(2 * cap, box)

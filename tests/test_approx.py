@@ -20,7 +20,7 @@ from dioph.approx import (
 )
 from dioph.enclosure import Enclosure
 from dioph.exceptions import DomainError, PrecisionError, UnsupportedError
-from dioph.intpoly import IntPolynomial
+from dioph.intpoly import IntPolynomial, isolate_real_roots
 from dioph.numberfield import AlgebraicNumber
 
 from oracles import liouville_verdict_by_enclosure
@@ -218,7 +218,8 @@ def _random_real_roots(rng, count, degrees):
         if not roots:
             continue
         k = rng.randrange(len(roots))
-        alpha = AlgebraicNumber.real_roots_of(IntPolynomial(coeffs))[k]
+        f = IntPolynomial(coeffs)
+        alpha = AlgebraicNumber(f, interval=isolate_real_roots(f)[k])
         with mpmath.workdps(60):
             out.append((alpha, mpmath.mpf(str(roots[k].evalf(70)))))
     return out
@@ -299,7 +300,7 @@ def test_integer_liouville_decision_matches_the_enclosure_oracle():
     @settings(max_examples=300)
     def check(subject, refine_bits, q, offset, kind, t, base, s):
         poly, k = subject
-        alpha = AlgebraicNumber.real_roots_of(poly)[k]
+        alpha = AlgebraicNumber(poly, interval=isolate_real_roots(poly)[k])
         alpha.refine(Fraction(1, 1 << refine_bits))
         lo, hi = alpha.interval()
         n = alpha.degree

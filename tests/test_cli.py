@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import shlex
 import time
@@ -275,6 +276,17 @@ def test_cf_terms_above_the_cap_exit_2_at_once(capsys):
     assert "100000000" in err and "cap is 1000" in err
 
 
+def _random_body(n, seed):
+    """A random n x n body, entries p/q with |p|, q <= 9."""
+    rng = random.Random(seed)
+    entry = lambda: f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"
+    return json.dumps({"forms": [[entry() for _ in range(n)] for _ in range(n)],
+                       "bounds": [f"{rng.randint(1, 9)}/{rng.randint(1, 9)}" for _ in range(n)]})
+
+
+BODY_140 = _random_body(140, 140)
+
+
 @pytest.mark.parametrize(
     "argv, value, cap",
     [
@@ -295,6 +307,8 @@ def test_cf_terms_above_the_cap_exit_2_at_once(capsys):
         (["kronecker", "--with-height", "--precision", "1/1" + "0" * 2000, "--",
           "x^10+x^9-x^7-x^6-x^5-x^4-x^3+x+1"], "degree 10 at about 6643 bits",
          "the cap is 30108672000"),
+        (["minima", "--", BODY_140], "dimension 140", "the cap is 5"),
+        (["minkowski", "--", BODY_140], "dimension 140", "the cap is 5"),
     ],
 )
 def test_inputs_above_a_cap_exit_2_at_once(capsys, argv, value, cap):

@@ -1,6 +1,7 @@
 """The runtime dependencies of dioph: the third-party packages imported
 under src/dioph are exactly those pyproject.toml declares, and a run of
-every subcommand never loads numpy."""
+every subcommand never loads numpy.  README's module table names every
+module under src/dioph."""
 
 import ast
 import json
@@ -84,3 +85,11 @@ def test_no_subcommand_loads_numpy():
     assert run.returncode == 0, run.stderr
     report = json.loads(run.stdout)
     assert report == {"codes": [0] * 16, "numpy": False}
+
+
+def test_every_module_has_a_row_in_the_readme_table():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## What is inside", 1)[1].split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| `dioph\.(\w+)` \|", table, re.M))
+    modules = {p.stem for p in (SRC / "dioph").glob("*.py") if p.stem != "__init__"}
+    assert modules - rows == set()

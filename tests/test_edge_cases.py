@@ -7,12 +7,11 @@ from dioph.approx import continued_fraction, convergents_up_to
 from dioph.cli import main
 from dioph.exceptions import DomainError
 from dioph.heights import (
-    is_product_of_cyclotomics,
     nf_element_height,
     northcott_enumerate,
     weil_height_algebraic,
 )
-from dioph.intpoly import IntPolynomial
+from dioph.intpoly import IntPolynomial, cyclotomic_index
 from dioph.numberfield import AlgebraicNumber, NumberFieldElement
 
 
@@ -39,7 +38,7 @@ def test_northcott_degree_three_height_one():
     assert northcott_enumerate(3, Fraction(1)) == northcott_enumerate(2, Fraction(1))
     for f in northcott_enumerate(3, Fraction(1)):
         if f.constant != 0:
-            assert is_product_of_cyclotomics(f)
+            assert cyclotomic_index(f) is not None
 
 
 def test_nf_element_height_of_power():

@@ -15,7 +15,6 @@ from dioph.heights import (
     height_polynomial,
     height_projective,
     height_rational,
-    is_product_of_cyclotomics,
     is_root_of_unity,
     local_abs,
     local_abs_product,
@@ -27,7 +26,7 @@ from dioph.heights import (
     sum_log_abs_over_S,
     weil_height_algebraic,
 )
-from dioph.intpoly import IntPolynomial, cyclotomic, euler_phi, is_irreducible
+from dioph.intpoly import IntPolynomial, cyclotomic, cyclotomic_index, euler_phi, is_irreducible
 from dioph.multipoly import MultiPoly, normalized_derivative
 from dioph.numberfield import AlgebraicNumber, NumberFieldElement, power_min_poly
 
@@ -575,9 +574,9 @@ def test_northcott_degree_two_height_one():
     assert IntPolynomial([1, 0, 1]) in quads
     assert IntPolynomial([1, 1, 1]) in quads
     assert IntPolynomial([1, -1, 1]) in quads
-    # Kronecker: every degree-2 entry with nonzero root is cyclotomic
+    # Kronecker: every degree-2 entry, irreducible, is cyclotomic
     for p in quads:
-        assert is_product_of_cyclotomics(p)
+        assert cyclotomic_index(p) is not None
 
 
 def test_northcott_against_brute_force():
@@ -614,16 +613,21 @@ def test_northcott_boundary_case_included():
 
 
 def test_exact_mahler_values():
-    from dioph.heights import exact_mahler
-
-    # complex pair on the unit circle: M = max(|lead|, |const|)
-    assert exact_mahler(IntPolynomial([4, -7, 4])) == 4
-    assert exact_mahler(IntPolynomial([2, 1, 2])) == 2
-    # cyclotomic times a rational linear factor
-    f = IntPolynomial([1, 1, 1]) * IntPolynomial([-3, 2])
-    assert exact_mahler(f) == 3
-    # golden ratio polynomial: irrational measure, no exact value
-    assert exact_mahler(IntPolynomial([-1, -1, 1])) is None
+    below = Fraction(1, 10 ** 6)
+    cases = [
+        # complex pair on the unit circle: M = max(|lead|, |const|)
+        (IntPolynomial([4, -7, 4]), 4),
+        (IntPolynomial([2, 1, 2]), 2),
+        # cyclotomic times a rational linear factor
+        (IntPolynomial([1, 1, 1]) * IntPolynomial([-3, 2]), 3),
+    ]
+    for f, m in cases:
+        assert mahler_leq(f, Fraction(m))
+        assert not mahler_leq(f, m - below)
+    # golden ratio polynomial: M = 1.6180339887..., irrational
+    golden = IntPolynomial([-1, -1, 1])
+    assert mahler_leq(golden, Fraction(1618034, 10 ** 6))
+    assert not mahler_leq(golden, Fraction(1618033, 10 ** 6))
 
 
 def test_root_of_unity_examples():

@@ -1,13 +1,25 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from dioph.exceptions import DomainError
 from dioph.intpoly import IntPolynomial
-from dioph.linalg import det, inverse, laplace_det, lll_reduce_with_transform, rank
+from dioph.linalg import (
+    det,
+    inverse,
+    kernel_basis,
+    laplace_det,
+    lll_reduce_with_transform,
+    primitive_vector,
+    rank,
+)
 from dioph.numberfield import AlgebraicNumber, NumberFieldElement
 
 SQRT2 = AlgebraicNumber(IntPolynomial([-2, 0, 1]), interval=(1, 2))
@@ -176,3 +188,51 @@ def test_lll_rejects_dependent_vectors():
         lll_reduce_with_transform([[1, 2, 3], [4, 5, 6], [5, 7, 9]])
     with pytest.raises(DomainError):
         lll_reduce_with_transform([[1, 0], [0, 1], [1, 1]])
+
+
+@st.composite
+def integer_rows(draw):
+    """1-5 integer rows of 1-6 entries in [-9, 9]; a row may be zero or an
+    integer combination of the rows before it."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["free", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "combination" and rows:
+            cs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(cs, rows)) for j in range(n)])
+        else:
+            rows.append(draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+    return rows
+
+
+@given(integer_rows())
+def test_kernel_basis_is_a_saturated_kernel_basis(rows):
+    n = len(rows[0])
+    basis = kernel_basis(rows)
+    for b in basis:
+        assert any(b)
+        assert all(sum(a * x for a, x in zip(row, b)) == 0 for row in rows)
+    k = len(basis)
+    assert k == n - rank(rows)
+    # saturated: the lattice is all of ker(A) in Z^n exactly when the gcd
+    # of the k x k minors is 1 (k = 0 is the zero lattice, trivially)
+    if k:
+        minors = [det([[b[i] for b in basis] for i in idx]) for idx in combinations(range(n), k)]
+        assert gcd(*(int(d) for d in minors)) == 1
+
+
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=6))
+def test_primitive_vector_is_the_normal_form_up_to_sign_and_scale(x):
+    p = primitive_vector(x)
+    if not any(x):
+        assert p == tuple(x)
+        return
+    assert gcd(*p) == 1
+    assert next(v for v in p if v) > 0
+    assert primitive_vector(p) == p
+    assert primitive_vector([-v for v in x]) == p
+    # a rational multiple of x: p_i x_j = p_j x_i
+    assert all(a * y == b * v for a, v in zip(p, x) for b, y in zip(p, x))

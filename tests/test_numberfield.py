@@ -11,9 +11,15 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dioph import cli, numberfield
-from dioph.exceptions import DomainError, PrecisionError
-from dioph.intpoly import IntPolynomial, _q_to_primitive, is_irreducible, squarefree_part
+from dioph import cli
+from dioph.exceptions import DomainError
+from dioph.intpoly import (
+    IntPolynomial,
+    _q_to_primitive,
+    is_irreducible,
+    isolate_real_roots,
+    squarefree_part,
+)
 from dioph.linalg import det
 from dioph.numberfield import (
     AlgebraicNumber,
@@ -217,7 +223,7 @@ def roots_and_rationals(draw):
     coeffs = draw(st.lists(st.integers(-9, 9), min_size=degree, max_size=degree))
     f = IntPolynomial(coeffs + [draw(st.integers(1, 4))])
     assume(f.constant != 0 and is_irreducible(f))
-    roots = AlgebraicNumber.real_roots_of(f)
+    roots = [AlgebraicNumber(f, interval=iv) for iv in isolate_real_roots(f)]
     assume(roots)
     k = draw(st.integers(0, len(roots) - 1))
     alpha = roots[k]
@@ -272,7 +278,8 @@ def test_shift_and_reciprocal():
 
 
 def test_real_roots_of():
-    roots = AlgebraicNumber.real_roots_of(IntPolynomial([-2, 0, 1]))
+    f = IntPolynomial([-2, 0, 1])
+    roots = [AlgebraicNumber(f, interval=iv) for iv in isolate_real_roots(f)]
     assert len(roots) == 2
     assert roots[0].sign() == -1 and roots[1].sign() == 1
     assert roots[0] != roots[1]
@@ -340,16 +347,6 @@ def test_scalar_product_matches_field_product(base):
             field_q = NumberFieldElement.from_rational(base, q)
             assert e * q == e * field_q
             assert q * e == field_q * e
-
-
-def test_element_enclosure():
-    a = NumberFieldElement.generator(SQRT2)
-    enc = (1 + a).real_enclosure(Fraction(1, 10 ** 12))
-    assert enc.width <= Fraction(1, 10 ** 12)
-    v = enc.mid - 1
-    assert (v * v - 2).numerator ** 2 < (Fraction(1, 10 ** 10)).numerator or abs(
-        float(v) ** 2 - 2
-    ) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +422,6 @@ def test_rational_element_hashes_as_its_value():
     a = NumberFieldElement.generator(SQRT2)
     assert hash(a * a) == hash(2) and {a * a, 2} == {2}
     assert len({a, a + 0, 1 + a - 1}) == 1
-
-
-def test_real_enclosure_names_its_budget(monkeypatch):
-    monkeypatch.setattr(numberfield, "_ENCLOSURE_ROUNDS", 2)
-    a = NumberFieldElement.generator(AlgebraicNumber(IntPolynomial([-2, 0, 1]), interval=(1, 2)))
-    with pytest.raises(PrecisionError, match=r"used 2 generator widths down to 0\.0156; the cap is 2"):
-        (1 + a).real_enclosure(Fraction(1, 10 ** 30))
 
 
 class _FractionCount:
