@@ -148,6 +148,14 @@ COMMANDS = {
                                   ["1/2", 3, 1, "2/3"])],
         ["minima", "--", _body([[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0],
                                 [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]], [1] * 5)],
+        # two skewed 5-dim shear draws (unit shears of the identity, one
+        # row scaled by 3, bounds in 1/3..3): their reduced rows range in
+        # sup norm from 1 to 18 and from 1 to 9, so the one enumeration
+        # meets about 122,000 and 93,000 candidates
+        ["minima", "--", _body([[1, 0, 0, 0, 0], [0, 3, 0, 0, 6], [0, -2, 1, 2, 0], [0, 0, 0, 1, 0],
+                                [1, 0, 0, 0, 1]], [3, "1/2", 1, 1, 1])],
+        ["minima", "--", _body([[1, 0, 0, 0, 0], [0, -3, -9, 0, 6], [0, 2, 5, 0, 0], [0, 0, 0, 1, 0],
+                                [0, 0, 0, 0, 1]], [1, "1/3", "1/2", 1, 1])],
     ],
     # Q(alpha) systems of degree 2-5 whose cells carry denominators, two
     # integer systems, and the index at a root of a non-monic 2x^2-3 and
