@@ -2,8 +2,8 @@
 independent rational linear forms: exact volumes, successive minima by
 certified lattice-point enumeration, and the two-sided Minkowski check.
 The sup-norm enumerator here also serves siegel's small solutions; the
-exact linear algebra (determinants, LLL, the integer kernel that tests
-the independence of witnesses) is linalg's.
+exact linear algebra (determinants, LLL, the vector normal form) is
+linalg's.
 
 For a body {x : |L_i(x)| <= c_i} the gauge t(x) = max_i |L_i(x)|/c_i of
 an integer point is an exact rational, so every minimum is an exact
@@ -15,19 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm
+from math import factorial, floor, lcm, prod
 from typing import List, Sequence, Tuple
 
 from .exceptions import DomainError, InternalError, UnsupportedError
-from .linalg import det, inverse, kernel_basis, lll_reduce_with_transform, rank as _rank_int
+from .linalg import det, inverse, lll_reduce_with_transform, primitive_vector, rank as _rank_int
 
 DIMENSION_CAP = 5
-_ENUM_NODE_BUDGET = 30_000_000
-# a point kept costs about 360 bytes through successive_minima (tracemalloc
-# peak over points enumerated, 5-dim boxes of 43,000 to 292,000 points), so
-# one enumeration stays under about 360 MB; random 5-dim bodies keep at most
-# about 400,000 points
-_ENUM_POINT_BUDGET = 1_000_000
+# the one enumeration limit; 180 seeded 5-dim shear bodies took at most
+# 514,617 nodes, and siegel's point list is no longer than the nodes
+_ENUM_NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -72,11 +69,7 @@ class ConvexBody:
 
 def body_volume(body: ConvexBody) -> Fraction:
     """Exact volume 2^N * prod(c_i) / |det L|."""
-    n = body.dimension
-    vol = Fraction(2) ** n
-    for c in body.bounds:
-        vol *= c
-    return vol / abs(det(body.forms))
+    return Fraction(2) ** body.dimension * prod(body.bounds) / abs(det(body.forms))
 
 
 @dataclass
@@ -108,10 +101,11 @@ def _reduced_lattice(body: ConvexBody):
 
 
 def _enumerate_reduced(
-    rows: Sequence[Sequence[int]], cap: int
+    rows: Sequence[Sequence[int]], cap: int, keep=None
 ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """Every nonzero y = sum z_i rows[i] with |y|_inf <= cap, one of each
-    +-pair (the one whose first nonzero z_i is positive), as (z, y) pairs.
+    +-pair (the one whose first nonzero z_i is positive), as (z, y) pairs,
+    or only those with keep(z, y) true (z and y as lists it reuses).
 
     The k <= N rows R must be independent.  Then z = (R R^T)^-1 R y, so
     |z_i| is at most cap times the absolute sum of row i of that matrix
@@ -153,14 +147,9 @@ def _enumerate_reduced(
             y_next = [c + v * a for c, a in zip(y, row)] if v else y
             if i + 1 < k:
                 rec(i + 1, y_next, signed or v != 0)
-            elif signed or v:
+            elif (signed or v) and (keep is None or keep(z, y_next)):
                 out.append((tuple(z), tuple(y_next)))
         z[i] = 0
-        if len(out) > _ENUM_POINT_BUDGET:
-            raise UnsupportedError(
-                f"lattice enumeration at cap {cap} kept {len(out)} points, "
-                f"past its budget of {_ENUM_POINT_BUDGET}"
-            )
 
     rec(0, [0] * n, False)
     return out
@@ -172,40 +161,53 @@ def successive_minima(body: ConvexBody) -> MinimaResult:
     The gauge is den times a sup norm on an LLL-reduced integer lattice.
     The n reduced rows are independent lattice points, so lambda_n is at
     most their largest sup norm over den, and one enumeration at that cap
-    holds every candidate.  In the order (gauge, x) the points yield the
-    witnesses greedily: each is the first point independent of those
-    before it.
-
-    A candidate is independent of the witnesses so far exactly when it is
-    not orthogonal to their orthogonal complement, whose integer basis
-    starts as the unit vectors and is the integer kernel of the witnesses
-    (linalg.kernel_basis) after each one: at most n dot products per
-    candidate.  One rank of the final witnesses certifies them.
+    holds every candidate.  The witnesses, each the first point in the
+    order (den * gauge, x) independent of those before it, are the
+    least-weight basis of the points (Edmonds 1971; no two points tie).
+    So the enumeration keeps a basis, from the reduced rows on, with a
+    dual in z-coordinates (dual[i] . z_j = 0 for i != j): a leaf lighter
+    than the heaviest j of its circuit (dual[j] . z != 0) takes that
+    place, and the other duals turn orthogonal to it.  One rank of the
+    final witnesses certifies them.
     """
     n = body.dimension
     rows, V, den = _reduced_lattice(body)
-    cap = max(abs(v) for row in rows for v in row)
     columns = list(zip(*V))  # x = V^T z
-    points = sorted(
-        (max(map(abs, y)), tuple([sum([a * b for a, b in zip(col, z)]) for col in columns]))
-        for z, y in _enumerate_reduced(rows, cap)
-    )  # (den * gauge, x)
-    complement = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    lambdas: List[Fraction] = []
-    witnesses: List[Tuple[int, ...]] = []
-    for t, x in points:
-        if any(sum([a * b for a, b in zip(c, x)]) for c in complement):
-            witnesses.append(x)
-            lambdas.append(Fraction(t, den))
-            if len(witnesses) == n:
+    weights = [(max(map(abs, row)), tuple(v)) for row, v in zip(rows, V)]  # (den * gauge, x)
+    dual = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    order = sorted(range(n), key=weights.__getitem__, reverse=True)  # heaviest first
+
+    def keep(z, y):
+        t = max(map(abs, y))
+        for j in order:  # the heaviest of the leaf's circuit
+            if t > weights[j][0]:
+                return False
+            c = sum([a * b for a, b in zip(dual[j], z)])
+            if c:
                 break
-            complement = kernel_basis(witnesses)
+        if t == weights[j][0] and sum([a * b for a, b in zip(columns[0], z)]) > weights[j][1][0]:
+            return False  # a tie in the gauge, most often settled by x_0
+        x = tuple([sum([a * b for a, b in zip(col, z)]) for col in columns])
+        if (t, x) >= weights[j]:
+            return False
+        weights[j] = (t, x)
+        for i, d in enumerate(dual):
+            ci = sum([a * b for a, b in zip(d, z)])
+            if ci and i != j:
+                dual[i] = primitive_vector([c * a - ci * b for a, b in zip(d, dual[j])])
+        order.sort(key=weights.__getitem__, reverse=True)
+        return True
+
+    _enumerate_reduced(rows, weights[order[0]][0], keep)
+    weights.sort()
+    witnesses = [x for _, x in weights]
     if _rank_int(witnesses) != n:
         raise InternalError("successive minima witnesses are not independent")
+    lambdas = tuple(Fraction(t, den) for t, _ in weights)
     for lam, w in zip(lambdas, witnesses):
         if body.gauge(w) != lam:
             raise InternalError("gauge mismatch after basis reduction")
-    return MinimaResult(lambdas=tuple(lambdas), witnesses=tuple(witnesses))
+    return MinimaResult(lambdas=lambdas, witnesses=tuple(witnesses))
 
 
 @dataclass
@@ -222,13 +224,9 @@ def minkowski_check(body: ConvexBody) -> MinkowskiReport:
     n = body.dimension
     minima = successive_minima(body)
     vol = body_volume(body)
-    product = vol
-    for lam in minima.lambdas:
-        product *= lam
+    product = vol * prod(minima.lambdas)
     upper = Fraction(2) ** n
-    import math
-
-    lower = upper / math.factorial(n)
+    lower = upper / factorial(n)
     return MinkowskiReport(
         lambdas=minima.lambdas,
         volume=vol,

@@ -1,7 +1,7 @@
 """The runtime dependencies of dioph: the third-party packages imported
 under src/dioph are exactly those pyproject.toml declares, and a run of
 every subcommand never loads numpy.  README's module table names every
-module under src/dioph."""
+module under src/dioph, and docs/formats.md states the enumeration budget."""
 
 import ast
 import json
@@ -93,3 +93,10 @@ def test_every_module_has_a_row_in_the_readme_table():
     rows = set(re.findall(r"^\| `dioph\.(\w+)` \|", table, re.M))
     modules = {p.stem for p in (SRC / "dioph").glob("*.py") if p.stem != "__init__"}
     assert modules - rows == set()
+
+
+def test_formats_doc_states_the_enumeration_node_budget():
+    from dioph.lattice import _ENUM_NODE_BUDGET
+
+    formats = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+    assert f"more than {_ENUM_NODE_BUDGET:,} nodes" in formats.replace("\n  ", " ")
