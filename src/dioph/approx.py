@@ -283,6 +283,8 @@ def liouville_scan(
         raise DomainError("Liouville scan needs an irrational algebraic number")
     if q_max < 1:
         raise DomainError("q_max must be >= 1")
+    if sweep_limit < 0:
+        raise DomainError("sweep_limit must be >= 0")
     candidates = _fatou_candidates(alpha, q_max)
     lo, hi = alpha.interval()
     w_num, w_den = (hi - lo).as_integer_ratio()
@@ -333,6 +335,8 @@ def exponent_report(
     """
     if alpha.is_rational():
         raise DomainError("exponent experiments need an irrational subject")
+    if q_max < 1:
+        raise DomainError("q_max must be >= 1")
     records: List[ApproxRecord] = []
     dirichlet = 0
     for p, q in convergents_up_to(alpha, q_max):

@@ -88,15 +88,19 @@ def _parse_csv_rationals(text: str):
     return [parse_rational(t) for t in text.split(",") if t.strip() != ""]
 
 
+def _root_interval(args):
+    """The --root-interval endpoints [lo, hi], or None when it is not given."""
+    if args.root_interval is None:
+        return None
+    parts = args.root_interval.split(",")
+    if len(parts) != 2:
+        raise ParseError("--root-interval expects 'lo,hi'")
+    return parts
+
+
 def _alpha_from_args(args) -> AlgebraicNumber:
     poly = to_int_polynomial(parse_poly_input(args.alpha))
-    interval = None
-    if args.root_interval:
-        parts = args.root_interval.split(",")
-        if len(parts) != 2:
-            raise ParseError("--root-interval expects 'lo,hi'")
-        interval = parts
-    return _algebraic_from_poly(poly, interval)
+    return _algebraic_from_poly(poly, _root_interval(args))
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +190,12 @@ def _cmd_siegel_nf(args):
 
 
 def _cmd_index(args):
+    if args.root_interval is not None and not args.base:
+        raise ParseError("--root-interval applies only with --base")
     base = None
     if args.base:
         poly = to_int_polynomial(parse_poly_input(args.base))
-        interval = args.root_interval.split(",") if args.root_interval else None
-        base = _algebraic_from_poly(poly, interval)
+        base = _algebraic_from_poly(poly, _root_interval(args))
     P = multipoly_from_json(_read_json_arg(args.poly), base)
     point = []
     for tok in args.point.split(","):

@@ -20,13 +20,9 @@ from .exceptions import DomainError, PrecisionError, UnsupportedError
 from .intpoly import (
     IntPolynomial,
     content_and_primitive,
-    cyclotomic,
     cyclotomic_index,
-    euler_phi,
     factor_integer,
     is_irreducible,
-    poly_divide_exact,
-    rational_root,
     _q_to_primitive,
 )
 from .linalg import primitive_vector
@@ -290,7 +286,7 @@ def check_mahler_cost(degree: int, precision) -> None:
     d and requested bits b = log2(1/precision) give d**3 * b**2 above
     MAHLER_COST_CAP.  The user-facing routes (mahler_measure,
     weil_height_algebraic, the northcott scan) call this; the internal
-    ladder of mahler_leq does not."""
+    ladder of _mahler_leq_exact does not."""
     _check_mahler_degree(degree)
     precision = Fraction(precision)
     bits = max(0, _log2_inverse(precision))
@@ -340,49 +336,6 @@ def mahler_measure(f: IntPolynomial, precision: Fraction = DEFAULT_PRECISION) ->
     return mahler_enclosure(f, precision)
 
 
-def _strip_exact_factors(prim: IntPolynomial) -> Tuple[Fraction, IntPolynomial]:
-    """Split off factors with exact Mahler contribution: rational linear
-    factors (M = max(|p|, |q|)) and cyclotomic factors (M = 1).  Returns
-    (exact contribution, remaining primitive cofactor)."""
-    acc = Fraction(1)
-    work = prim
-    changed = True
-    while changed and work.degree >= 1:
-        changed = False
-        r = rational_root(work)
-        if r is not None:
-            factor = IntPolynomial([-r.numerator, r.denominator])
-            quotient = poly_divide_exact(work, factor)
-            if quotient is None:
-                raise DomainError("rational root stripping failed")
-            acc *= max(abs(r.numerator), r.denominator)
-            work = quotient
-            changed = True
-            continue
-        for k in range(1, 2 * work.degree * work.degree + 3):
-            if euler_phi(k) > work.degree:
-                continue
-            quotient = poly_divide_exact(work, cyclotomic(k))
-            if quotient is not None:
-                work = quotient
-                changed = True
-                break
-    return acc, work
-
-
-def _residual_mahler(work: IntPolynomial) -> Optional[Fraction]:
-    """Exact Mahler measure of a cofactor left by _strip_exact_factors, or
-    None: a constant, or a quadratic with a complex pair, whose
-    |root|^2 = |a_0/a_2| is rational."""
-    if work.degree == 0:
-        return Fraction(abs(work.constant))
-    if work.degree == 2:
-        a0, a1, a2 = work.coeffs
-        if a1 * a1 - 4 * a0 * a2 < 0:
-            return Fraction(max(abs(a2), abs(a0)))
-    return None
-
-
 def _graeffe_square(a: List[int]) -> List[int]:
     """Coefficients of g with g(x^2) = (-1)^n a(x) a(-x), n = deg a: the
     roots of g are the squares of the roots of a, and lc(g) = lc(a)^2, so
@@ -427,49 +380,47 @@ def mahler_graeffe_verdict(f: IntPolynomial, c: Fraction) -> Optional[bool]:
     return None
 
 
-def mahler_leq(f: IntPolynomial, c: Fraction) -> bool:
-    """Decide M(f) <= c exactly (boundary inclusive), c rational.
-
-    mahler_graeffe_verdict decides first, in integers; its first
-    reject covers |lc(f)| > c and |f(0)| > c.  What it leaves open,
-    exact ties included, goes to the exact structural values
-    (cyclotomic products, rational factors, complex quadratic pairs,
-    all roots certified outside or inside the unit circle) and to
-    enclosure tightening.  A residual undecidable tie raises
-    PrecisionError rather than guessing.
-    """
-    verdict = mahler_graeffe_verdict(f, c)
-    if verdict is not None:
-        return verdict
-    return _mahler_leq_exact(f, Fraction(c))
+def _exact_mahler(g: IntPolynomial) -> Optional[int]:
+    """M(g) for an irreducible primitive g with positive leading coefficient
+    where its structure fixes it, else None: max(|a_0|, a_1) at degree 1,
+    max(|a_0|, a_2) for a quadratic with a complex pair, whose
+    |root|^2 = |a_0/a_2| is rational, and 1 for a cyclotomic g (Kronecker)."""
+    if g.degree == 1:
+        return max(abs(g.constant), g.leading)
+    if g.degree == 2:
+        a0, a1, a2 = g.coeffs
+        if a1 * a1 - 4 * a0 * a2 < 0:
+            return max(abs(a0), a2)
+    return 1 if cyclotomic_index(g) is not None else None
 
 
 def _mahler_leq_exact(f: IntPolynomial, c: Fraction) -> bool:
-    """M(f) <= c by exact structure and enclosures, for the f and c that
-    mahler_graeffe_verdict leaves open.  Exactly-known factors are
-    stripped; the rest goes down one ladder, _MAHLER_LEQ_WIDTHS, whose
+    """M(f) <= c by exact structure and enclosures, for an irreducible f
+    and the c that mahler_graeffe_verdict leaves open.  _exact_mahler
+    decides first; the rest goes down one ladder, _MAHLER_LEQ_WIDTHS, whose
     rungs each take the root moduli once, at the first width
     mahler_enclosure would, and decide by the enclosure of M formed from
     them, or a tie by the same moduli: M = |a_0| when every root is
     outside the unit circle, M = |lc| when every root is inside."""
-    content, prim = content_and_primitive(f)
-    exact_part, rest = _strip_exact_factors(prim)
-    target = c / content / exact_part
-    exact = _residual_mahler(rest)
+    content, g = content_and_primitive(f)
+    if g.leading < 0:
+        g = -g
+    target = c / content
+    exact = _exact_mahler(g)
     if exact is not None:
         return exact <= target
-    _check_mahler_degree(rest.degree)
-    per_width = 4 * rest.degree * abs(rest.leading)
+    _check_mahler_degree(g.degree)
+    per_width = 4 * g.degree * g.leading
     for w in _MAHLER_LEQ_WIDTHS:
-        s, moduli, enc = _mahler_rung(rest, w / per_width)
+        s, moduli, enc = _mahler_rung(g, w / per_width)
         if enc.hi <= target:
             return True
         if enc.lo > target:
             return False
         if all(lo > 1 << s for lo, _ in moduli):
-            return Fraction(abs(rest.constant)) <= target
+            return Fraction(abs(g.constant)) <= target
         if all(hi < 1 << s for _, hi in moduli):
-            return Fraction(abs(rest.leading)) <= target
+            return Fraction(g.leading) <= target
     raise PrecisionError(
         f"cannot decide M({f}) <= {c} (suspected exact boundary tie): used "
         f"{len(_MAHLER_LEQ_WIDTHS)} enclosures, the finest of width 1e-320; the cap is that width"
@@ -538,7 +489,7 @@ def northcott_enumerate(
     decided exactly by the Mahler filter M(f) <= X^n.  The filter's
     integer Graeffe verdict runs first on every primitive vector: a
     reject skips the irreducibility proof, and an accept skips the
-    structural and enclosure route of mahler_leq.  A box of more than
+    structural and enclosure route of _mahler_leq_exact.  A box of more than
     NORTHCOTT_BOX_CAP coefficient vectors raises UnsupportedError before
     the scan.
     """

@@ -359,19 +359,12 @@ def _squarefree_mod_p(f: IntPolynomial) -> bool:
 
 def squarefree_part(f: IntPolynomial) -> IntPolynomial:
     """Primitive squarefree polynomial with the same roots as f, positive
-    leading coefficient.  The primitive part is returned as it stands when
-    _squarefree_mod_p proves it squarefree; otherwise it is divided by
-    gcd(f, f') over Z."""
+    leading coefficient: the product of the factors of
+    squarefree_decomposition, so the primitive part itself when
+    _squarefree_mod_p proves it squarefree."""
     if f.is_zero():
         raise DomainError("squarefree part of zero polynomial")
-    _, fp = content_and_primitive(f)
-    if fp.degree < 1:
-        return IntPolynomial([1])
-    if fp.leading < 0:
-        fp = -fp
-    if _squarefree_mod_p(fp):
-        return fp
-    return _divide_exact(fp, poly_gcd(fp, fp.derivative()))
+    return math.prod((g for g, _ in squarefree_decomposition(f)), start=IntPolynomial([1]))
 
 
 def squarefree_decomposition(f: IntPolynomial) -> List[Tuple[IntPolynomial, int]]:
@@ -669,25 +662,6 @@ def _subset_sums(degrees: List[int]) -> set:
     for d in degrees:
         sums |= sums << d
     return {i for i in range(sums.bit_length()) if (sums >> i) & 1}
-
-
-def rational_root(f: IntPolynomial) -> Optional[Fraction]:
-    """A rational root of f or None: 0 if the constant term vanishes,
-    else the first p/q, then -p/q, over coprime divisors q of the
-    leading coefficient and p of the constant term."""
-    a0, an = f.constant, f.leading
-    if a0 == 0:
-        return Fraction(0)
-    for q in divisors(an):
-        for p in divisors(a0):
-            if math.gcd(p, q) != 1:
-                continue
-            x = Fraction(p, q)
-            if f.sign_at(x) == 0:
-                return x
-            if f.sign_at(-x) == 0:
-                return -x
-    return None
 
 
 def _mignotte_bound(f: IntPolynomial, k: int, i: int) -> int:

@@ -308,8 +308,6 @@ def derivative_height_bound_check(
     val = deriv.evaluate(coords)
     if isinstance(val, Fraction):
         lhs_enc = Enclosure.exact(height_rational(val).exact)
-    else:
-        lhs_enc = nf_element_height(val, precision).enclosure
     prec = precision
     for _ in range(_DERIVATIVE_ROUNDS):
         rhs_enc = Enclosure.exact(Fraction(4) ** r_sum * h_poly)

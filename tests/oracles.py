@@ -19,10 +19,11 @@ orthogonal complement.  The polynomial oracles run Euclid and Yun's
 algorithm over Q on Fraction coefficient lists, where production
 pseudo-divides integer polynomials.  The Mahler-filter oracle decides
 M(f) <= c by the structural and enclosure route alone, where production
-asks an integer Graeffe verdict first, and it runs whole mahler_enclosure
-ladders, where production takes the root moduli once per rung.  The
-Northcott oracle scans the box in the order irreducibility (by sympy),
-then that oracle.
+asks an integer Graeffe verdict first; it strips exact factors of any f,
+where production takes an irreducible one, and it runs whole
+mahler_enclosure ladders, where production takes the root moduli once
+per rung.  The Northcott oracle scans the box in the order
+irreducibility (by sympy), then that oracle.
 """
 
 from fractions import Fraction
@@ -33,11 +34,15 @@ from typing import Optional, Tuple
 import sympy
 
 from dioph.enclosure import Enclosure, log_enclosure, nth_root_enclosure
-from dioph.exceptions import PrecisionError
-from dioph.heights import _residual_mahler, _strip_exact_factors, mahler_enclosure
+from dioph.exceptions import DomainError, PrecisionError
+from dioph.heights import mahler_enclosure
 from dioph.intpoly import (
     IntPolynomial,
     content_and_primitive,
+    cyclotomic,
+    divisors,
+    euler_phi,
+    poly_divide_exact,
     squarefree_decomposition,
     squarefree_part,
 )
@@ -392,12 +397,77 @@ def mahler_by_enclosures(f: IntPolynomial, precision: Fraction) -> Enclosure:
     raise PrecisionError("the oracle's Mahler ladder did not converge")
 
 
+def rational_root(f: IntPolynomial) -> Optional[Fraction]:
+    """A rational root of f or None: 0 if the constant term vanishes,
+    else the first p/q, then -p/q, over coprime divisors q of the
+    leading coefficient and p of the constant term."""
+    a0, an = f.constant, f.leading
+    if a0 == 0:
+        return Fraction(0)
+    for q in divisors(an):
+        for p in divisors(a0):
+            if gcd(p, q) != 1:
+                continue
+            x = Fraction(p, q)
+            if f.sign_at(x) == 0:
+                return x
+            if f.sign_at(-x) == 0:
+                return -x
+    return None
+
+
+def _strip_exact_factors(prim: IntPolynomial) -> Tuple[Fraction, IntPolynomial]:
+    """Split off factors with exact Mahler contribution: rational linear
+    factors (M = max(|p|, |q|)) and cyclotomic factors (M = 1).  Returns
+    (exact contribution, remaining primitive cofactor)."""
+    acc = Fraction(1)
+    work = prim
+    changed = True
+    while changed and work.degree >= 1:
+        changed = False
+        r = rational_root(work)
+        if r is not None:
+            factor = IntPolynomial([-r.numerator, r.denominator])
+            quotient = poly_divide_exact(work, factor)
+            if quotient is None:
+                raise DomainError("rational root stripping failed")
+            acc *= max(abs(r.numerator), r.denominator)
+            work = quotient
+            changed = True
+            continue
+        for k in range(1, 2 * work.degree * work.degree + 3):
+            if euler_phi(k) > work.degree:
+                continue
+            quotient = poly_divide_exact(work, cyclotomic(k))
+            if quotient is not None:
+                work = quotient
+                changed = True
+                break
+    return acc, work
+
+
+def _residual_mahler(work: IntPolynomial) -> Optional[Fraction]:
+    """Exact Mahler measure of a cofactor left by _strip_exact_factors, or
+    None: a constant, or a quadratic with a complex pair, whose
+    |root|^2 = |a_0/a_2| is rational."""
+    if work.degree == 0:
+        return Fraction(abs(work.constant))
+    if work.degree == 2:
+        a0, a1, a2 = work.coeffs
+        if a1 * a1 - 4 * a0 * a2 < 0:
+            return Fraction(max(abs(a2), abs(a0)))
+    return None
+
+
 def mahler_leq_by_ladders(f: IntPolynomial, c: Fraction) -> bool:
-    """heights._mahler_leq_exact as an earlier version wrote it: whole
-    mahler_enclosure ladders at widths 1e-8 to 1e-40, each run to its
-    width, then the tie rules on root moduli at 1e-40, then enclosures at
-    1e-80, 1e-160 and 1e-320; production takes the root moduli once per
-    rung of one ladder and asks the tie rules on every rung."""
+    """heights._mahler_leq_exact as an earlier version wrote it, for any f:
+    rational linear and cyclotomic factors are stripped first, where
+    production takes an irreducible f and reads its exact value off its
+    structure; then whole mahler_enclosure ladders at widths 1e-8 to
+    1e-40, each run to its width, then the tie rules on root moduli at
+    1e-40, then enclosures at 1e-80, 1e-160 and 1e-320; production takes
+    the root moduli once per rung of one ladder and asks the tie rules on
+    every rung."""
     content, prim = content_and_primitive(f)
     exact_part, rest = _strip_exact_factors(prim)
     target = c / content / exact_part
@@ -425,7 +495,7 @@ def mahler_leq_by_ladders(f: IntPolynomial, c: Fraction) -> bool:
 
 
 def mahler_leq_by_enclosures(f: IntPolynomial, c) -> bool:
-    """heights.mahler_leq without its Graeffe verdict: the two early
+    """M(f) <= c without the Graeffe verdict of heights: the two early
     rejects |lc| > c and |f(0)| > c on the primitive part, then
     mahler_leq_by_ladders."""
     c = Fraction(c)

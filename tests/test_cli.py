@@ -337,6 +337,34 @@ def test_q_max_above_the_terms_cap_exits_2(capsys, monkeypatch, command):
     assert "the cap is CF_TERMS_CAP = 11" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["exponents", "--qmax", "0", "--", "x^2-2"], "q_max must be >= 1"),
+        (["exponents", "--qmax", "-7", "--", "x^2-2"], "q_max must be >= 1"),
+        (["liouville", "--qmax", "0", "--", "x^2-2"], "q_max must be >= 1"),
+        (["liouville", "--sweep", "-1", "--qmax", "10", "--", "x^2-2"], "sweep_limit must be >= 0"),
+        (["liouville", "--sweep", "-5", "--qmax", "10", "--", "x^2-2"], "sweep_limit must be >= 0"),
+        (["cf", "--root-interval", "5,7,9", "--", "x^2-2"], "--root-interval expects 'lo,hi'"),
+        (["cf", "--root-interval=", "--", "x^2-2"], "--root-interval expects 'lo,hi'"),
+        (["index", "--base", "x^2-2", "--root-interval", "5,7,9", "--poly",
+          '{"arity": 1, "terms": []}', "--point", "0", "--weights", "1"],
+         "--root-interval expects 'lo,hi'"),
+    ],
+)
+def test_bad_flag_values_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_liouville_sweep_0_and_exponents_qmax_1_are_admitted(capsys):
+    code, out = run(capsys, "liouville", "--sweep", "0", "--qmax", "10", "--", "x^2-2")
+    assert code == 0 and json.loads(out)["sweep_limit"] == 0
+    code, out = run(capsys, "exponents", "--qmax", "1", "--", "x^2-2")
+    assert code == 0 and json.loads(out)["records"]
+
+
 def test_exponents_csv(capsys):
     code, out = run(
         capsys, "exponents", "x^2-2", "--qmax", "100", "--format", "csv"
@@ -404,6 +432,8 @@ def test_siegel_rejects_non_integer_matrix_json(capsys, matrix):
         ["siegel", "--precision", "1e-3", "--", '{"entries": [[1, 2]]}'],
         ["minima", "--cache", "d", "--", '{"forms": [[1, 0], [0, 1]], "bounds": [1, 1]}'],
         ["northcott", "--cache", "d", "--degree", "1", "--height", "1"],
+        ["index", "--root-interval", "1,2", "--poly", '{"arity": 1, "terms": []}',
+         "--point", "0", "--weights", "1"],  # no --base to select a root of
     ],
 )
 def test_options_only_where_read(capsys, tmp_path, monkeypatch, argv):

@@ -18,7 +18,6 @@ from dioph.heights import (
     is_root_of_unity,
     local_abs,
     local_abs_product,
-    mahler_leq,
     mahler_measure,
     nf_element_height,
     northcott_enumerate,
@@ -34,6 +33,13 @@ from oracles import mahler_leq_by_enclosures, mahler_leq_by_ladders, northcott_b
 
 SQRT2 = AlgebraicNumber(IntPolynomial([-2, 0, 1]), interval=(1, 2))
 PHI = AlgebraicNumber(IntPolynomial([-1, -1, 1]), interval=(1, 2))
+
+
+def mahler_leq(f, c):
+    """The Mahler filter of northcott_enumerate on an irreducible f: the
+    Graeffe verdict, then _mahler_leq_exact where it leaves M(f) <= c open."""
+    verdict = heights.mahler_graeffe_verdict(f, c)
+    return heights._mahler_leq_exact(f, Fraction(c)) if verdict is None else verdict
 
 
 def rand_rational(rng, top=10 ** 6):
@@ -195,7 +201,7 @@ def test_mahler_leq_budget_is_named(monkeypatch):
     with pytest.raises(
         PrecisionError, match="used 12 enclosures, the finest of width 1e-320; the cap is that width"
     ):
-        mahler_leq(f, Fraction(2))
+        heights._mahler_leq_exact(f, Fraction(2))
 
 
 def _counting(monkeypatch, name):
@@ -308,10 +314,11 @@ def test_graeffe_verdict_leaves_exact_ties_open(tie, scale):
 def test_graeffe_verdict_examples():
     verdict = heights.mahler_graeffe_verdict
     phi12_x3 = cyclotomic(12) * IntPolynomial([-3, 1])
-    # exact ties stay open, and mahler_leq settles them structurally
-    for f, c in [(IntPolynomial([-2, 0, 1]), 2), (phi12_x3, 3), (IntPolynomial([-4, 1, 1]), 4)]:
+    # exact ties stay open, and _mahler_leq_exact settles irreducible ones
+    assert verdict(phi12_x3, Fraction(3)) is None
+    for f, c in [(IntPolynomial([-2, 0, 1]), 2), (IntPolynomial([-4, 1, 1]), 4)]:
         assert verdict(f, Fraction(c)) is None
-        assert mahler_leq(f, Fraction(c))
+        assert heights._mahler_leq_exact(f, Fraction(c))
     assert verdict(phi12_x3, Fraction(299, 100)) is False
     assert verdict(IntPolynomial([-1, -1, 0, 1]), Fraction(2)) is True  # sqrt(3) <= 2
     # the first reject is |lc| > c or |f(0)| > c
@@ -322,38 +329,8 @@ def test_graeffe_verdict_examples():
         verdict(IntPolynomial([5]), Fraction(5))
 
 
-_LADDER_FACTORS = st.one_of(
-    st.tuples(st.integers(-6, 6), st.integers(1, 6)).map(lambda t: _linear(*t)[0]),
-    st.sampled_from([cyclotomic(k) for k in range(1, 13) if euler_phi(k) <= 4]),
-    st.sampled_from(_SALEM[:1]),
-    st.lists(st.integers(-9, 9), min_size=3, max_size=5).map(IntPolynomial)
-    .filter(lambda f: f.degree >= 2),
-)
-
-
-def _outcome(route, f, c):
-    try:
-        return route(f, c)
-    except PrecisionError:
-        return "undecided"
-
-
-@settings(max_examples=150)
-@given(st.lists(st.tuples(_LADDER_FACTORS, st.integers(1, 2)), min_size=1, max_size=3),
-       st.sampled_from(["mid", "above", "below", "integer"]))
-def test_mahler_leq_exact_agrees_with_the_ladders_oracle(factors, where):
-    # repeated, rational and cyclotomic factors; c at M(f), 0.1 % off it,
-    # or at the nearest integer, where exact ties live
-    f = _product(factors)
-    assume(1 <= f.degree <= 8)
-    m = heights.mahler_enclosure(f, Fraction(1, 10 ** 6)).mid
-    c = {"mid": m, "above": m * Fraction(1001, 1000), "below": m * Fraction(999, 1000),
-         "integer": Fraction(max(1, round(m)))}[where]
-    assert _outcome(heights._mahler_leq_exact, f, c) == _outcome(mahler_leq_by_ladders, f, c)
-
-
 @pytest.mark.parametrize("f,c", [
-    (cyclotomic(12) * IntPolynomial([-3, 1]), 3),
+    (IntPolynomial([3, 1, 3]), 3),  # a complex pair on the unit circle: M = |lc|
     (IntPolynomial([-4, 1, 1]), 4),  # both roots outside: M = |a_0|
     (IntPolynomial([-1, 1, 4]), 4),  # both roots inside: M = |lc|
 ])
@@ -371,6 +348,39 @@ def _irreducible(draw):
     f = IntPolynomial(coeffs + [draw(st.integers(1, 30))])
     assume(math.gcd(*f.coeffs) == 1 and f.constant != 0 and is_irreducible(f))
     return f
+
+
+_IRREDUCIBLE_DRAWS = st.one_of(
+    st.tuples(st.integers(-6, 6), st.integers(1, 6)).map(lambda t: _linear(*t)[0]),
+    st.sampled_from(_CYCLOTOMIC),
+    st.integers(2, 30).filter(lambda d: math.isqrt(d) ** 2 != d)
+    .map(lambda d: IntPolynomial([-d, 0, 1])),
+    st.tuples(st.integers(1, 6), st.integers(-6, 6), st.integers(1, 6))
+    .filter(lambda t: t[1] ** 2 < 4 * t[0] * t[2]).map(lambda t: IntPolynomial([t[2], t[1], t[0]])),
+    st.sampled_from(_SALEM),
+    _irreducible(),
+)
+
+
+def _outcome(route, f, c):
+    try:
+        return route(f, c)
+    except PrecisionError:
+        return "undecided"
+
+
+@settings(max_examples=200)
+@given(_IRREDUCIBLE_DRAWS, st.sampled_from([1, 2, -1]),
+       st.sampled_from(["mid", "above", "below", "integer"]))
+def test_mahler_leq_exact_agrees_with_the_ladders_oracle(g, scale, where):
+    # linear, cyclotomic, x^2 - d, complex pairs, Salem and random
+    # irreducible polynomials, scaled by 2 and by -1; c at M(f), 0.1 %
+    # off it, or at the nearest integer, where exact ties live
+    f = g * IntPolynomial([scale])
+    m = heights.mahler_enclosure(f, Fraction(1, 10 ** 6)).mid
+    c = {"mid": m, "above": m * Fraction(1001, 1000), "below": m * Fraction(999, 1000),
+         "integer": Fraction(max(1, round(m)))}[where]
+    assert _outcome(heights._mahler_leq_exact, f, c) == _outcome(mahler_leq_by_ladders, f, c)
 
 
 @settings(max_examples=40)
@@ -618,8 +628,10 @@ def test_exact_mahler_values():
         # complex pair on the unit circle: M = max(|lead|, |const|)
         (IntPolynomial([4, -7, 4]), 4),
         (IntPolynomial([2, 1, 2]), 2),
-        # cyclotomic times a rational linear factor
-        (IntPolynomial([1, 1, 1]) * IntPolynomial([-3, 2]), 3),
+        # a rational root: M = max(|p|, |q|)
+        (IntPolynomial([-3, 2]), 3),
+        # a cyclotomic polynomial: M = 1
+        (cyclotomic(12), 1),
     ]
     for f, m in cases:
         assert mahler_leq(f, Fraction(m))

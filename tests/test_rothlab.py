@@ -212,6 +212,17 @@ def test_derivative_height_algebraic_point():
     assert rep.holds
 
 
+def test_derivative_height_of_an_algebraic_point_is_computed_once_per_round(monkeypatch):
+    calls = []
+    real = rothlab.nf_element_height
+    monkeypatch.setattr(rothlab, "nf_element_height",
+                        lambda gamma, precision: calls.append(gamma) or real(gamma, precision))
+    rep = derivative_height_bound_check(X + Y, [SQRT2, SQRT2], (0, 0), (1, 1))
+    assert rep.holds
+    # round 1 decides: one height per coordinate and one of d_J P(beta) = 2 sqrt(2)
+    assert len(calls) == 3
+
+
 def test_undecided_height_comparisons_name_the_budget(monkeypatch):
     wide = Enclosure(Fraction(1), Fraction(10 ** 6))
     monkeypatch.setattr(rothlab, "nf_element_height", lambda gamma, precision: HeightValue(None, wide))
