@@ -105,6 +105,12 @@ COMMANDS = {
         ["exponents", "--qmax", "100000000", "--root-interval=0,1", "--", "x^3-3x+1"],
         ["exponents", "--qmax", "100000", "--", "x^4-x-1"],
         ["exponents", "--qmax", "1000000", "--format", "csv", "--root-interval=-2,-1", "--", "2x^2+3x-1"],
+        # long convergent runs of degree 3 and 5, a scan without the sweep,
+        # and a sweep limit above q_max
+        ["exponents", "--qmax", str(10 ** 40), "--", "x^3-2"],
+        ["exponents", "--qmax", str(10 ** 30), "--", "x^5-x-1"],
+        ["liouville", "--qmax", str(10 ** 9), "--sweep", "0", "--", "x^5-x-1"],
+        ["liouville", "--qmax", "150", "--sweep", "200", "--", "x^3-2"],
     ],
     # the index at rational points, at alpha and at points mixing both;
     # auxiliary polynomials up to the 128-unknown cap; the lemma verifier
