@@ -11,10 +11,13 @@ on integers (AlgebraicNumber.compare_ratio): p/q +- a/(b q^k) is the
 pair (p b q^(k-1) -+ a, b q^k), which is cross-multiplied with the
 endpoints of the isolating interval, and only a point strictly inside
 the interval costs a sign test of the minimal polynomial.  Two such
-comparisons certify each convergent's |alpha - p/q| < 1/q^2, and at
-most four decide each Liouville candidate against c(alpha)/q^n.  No
-floating point enters any verdict, and no comparison refines the
-interval.
+comparisons certify each convergent's |alpha - p/q| < 1/q^2.  A
+Liouville candidate is first compared with the interval's endpoints,
+read once per scan, which settles nearly every one; at most four
+compare_ratio calls decide the rest against c(alpha)/q^n.  The
+exponents kappa are quotients of the integer log mantissas of
+enclosure.log_units.  No floating point enters any verdict, and no
+comparison refines the interval.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, List, Optional, Set, Tuple
 
-from .enclosure import Enclosure, floor_log2_ratio, log_enclosure
+from .enclosure import Enclosure, floor_log2_ratio, log_units
 from .exceptions import DomainError, InternalError, PrecisionError, UnsupportedError
 from .numberfield import AlgebraicNumber
 from .roots import max_root_modulus
@@ -36,6 +39,8 @@ _CONSTANT_ROUNDS = 40
 _ERROR_BITS = 40
 # continued_fraction computes at most this many partial quotients
 CF_TERMS_CAP = 1000
+# exponent_report's logs are 2**-30 <= 1e-9 wide
+_KAPPA_LOG_BITS = 30
 
 
 @dataclass
@@ -277,6 +282,15 @@ def liouville_scan(
     decided again with c to 1e-30, once.  A coarse enclosure of c at
     most 1e-12 wide, such as the caller's own liouville_constant, is used
     in place of the 1e-12 one.
+
+    The isolating interval [lo, hi] is read once, after the sweep, and
+    each candidate is first cross-multiplied against it: a window
+    [p/q - c.hi/q^n, p/q + c.hi/q^n] that starts at or above hi, or ends
+    at or below lo, leaves alpha outside, so |alpha - p/q| > c.hi/q^n.
+    That is the first test compare_ratio makes, so the verdict is the one
+    _violates would give; later refinements (error_enclosure, on a
+    violation) stay inside [lo, hi], which therefore stays valid.  Only
+    the candidates this leaves open go on to _violates.
     """
     n = alpha.degree
     if n < 2:
@@ -296,9 +310,17 @@ def liouville_scan(
         candidates.update((p, q) for p in range(base - 1, base + 3))
     if coarse is None or coarse.width > Fraction(1, 10 ** 12):
         coarse = liouville_constant(alpha, Fraction(1, 10 ** 12))
+    lo, hi = alpha.interval()
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    a, b = coarse.hi.numerator, coarse.hi.denominator
     fine = None
     violations = []
     for p, q in sorted(candidates, key=lambda t: (t[1], t[0])):
+        # the window p/q -+ c.hi/q^n is [(mid - a)/den, (mid + a)/den]; one
+        # starting at or above hi, or ending at or below lo, misses alpha
+        den, mid = b * q ** n, p * b * q ** (n - 1)
+        if (mid - a) * hd >= hn * den or (mid + a) * ld <= ln * den:
+            continue
         c, verdict = coarse, _violates(alpha, p, q, coarse)
         if verdict is None:
             fine = fine or liouville_constant(alpha, Fraction(1, 10 ** 30))
@@ -343,20 +365,22 @@ def exponent_report(
         err = error_enclosure(alpha, p, q)
         kappa = None
         if q >= 2:
-            log_err = Enclosure(
-                log_enclosure(err.lo, Fraction(1, 10 ** 9)).lo,
-                log_enclosure(err.hi, Fraction(1, 10 ** 9)).hi,
-            )
-            log_q = log_enclosure(q, Fraction(1, 10 ** 9))
-            kappa = (-log_err) / log_q
+            # a_lo/2**w_lo <= log(err.lo) and log(err.hi) <= a_hi/2**w_hi, both below
+            # log(1/4) + 2**-30 < 0, and 0 < q_lo/2**w_q <= log(q) <= q_hi/2**w_q, so
+            # kappa = -log(err)/log(q) lies in [-a_hi/q_hi, -a_lo/q_lo] once scaled
+            a_lo, _, w_lo = log_units(err.lo.numerator, err.lo.denominator, _KAPPA_LOG_BITS)
+            _, a_hi, w_hi = log_units(err.hi.numerator, err.hi.denominator, _KAPPA_LOG_BITS)
+            q_lo, q_hi, w_q = log_units(q, 1, _KAPPA_LOG_BITS)
+            kappa = Enclosure(Fraction(-a_hi << w_q, q_hi << w_hi),
+                              Fraction(-a_lo << w_q, q_lo << w_lo))
         records.append(ApproxRecord(p=p, q=q, error=err, kappa=kappa))
         _certify_dirichlet(alpha, p, q)
         dirichlet += 1
     hurwitz = None
     if records:
         tail = records[len(records) // 2 :]
-        vals = [r.error * (r.q * r.q) for r in tail]
-        hurwitz = Enclosure(min(v.lo for v in vals), min(v.hi for v in vals))
+        hurwitz = Enclosure(min(r.error.lo * (r.q * r.q) for r in tail),
+                            min(r.error.hi * (r.q * r.q) for r in tail))
     kappas = [r.kappa for r in records if r.kappa is not None]
     max_exp = None
     if kappas:

@@ -258,30 +258,38 @@ def _log2_units(w: int) -> Tuple[int, int]:
     return _atanh_units(1, 3, w)
 
 
-def log_enclosure(q: Rat, err: Rat) -> Enclosure:
-    """Enclosure of log(q) of width <= err, for rational q > 0.
+def log_units(n: int, d: int, b: int) -> Tuple[int, int, int]:
+    """(lo, hi, w) with lo <= 2**w * log(n/d) <= hi and hi - lo <= 2**(w - b),
+    for integers n, d > 0 and b >= 0: the integer core of log_enclosure.
 
-    With q = 2**e * m, m = num/den in [1, 2) and z = (num - den)/(num + den)
-    in [0, 1/3), log q = e log 2 + 2 atanh(z).  Both series run at scale
+    With n/d = 2**e * m, m = num/den in [1, 2) and z = (num - den)/(num + den)
+    in [0, 1/3), log(n/d) = e log 2 + 2 atanh(z).  Both series run at scale
     2**-w (_atanh_units) and each has width at most 4w + 2 units, so the
     enclosure is at most (1 + |e|)(4w + 2) < 2**(bit_length(|e|) + g + 2)
-    units wide, g = w - base from _working_bits.  With 2**-b <= err and
-    w = b + bit_length(|e|) + 2 + g that is at most 2**-b <= err.
+    units wide, g = w - base from _working_bits.  With
+    w = b + bit_length(|e|) + 2 + g that is at most 2**(w - b) units.
     """
+    e = floor_log2_ratio(n, d)
+    num, den = n << max(-e, 0), d << max(e, 0)
+    w = _working_bits(b + abs(e).bit_length() + 2)
+    lo, hi = _atanh_units(num - den, num + den, w)
+    if e:
+        ln2_lo, ln2_hi = _log2_units(w)
+        lo += e * (ln2_lo if e > 0 else ln2_hi)
+        hi += e * (ln2_hi if e > 0 else ln2_lo)
+    return lo, hi, w
+
+
+def log_enclosure(q: Rat, err: Rat) -> Enclosure:
+    """Enclosure of log(q) of width <= err, for rational q > 0: log_units
+    at the b with 2**-b <= err."""
     q = Fraction(q)
     err = Fraction(err)
     if q <= 0:
         raise DomainError("log of a non-positive rational")
     if err <= 0:
         raise DomainError("error budget must be positive")
-    e = floor_log2(q)
-    num, den = q.numerator << max(-e, 0), q.denominator << max(e, 0)
-    w = _working_bits(max(0, -floor_log2(err)) + abs(e).bit_length() + 2)
-    lo, hi = _atanh_units(num - den, num + den, w)
-    if e:
-        ln2_lo, ln2_hi = _log2_units(w)
-        lo += e * (ln2_lo if e > 0 else ln2_hi)
-        hi += e * (ln2_hi if e > 0 else ln2_lo)
+    lo, hi, w = log_units(q.numerator, q.denominator, max(0, -floor_log2(err)))
     return Enclosure(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
 
 

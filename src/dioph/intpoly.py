@@ -682,10 +682,11 @@ def iroot_ceil(n: int) -> int:
 def is_irreducible(f: IntPolynomial) -> bool:
     """Exact irreducibility over Q, up to degree IRREDUCIBILITY_DEGREE_CAP.
 
-    Two structural answers come first: for degree >= 2, g(0) = 0 means
-    x divides g (reducible), and a monic palindromic g with g(0) = 1 that
-    equals some cyclotomic polynomial is irreducible.  Every other g of
-    degree >= 2 takes one modular route.  The factor degrees of g
+    Three structural answers come first: for degree >= 2, g(0) = 0 means
+    x divides g (reducible); a quadratic is reducible exactly when its
+    discriminant is a square; and a monic palindromic g with g(0) = 1
+    that equals some cyclotomic polynomial is irreducible.  Every other g
+    of degree >= 3 takes one modular route.  The factor degrees of g
     modulo up to six small primes, read from the distinct-degree
     factorization, rule out factor degrees over Z (degree 1 included);
     if some degree survives, g is factored completely modulo one prime
@@ -711,9 +712,18 @@ def is_irreducible(f: IntPolynomial) -> bool:
     if g.constant == 0:
         return False
     cs = g.coeffs
+    if n == 2:  # reducible iff it has a rational root, i.e. b^2 - 4ac is a square
+        disc = cs[1] * cs[1] - 4 * cs[2] * cs[0]
+        return disc < 0 or math.isqrt(disc) ** 2 != disc
     if cs[0] == cs[-1] == 1 and cs == cs[::-1] and cyclotomic_index(g) is not None:
         return True
+    return _irreducible_by_modular_route(g)
 
+
+def _irreducible_by_modular_route(g: IntPolynomial) -> bool:
+    """is_irreducible's modular route, for a primitive g of degree >= 2
+    with positive leading coefficient and g(0) != 0."""
+    n = g.degree
     feasible = set(range(1, n))  # degrees of a proper factor
     used = 0
     for p in _FILTER_PRIMES:

@@ -16,10 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .exceptions import DomainError
+from .exceptions import DomainError, UnsupportedError
 from .numberfield import NumberFieldElement
 
 Scalar = Union[Fraction, NumberFieldElement]
+
+# taylor_shift refuses a shift whose shift_cost exceeds this: about 2 s
+SHIFT_COST_CAP = 8 * 10 ** 11
 
 
 def _coerce_scalar(c) -> Scalar:
@@ -249,18 +252,57 @@ def check_weights(weights: Sequence[int], arity: int) -> Tuple[int, ...]:
     return weights
 
 
+def _bits(c: Scalar) -> int:
+    """Bit length of the largest integer that writes c down; for an element
+    of Q(alpha), its numerators, denominator and alpha's minimal polynomial."""
+    if isinstance(c, NumberFieldElement):
+        return max(x.bit_length() for x in (c.den, *c.num, *c.base.min_poly.coeffs))
+    return max(c.numerator.bit_length(), c.denominator.bit_length())
+
+
+def shift_cost(P: MultiPoly, point: Sequence[Scalar]) -> int:
+    """Estimated work of taylor_shift(P, point), in units of 1 to 3 ps.
+
+    The step for a variable h with a_h != 0 forms one product
+    C(k, j) a_h^(k-j) c per term and j <= k <= d_h, its partial degree, at
+    most T (d_h + 1) of them for T terms before the step; T starts at the
+    number of terms of P and is bounded by T (d_h + 1) and by the degree
+    box after it.  Each product costs B^2 + 2^22 units, where
+    B = (coefficient bits) + sum of d_h' (bits(a_h') + 1) over the steps
+    so far bounds the bit length of its operands.  In fresh-process timings
+    of monomials of arity 1-3 and dense polynomials of arity 1-3 at points
+    of height <= 5 and at algebraic points, one unit took 0.8-2.6 ps; at
+    taller points the estimate is high.
+    """
+    degs = P.partial_degrees()
+    box = math.prod(d + 1 for d in degs)
+    count, bits, cost = len(P.terms), max(map(_bits, P.terms.values()), default=0), 0
+    for d, a in zip(degs, point):
+        if a != 0:
+            bits += d * (_bits(a) + 1)
+            cost += count * (d + 1) * (bits * bits + (1 << 22))
+            count = min(count * (d + 1), box)
+    return cost
+
+
 def taylor_shift(P: MultiPoly, point: Sequence) -> MultiPoly:
     """P(x + point): the coefficient of x^I is d_I P evaluated at the point.
 
     Shifts one variable at a time: x_h^k becomes sum_j C(k, j) a_h^(k-j) x_h^j,
     with the powers of a_h computed once per variable.  Terms that cancel
-    are dropped by the MultiPoly constructor.
+    are dropped by the MultiPoly constructor.  A shift whose shift_cost
+    exceeds SHIFT_COST_CAP (about 2 s) is refused before it starts.
     """
     if len(point) != P.arity:
         raise DomainError("point length differs from arity")
+    point = [_coerce_scalar(a) for a in point]
+    cost = shift_cost(P, point)
+    if cost > SHIFT_COST_CAP:
+        raise UnsupportedError(
+            f"a Taylor shift of partial degrees {P.partial_degrees()} would cost about "
+            f"{cost} units; the cap is SHIFT_COST_CAP = {SHIFT_COST_CAP}")
     shifted = P
     for h, a in enumerate(point):
-        a = _coerce_scalar(a)
         if a == 0:
             continue
         powers = [Fraction(1)]

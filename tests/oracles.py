@@ -3,7 +3,9 @@
 The search oracles scan the defining box directly, with no reduction
 and no pruning, so they share no code with the routes they check.  The
 Liouville oracle decides by enclosures of the error, not by the sign
-tests of the production scan.  The bisection oracle refines a root
+tests of the production scan; the scan oracle decides every candidate
+by those sign tests, where production settles nearly all of them
+against the interval's endpoints, read once.  The bisection oracle refines a root
 interval in Fraction arithmetic, where production bisects integer
 numerators over one denominator.  The root oracles bound |root|, the
 root boxes and M(f) by nth_root_enclosure and Enclosure arithmetic on
@@ -33,6 +35,7 @@ from typing import Optional, Tuple
 
 import sympy
 
+from dioph import approx
 from dioph.enclosure import Enclosure, log_enclosure, nth_root_enclosure
 from dioph.exceptions import DomainError, PrecisionError
 from dioph.heights import mahler_enclosure
@@ -317,6 +320,35 @@ def liouville_verdict_by_enclosure(alpha, p: int, q: int, c) -> bool:
             return True
         alpha.refine((hi - lo) / 16)
     raise AssertionError(f"enclosures did not decide the bound at {p}/{q}")
+
+
+def liouville_scan_by_candidates(alpha, q_max: int, sweep_limit: int, coarse=None) -> list:
+    """The Liouville scan deciding every candidate by approx._violates
+    (four compare_ratio calls at most), where production first compares
+    each window with the isolating interval's endpoints, read once.  It
+    reads liouville_constant through the module, so a test's patch of it
+    reaches both routes."""
+    n = alpha.degree
+    candidates = approx._fatou_candidates(alpha, q_max)
+    for q in range(1, min(sweep_limit, q_max) + 1):
+        lo, _ = alpha.refine(Fraction(1, 4 * q))
+        base = lo.numerator * q // lo.denominator
+        candidates.update((p, q) for p in range(base - 1, base + 3))
+    if coarse is None or coarse.width > Fraction(1, 10 ** 12):
+        coarse = approx.liouville_constant(alpha, Fraction(1, 10 ** 12))
+    fine = None
+    violations = []
+    for p, q in sorted(candidates, key=lambda t: (t[1], t[0])):
+        c, verdict = coarse, approx._violates(alpha, p, q, coarse)
+        if verdict is None:
+            fine = fine or approx.liouville_constant(alpha, Fraction(1, 10 ** 30))
+            c, verdict = fine, approx._violates(alpha, p, q, fine)
+        if verdict is None:
+            raise PrecisionError(f"could not decide the bound at {p}/{q}")
+        if verdict:
+            violations.append(approx.LiouvilleViolation(
+                p, q, approx.error_enclosure(alpha, p, q), c * Fraction(1, q ** n)))
+    return violations
 
 
 def disk_view(den: int, disks):

@@ -18,12 +18,12 @@ from dioph.approx import (
     liouville_constant,
     liouville_scan,
 )
-from dioph.enclosure import Enclosure
+from dioph.enclosure import Enclosure, log_enclosure
 from dioph.exceptions import DomainError, PrecisionError, UnsupportedError
 from dioph.intpoly import IntPolynomial, isolate_real_roots
 from dioph.numberfield import AlgebraicNumber
 
-from oracles import liouville_verdict_by_enclosure
+from oracles import liouville_scan_by_candidates, liouville_verdict_by_enclosure
 
 SQRT2 = AlgebraicNumber(IntPolynomial([-2, 0, 1]), interval=(1, 2))
 PHI = AlgebraicNumber(IntPolynomial([-1, -1, 1]), interval=(1, 2))
@@ -369,6 +369,99 @@ def test_liouville_violation_branch_matches_the_enclosure_oracle(monkeypatch):
     assert reported_total > 20
 
 
+@st.composite
+def _real_roots(draw):
+    """A real root of an irreducible integer polynomial of degree 2-5,
+    coefficients in [-9, 9], leading coefficient 1-4."""
+    degree = draw(st.integers(2, 5))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=degree, max_size=degree))
+    coeffs.append(draw(st.integers(1, 4)))
+    assume(coeffs[0] != 0)
+    assume(sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x")).is_irreducible)
+    f = IntPolynomial(coeffs)
+    intervals = isolate_real_roots(f)
+    assume(intervals)
+    return AlgebraicNumber(f, interval=intervals[draw(st.integers(0, 4)) % len(intervals)])
+
+
+def _scan_rows(violations):
+    return [(v.p, v.q, v.error, v.threshold) for v in violations]
+
+
+def _reported_as_by_the_per_candidate_oracle():
+    """Checks the scan against the oracle on drawn roots, q_max and sweep
+    limits; returns the number of violations reported."""
+    reported = []
+
+    @given(_real_roots(), st.integers(1, 10 ** 6), st.sampled_from([0, 50, 200]))
+    @settings(max_examples=40, deadline=None)
+    def check(alpha, q_max, sweep):
+        rows = _scan_rows(liouville_scan(_fresh(alpha), q_max, sweep_limit=sweep))
+        assert rows == _scan_rows(liouville_scan_by_candidates(_fresh(alpha), q_max, sweep))
+        reported.append(len(rows))
+
+    check()
+    return sum(reported)
+
+
+def test_liouville_scan_matches_the_per_candidate_oracle():
+    # Liouville's theorem: the true constant has no violation
+    assert _reported_as_by_the_per_candidate_oracle() == 0
+
+
+def test_liouville_violations_match_the_per_candidate_oracle(monkeypatch):
+    # with c = 1 exactly every p/q with |alpha - p/q| <= 1/q^n is reported
+    one = Enclosure.exact(Fraction(1))
+    monkeypatch.setattr(approx, "liouville_constant", lambda alpha, precision=None: one)
+    assert _reported_as_by_the_per_candidate_oracle() >= 100
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+@pytest.mark.parametrize("end", ["inside", "on_lo", "on_hi"])
+@pytest.mark.parametrize("poly", [IntPolynomial([-2, 0, 1]), IntPolynomial([-2, 0, 0, 1]),
+                                  IntPolynomial([-1, -1, 0, 0, 0, 1])], ids=["n2", "n3", "n5"])
+def test_liouville_windows_ending_in_or_on_the_interval(monkeypatch, poly, end, side):
+    # c is chosen so that the window of a sweep candidate p/q ends strictly
+    # inside the isolating interval (on alpha's near side) or on one of its
+    # ends; the interval is refined beforehand, so the scan does not move it
+    alpha = AlgebraicNumber(poly, interval=(1, 2))
+    lo, hi = alpha.refine(Fraction(1, 2 ** 100))
+    flo, fhi = _fresh(alpha).refine((hi - lo) / 1000)
+    q, qn = 7, 7 ** alpha.degree
+    base = lo.numerator * q // lo.denominator
+    if side == "above":  # p/q > alpha, window end p/q - c/q^n
+        p = base + 2
+        target = {"inside": (lo + flo) / 2, "on_lo": lo, "on_hi": hi}[end]
+        c = (Fraction(p, q) - target) * qn
+    else:  # p/q < alpha, window end p/q + c/q^n
+        p = base - 1
+        target = {"inside": (fhi + hi) / 2, "on_lo": lo, "on_hi": hi}[end]
+        c = (target - Fraction(p, q)) * qn
+    coarse = Enclosure.exact(c)
+    sign_tested = []
+    real = approx._violates
+    with monkeypatch.context() as m:
+        m.setattr(approx, "_violates", lambda a, *t: sign_tested.append(t[:2]) or real(a, *t))
+        rows = _scan_rows(liouville_scan(_fresh(alpha), 1000, sweep_limit=50, coarse=coarse))
+    assert alpha.interval() == (lo, hi)
+    assert rows == _scan_rows(liouville_scan_by_candidates(_fresh(alpha), 1000, 50, coarse))
+    # alpha lies in the window exactly when its end is on alpha's near side;
+    # an end on the far side settles the candidate without a sign test
+    near = end == "inside" or end == ("on_lo" if side == "above" else "on_hi")
+    assert ((p, q) in {(r[0], r[1]) for r in rows}) == near
+    assert ((p, q) in sign_tested) == near
+
+
+def test_liouville_scan_settles_candidates_on_the_endpoints(monkeypatch):
+    # the sweep's candidates lie far from alpha; none needs a sign test
+    calls = []
+    real = approx._violates
+    monkeypatch.setattr(approx, "_violates", lambda *a: calls.append(a) or real(*a))
+    for alpha in (SQRT2, PHI, CBRT2):
+        assert liouville_scan(_fresh(alpha), 10 ** 6, sweep_limit=200) == []
+    assert calls == []
+
+
 def test_liouville_scan_retries_an_undecided_candidate_once(monkeypatch):
     # a window [1/10, 10] around c leaves |sqrt2 - 0/1| undecided at both precisions
     calls = []
@@ -475,3 +568,22 @@ def test_hurwitz_finite_version():
         if r.q >= 55:
             val = r.error * (r.q * r.q)
             assert val.hi < Fraction(46, 100)
+
+
+def test_kappa_is_the_quotient_of_the_log_enclosures():
+    # each kappa is (-log_err)/log_q in Enclosure arithmetic on log_enclosure
+    # at 1e-9, with log_err = [log(err.lo).lo, log(err.hi).hi]
+    quartic = AlgebraicNumber(IntPolynomial([-1, -1, 0, 0, 1]), interval=(1, 2))
+    err = Fraction(1, 10 ** 9)
+    checked = 0
+    for alpha, q_max in ((PHI, 10 ** 20), (SQRT2, 10 ** 30), (CBRT2, 10 ** 20), (quartic, 10 ** 12)):
+        records, summary = exponent_report(_fresh(alpha), q_max)
+        for r in records:
+            if r.q < 2:
+                assert r.kappa is None
+                continue
+            log_err = Enclosure(log_enclosure(r.error.lo, err).lo, log_enclosure(r.error.hi, err).hi)
+            assert r.kappa == (-log_err) / log_enclosure(r.q, err)
+            checked += 1
+        assert summary.max_exponent.hi == max(r.kappa.hi for r in records if r.kappa)
+    assert checked > 100

@@ -309,6 +309,12 @@ BODY_140 = _random_body(140, 140)
          "the cap is 30108672000"),
         (["minima", "--", BODY_140], "dimension 140", "the cap is 5"),
         (["minkowski", "--", BODY_140], "dimension 140", "the cap is 5"),
+        (["index", "--point=3,5", "--weights", "1,1", "--poly",
+          '{"arity": 2, "terms": [{"coeff": "1", "exps": [1000, 1000]}]}'],
+         "partial degrees (1000, 1000)", "the cap is SHIFT_COST_CAP = 800000000000"),
+        (["index", "--point=3", "--weights", "1", "--poly",
+          '{"arity": 1, "terms": [{"coeff": "1", "exps": [20000]}]}'],
+         "partial degrees (20000,)", "the cap is SHIFT_COST_CAP = 800000000000"),
     ],
 )
 def test_inputs_above_a_cap_exit_2_at_once(capsys, argv, value, cap):

@@ -100,3 +100,10 @@ def test_formats_doc_states_the_enumeration_node_budget():
 
     formats = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
     assert f"more than {_ENUM_NODE_BUDGET:,} nodes" in formats.replace("\n  ", " ")
+
+
+def test_formats_doc_states_the_shift_cost_cap():
+    from dioph.multipoly import SHIFT_COST_CAP
+
+    formats = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+    assert f"above {SHIFT_COST_CAP:,} units" in formats.replace("\n  ", " ")

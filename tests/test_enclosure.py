@@ -12,6 +12,7 @@ from dioph.enclosure import (
     exp_enclosure,
     iroot,
     log_enclosure,
+    log_units,
     nth_root_enclosure,
 )
 from dioph.exceptions import DomainError
@@ -187,3 +188,19 @@ def test_log_enclosure_denominators_follow_the_budget(q):
     # a 30-bit request gives endpoints over 2**w, w = 30 bits plus guard bits
     enc = log_enclosure(q, Fraction(1, 10 ** 9))
     assert enc.lo.denominator < 2 ** 64 and enc.hi.denominator < 2 ** 64
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, _HUGE), st.integers(1, _HUGE), st.integers(1, 2 ** 20), st.integers(0, 200))
+def test_log_units_are_the_endpoints_of_log_enclosure(n, d, k, b):
+    # the same endpoints whether or not n/d is in lowest terms, at the budget
+    # 2**-b and, for b = 10 m <= 200, at 10**-(3 m), whose b is the same
+    lo, hi, w = log_units(n * k, d * k, b)
+    assert hi - lo <= 1 << (w - b)
+    budgets = [Fraction(1, 2 ** b)] + ([Fraction(1, 10 ** (b // 10 * 3))] if b % 10 == 0 else [])
+    for err in budgets:
+        assert log_enclosure(Fraction(n, d), err) == Enclosure(Fraction(lo, 1 << w),
+                                                              Fraction(hi, 1 << w))
+    with mpmath.workdps(3 * b // 10 + 40):
+        value = mpmath.log(mpmath.mpf(n) / d) * 2 ** w
+        assert lo <= value <= hi

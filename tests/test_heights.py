@@ -609,7 +609,8 @@ def test_largest_admitted_northcott_box_runs_in_seconds(capsys):
         northcott_enumerate(2, Fraction(4))
     start = time.perf_counter()
     assert cli.main(["northcott", "--degree", "2", "--height", "79/20"]) == 0
-    # 3.6-3.8 s end to end on a 2-core machine
+    # about 2.2 s end to end on a 2-core machine (4.3 s before quadratics
+    # were decided by the discriminant)
     assert time.perf_counter() - start < 15
     assert capsys.readouterr().out.startswith("[")
 

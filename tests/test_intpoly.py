@@ -8,6 +8,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dioph import intpoly
 from dioph.exceptions import DomainError, UnsupportedError
 from dioph.intpoly import (
     _FILTER_PRIMES,
@@ -202,13 +203,33 @@ def test_irreducible_cyclotomic_and_palindromic_agree_with_sympy():
     assert not all(is_irreducible(f) for f in palindromes)
 
 
+_quadratic_coeffs = st.one_of(st.integers(-30, 30), st.integers(-10 ** 12, 10 ** 12))
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.lists(_quadratic_coeffs, min_size=3, max_size=3).map(IntPolynomial),
+    # (a x + b)(c x + d), reducible whenever a c != 0
+    st.lists(_quadratic_coeffs, min_size=4, max_size=4).map(
+        lambda v: IntPolynomial([v[1], v[0]]) * IntPolynomial([v[3], v[2]])),
+), st.sampled_from([1, -1, 2, -6, 35]))
+def test_quadratic_irreducibility_agrees_with_sympy_and_the_modular_route(f, content):
+    # the content and the sign of the leading coefficient are divided out first
+    f = IntPolynomial([content * c for c in f.coeffs])
+    assume(f.degree == 2)
+    expected = _sympy_irreducible(f)
+    assert is_irreducible(f) == expected, f
+    _, g = content_and_primitive(f)
+    g = -g if g.leading < 0 else g
+    if g.constant:
+        assert intpoly._irreducible_by_modular_route(g) == expected, f
+
+
 @pytest.mark.parametrize("f", [cyclotomic(15), cyclotomic(16), cyclotomic(24),
                                IntPolynomial([0, 1]) * cyclotomic(15),
-                               IntPolynomial([0, 0, -2, 0, 1])],
-                         ids=["phi15", "phi16", "phi24", "x*phi15", "x^2*(x^2-2)"])
+                               IntPolynomial([0, 0, -2, 0, 1]), IntPolynomial([-3, 5, 7])],
+                         ids=["phi15", "phi16", "phi24", "x*phi15", "x^2*(x^2-2)", "7x^2+5x-3"])
 def test_structural_answers_skip_the_modular_route(monkeypatch, f):
-    import dioph.intpoly as intpoly
-
     calls = []
     ddf = intpoly._pmod_ddf
     monkeypatch.setattr(intpoly, "_pmod_ddf", lambda g, p: calls.append(p) or ddf(g, p))
@@ -240,8 +261,6 @@ def test_recombination_pretest_skips_trial_divisions(monkeypatch):
     # rational roots; a subset product whose leading or constant
     # coefficient does not divide g's is rejected without poly_divide_exact
     import itertools
-
-    import dioph.intpoly as intpoly
 
     X = sympy.Symbol("x")
     rng = random.Random(17)

@@ -1,4 +1,6 @@
+import json
 import random
+import time
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -6,14 +8,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dioph.exceptions import DomainError
+from dioph import cli
+from dioph.exceptions import DomainError, UnsupportedError
 from dioph.intpoly import IntPolynomial
 from dioph.multipoly import (
+    SHIFT_COST_CAP,
     IndexValue,
     MultiPoly,
     index_at,
     kronecker_substitution,
     normalized_derivative,
+    shift_cost,
     taylor_shift,
 )
 from dioph.numberfield import AlgebraicNumber, NumberFieldElement
@@ -257,3 +262,22 @@ def test_kronecker_substitution():
     U = kronecker_substitution(P, 3)
     # x -> t, y -> t^3: terms t^4 and t^2
     assert U == MultiPoly(1, {(4,): Fraction(1), (2,): Fraction(1)})
+
+
+@pytest.mark.parametrize("exps, point", [((4427,), "3"), ((302, 302), "3,5")],
+                         ids=["x^4427", "x^302*y^302"])
+def test_largest_admitted_shift_runs_in_seconds(capsys, exps, point):
+    # the largest monomials admitted at these points; one more in each
+    # exponent is refused before the shift
+    coords = [Fraction(t) for t in point.split(",")]
+    mono = lambda e: MultiPoly(len(exps), {tuple(e for _ in exps): 1})
+    assert shift_cost(mono(exps[0]), coords) <= SHIFT_COST_CAP < shift_cost(mono(exps[0] + 1), coords)
+    with pytest.raises(UnsupportedError, match="the cap is SHIFT_COST_CAP"):
+        taylor_shift(mono(exps[0] + 1), coords)
+    poly = json.dumps({"arity": len(exps), "terms": [{"coeff": "1", "exps": list(exps)}]})
+    start = time.perf_counter()
+    assert cli.main(["index", "--point=" + point, "--weights", ",".join("1" for _ in exps),
+                     "--poly", poly]) == 0
+    # about 1.6 s as a fresh process on a 2-core machine
+    assert time.perf_counter() - start < 10
+    assert json.loads(capsys.readouterr().out) == {"index": "0/1"}
